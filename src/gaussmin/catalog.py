@@ -21,6 +21,7 @@ import numpy as np
 from .density import Density, Profile, horizontal_gaussian
 from .graph import (
     GraphFunction,
+    QUAD_LOG_ROOT_CANDIDATES,
     QUAD_LOG_STATIONARY_HEIGHT,
     graph_curvature_samples,
 )
@@ -214,7 +215,7 @@ def make_horizontal_plane(
         source = f"horizontal plane at the stationary height of profile '{profile.name}'"
         annotations = ()
         if profile.name == "quad_log":
-            alt = (math.sqrt(17.0) + 1.0) / 8.0
+            alt = QUAD_LOG_ROOT_CANDIDATES[1]
             annotations = (
                 f"candidate height (1+sqrt(17))/8 = {alt:.7f} has slope "
                 f"{float(profile.slope(alt)):.6f}, not 0; the stationary height is "

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -165,7 +166,7 @@ def _cmd_bound(ns: dict) -> int:
     n = int(ns["n"])
     if not 1 <= n <= 3:
         raise UsageError("bound supports n in {1, 2, 3}")
-    if ns["steps"] < 1 or ns["rmax"] < ns["rmin"] or ns["rmin"] < 0:
+    if ns["steps"] < 1 or ns["rmax"] < ns["rmin"]:
         raise UsageError("bad radius range")
     radii = np.linspace(ns["rmin"], ns["rmax"], int(ns["steps"]))
     rows = measure.bound_sweep(n, radii)
@@ -322,6 +323,16 @@ def _cmd_measure(ns: dict) -> int:
 
 # --------------------------------------------------------------------- main
 
+def _check_ranges(ns: dict) -> None:
+    """Usage checks shared by every command: a dimension n >= 1 and finite,
+    non-negative radii."""
+    if "n" in ns and int(ns["n"]) < 1:
+        raise UsageError("dimension n must be >= 1")
+    for key in ("R", "rmin", "rmax"):
+        if key in ns and not 0.0 <= float(ns[key]) < math.inf:
+            raise UsageError(f"{key} must be finite and non-negative, got {ns[key]}")
+
+
 _DEFAULTS: dict[str, dict] = {
     "verify": {"tolerance": 1e-5, "only": "all", "out": None, "seed": DEFAULT_SEED},
     "bound": {"n": 2, "rmin": 0.5, "rmax": 6.0, "steps": 12, "out": None},
@@ -441,6 +452,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         merged.update(loaded)
     merged.update(ns)
     try:
+        _check_ranges(merged)
         return _HANDLERS[command](merged)
     except UsageError as exc:
         print(f"gaussmin: {exc}", file=sys.stderr)

@@ -120,6 +120,14 @@ def profile_from_name(spec: str) -> Profile:
 
 # --------------------------------------------------------------------------- densities
 
+def as_points(x, dimension: int) -> np.ndarray:
+    """x as a float array of points of shape (..., dimension)."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (dimension,):
+        raise ValueError(f"expected points of dimension {dimension}, got shape {x.shape}")
+    return x
+
+
 @dataclass(frozen=True)
 class Density:
     """Weight e^{-F} on R^dimension, given by log-weight F and its gradient.
@@ -136,24 +144,16 @@ class Density:
     horizontal: Optional["Density"] = None
     vertical: Optional[Profile] = None
 
-    def _as_points(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1:] != (self.dimension,):
-            raise ValueError(
-                f"expected points of dimension {self.dimension}, got shape {x.shape}"
-            )
-        return x
-
     def log_weight(self, x):
         """F(x); the weight itself is e^{-F(x)}."""
-        return self._log_weight(self._as_points(x))
+        return self._log_weight(as_points(x, self.dimension))
 
     def weight(self, x):
         return np.exp(-self.log_weight(x))
 
     def grad_log_weight(self, x):
         """The ambient gradient of F at x."""
-        return self._grad(self._as_points(x))
+        return self._grad(as_points(x, self.dimension))
 
     # ------------------------------------------------------------------ constructors
 
@@ -249,12 +249,16 @@ def density_from_name(spec: str, dimension: int) -> Density:
     raise ValueError(f"unknown density preset '{spec}'")
 
 
-def fd_gradient(fn: Callable[[np.ndarray], float], x: np.ndarray, step: float = 1e-5) -> np.ndarray:
-    """Central finite-difference gradient, O(step^2)."""
+def fd_gradient(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, step: float = 1e-5) -> np.ndarray:
+    """Central finite-difference derivative of fn at points x, O(step^2).
+
+    The partial along x[..., i] sits at index i of the last axis, so a
+    function with values of shape (..., m) gets a (..., m, n) result.
+    """
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
+    cols = []
     for i in range(x.shape[-1]):
         e = np.zeros_like(x)
         e[..., i] = step
-        out[..., i] = (fn(x + e) - fn(x - e)) / (2.0 * step)
-    return out
+        cols.append((fn(x + e) - fn(x - e)) / (2.0 * step))
+    return np.stack(cols, axis=-1)

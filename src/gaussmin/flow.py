@@ -15,6 +15,7 @@ is rejected and retried with half the step size.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -71,14 +72,21 @@ class GridField:
         return np.linspace(-self.half_width, self.half_width, self.resolution)
 
     def nodes(self) -> np.ndarray:
-        """Grid node coordinates, shape grid_shape + (n,)."""
-        ax = self.axis()
-        if self.dimension == 1:
-            return ax[:, None]
-        return np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1)
+        """Grid node coordinates, shape grid_shape + (n,); read-only."""
+        return grid_nodes(self.half_width, self.resolution, self.dimension)
 
     def oscillation(self) -> float:
         return float(np.max(self.values) - np.min(self.values))
+
+
+@functools.lru_cache(maxsize=8)
+def grid_nodes(half_width: float, resolution: int, n: int) -> np.ndarray:
+    """Read-only node coordinates of the uniform grid of [-L, L]^n, shape
+    (resolution,) * n + (n,); memoized, since every flow step needs them."""
+    ax = np.linspace(-half_width, half_width, resolution)
+    nodes = np.stack(np.meshgrid(*([ax] * n), indexing="ij"), axis=-1)
+    nodes.flags.writeable = False
+    return nodes
 
 
 def _d1(p: np.ndarray, axis: int, dx: float) -> np.ndarray:
@@ -95,26 +103,27 @@ def _d2(p: np.ndarray, axis: int, dx: float) -> np.ndarray:
     return (p[tuple(hi)] - 2.0 * p[tuple(mid)] + p[tuple(lo)]) / (dx * dx)
 
 
+def _slopes(fld: GridField):
+    """Reflect-padded field, central slopes, W^2 and ambient points (x, u)."""
+    p = np.pad(fld.values, 1, mode="reflect")
+    grads = tuple(_d1(p, i, fld.dx) for i in range(fld.dimension))
+    w2 = sum((g * g for g in grads), 1.0)
+    ambient = np.concatenate([fld.nodes(), fld.values[..., None]], axis=-1)
+    return p, grads, w2, ambient
+
+
 def grid_weighted_mean_curvature(fld: GridField, dens: Density) -> np.ndarray:
     """H_F at every node: divergence-form H plus the density term, with
     reflected ghost nodes enforcing the Neumann condition."""
-    u = fld.values
     dx = fld.dx
-    p = np.pad(u, 1, mode="reflect")
+    p, grads, w2, ambient = _slopes(fld)
     if fld.dimension == 1:
-        ux = _d1(p, 0, dx)
-        uxx = _d2(p, 0, dx)
-        w2 = 1.0 + ux * ux
-        h = uxx / w2**1.5
-        grads = (ux,)
+        h = _d2(p, 0, dx) / w2**1.5
     else:
-        ux, uy = _d1(p, 0, dx), _d1(p, 1, dx)
+        ux, uy = grads
         uxx, uyy = _d2(p, 0, dx), _d2(p, 1, dx)
         uxy = _d1(np.pad(ux, 1, mode="reflect"), 1, dx)
-        w2 = 1.0 + ux * ux + uy * uy
         h = (w2 * (uxx + uyy) - (ux * ux * uxx + 2.0 * ux * uy * uxy + uy * uy * uyy)) / w2**1.5
-        grads = (ux, uy)
-    ambient = np.concatenate([fld.nodes(), u[..., None]], axis=-1)
     gf = dens.grad_log_weight(ambient)
     w = np.sqrt(w2)
     term = gf[..., -1]
@@ -125,17 +134,10 @@ def grid_weighted_mean_curvature(fld: GridField, dens: Density) -> np.ndarray:
 
 def weighted_area(fld: GridField, dens: Density) -> float:
     """Trapezoid-rule weighted area int e^{-F(x, u)} W dx over the box."""
-    u = fld.values
-    dx = fld.dx
-    p = np.pad(u, 1, mode="reflect")
-    if fld.dimension == 1:
-        w2 = 1.0 + _d1(p, 0, dx) ** 2
-    else:
-        w2 = 1.0 + _d1(p, 0, dx) ** 2 + _d1(p, 1, dx) ** 2
-    ambient = np.concatenate([fld.nodes(), u[..., None]], axis=-1)
+    _, _, w2, ambient = _slopes(fld)
     integrand = np.exp(-dens.log_weight(ambient)) * np.sqrt(w2)
     for _ in range(fld.dimension):
-        integrand = np.trapezoid(integrand, dx=dx, axis=-1)
+        integrand = np.trapezoid(integrand, dx=fld.dx, axis=-1)
     return float(integrand)
 
 
@@ -187,8 +189,7 @@ def initial_field(
         g = GraphFunction.random_bump(n, seed=seed, amplitude=float(arg) if arg else 0.3)
     else:
         raise ValueError(f"unknown initial condition '{init}'")
-    ax = np.linspace(-half_width, half_width, resolution)
-    nodes = ax[:, None] if n == 1 else np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1)
+    nodes = grid_nodes(half_width, resolution, n)
     return GridField(half_width, np.asarray(g.value(nodes), dtype=float))
 
 
@@ -198,12 +199,16 @@ def initial_state(
     dt = dt if dt is not None else stable_dt(fld.dimension, fld.dx, safety)
     if dt > stable_dt(fld.dimension, fld.dx, safety) * (1.0 + 1e-12):
         raise ValueError("dt violates the explicit-scheme stability bound")
+    return _accepted(fld, dens, 0.0, dt, weighted_area(fld, dens), [])
+
+
+def _accepted(
+    fld: GridField, dens: Density, t: float, dt: float, area: float, history: list
+) -> FlowState:
+    """The state of an accepted field, its record appended to ``history``."""
     hf = grid_weighted_mean_curvature(fld, dens)
-    state = FlowState(field=fld, time=0.0, dt=dt, hf_cache=hf)
-    state.history.append(
-        (0.0, weighted_area(fld, dens), fld.oscillation(), float(np.max(np.abs(hf))))
-    )
-    return state
+    history.append((t, area, fld.oscillation(), float(np.max(np.abs(hf)))))
+    return FlowState(field=fld, time=t, dt=dt, history=history, hf_cache=hf)
 
 
 def flow_step(state: FlowState, dens: Density) -> FlowState:
@@ -226,14 +231,7 @@ def flow_step(state: FlowState, dens: Density) -> FlowState:
             new_fld = GridField(fld.half_width, cand)
             area = weighted_area(new_fld, dens)
             if area <= area0 + AREA_SLACK:
-                t = state.time + dt
-                new_hf = grid_weighted_mean_curvature(new_fld, dens)
-                state.history.append(
-                    (t, area, new_fld.oscillation(), float(np.max(np.abs(new_hf))))
-                )
-                return FlowState(
-                    field=new_fld, time=t, dt=dt, history=state.history, hf_cache=new_hf
-                )
+                return _accepted(new_fld, dens, state.time + dt, dt, area, state.history)
         dt *= 0.5
     raise FlowStepError(
         f"step rejected {MAX_REJECTIONS} times at t = {state.time:.6g}"

@@ -14,11 +14,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import optimize
 
-from .density import Density, DomainError, Profile
+from .density import Density, DomainError, Profile, as_points, fd_gradient
 from .rng import DEFAULT_SEED, substream
-from .surface import CurvatureReport, ParametricSurface
+from .surface import CurvatureReport, ParametricSurface, tangent_plane_distance
 
 
 @dataclass(frozen=True)
@@ -38,40 +37,20 @@ class GraphFunction:
     fd_step: float = 1e-6
     fd_step_hess: float = 1e-4
 
-    def _pts(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1:] != (self.dimension,):
-            raise ValueError(
-                f"expected points of dimension {self.dimension}, got shape {x.shape}"
-            )
-        return x
-
     def value(self, x):
-        return self.u(self._pts(x))
+        return self.u(as_points(x, self.dimension))
 
     def gradient(self, x):
-        x = self._pts(x)
+        x = as_points(x, self.dimension)
         if self.grad_u is not None:
             return np.asarray(self.grad_u(x), dtype=float)
-        h = self.fd_step
-        cols = []
-        for i in range(self.dimension):
-            e = np.zeros_like(x)
-            e[..., i] = h
-            cols.append((self.u(x + e) - self.u(x - e)) / (2.0 * h))
-        return np.stack(cols, axis=-1)
+        return fd_gradient(self.u, x, self.fd_step)
 
     def hessian(self, x):
-        x = self._pts(x)
+        x = as_points(x, self.dimension)
         if self.hess_u is not None:
             return np.asarray(self.hess_u(x), dtype=float)
-        h = self.fd_step_hess
-        cols = []
-        for i in range(self.dimension):
-            e = np.zeros_like(x)
-            e[..., i] = h
-            cols.append((self.gradient(x + e) - self.gradient(x - e)) / (2.0 * h))
-        hess = np.stack(cols, axis=-1)
+        hess = fd_gradient(self.gradient, x, self.fd_step_hess)
         return 0.5 * (hess + np.swapaxes(hess, -1, -2))
 
     # ------------------------------------------------------------------ presets
@@ -185,29 +164,27 @@ class GraphFunction:
         widths = rng.uniform(0.8, 1.6, size=bumps)
         heights = rng.uniform(-1.0, 1.0, size=bumps)
 
-        def raw(x):
-            d2 = np.sum((x[..., None, :] - centers) ** 2, axis=-1)
-            return np.sum(heights * np.exp(-d2 / (2.0 * widths**2)), axis=-1)
+        h2 = widths**2
+
+        def bumps_at(x):
+            """Offsets x - c_k, shape (..., bumps, n), and bump values (..., bumps)."""
+            diff = x[..., None, :] - centers
+            return diff, heights * np.exp(-np.sum(diff**2, axis=-1) / (2.0 * h2))
 
         probe = np.stack(
             np.meshgrid(*([np.linspace(-4.0, 4.0, 161)] * n), indexing="ij"), axis=-1
         )
-        scale = amplitude / np.max(np.abs(raw(probe)))
-        h2 = widths**2
+        scale = amplitude / np.max(np.abs(np.sum(bumps_at(probe)[1], axis=-1)))
 
         def u(x):
-            return scale * raw(x)
+            return scale * np.sum(bumps_at(x)[1], axis=-1)
 
         def grad(x):
-            diff = x[..., None, :] - centers
-            d2 = np.sum(diff**2, axis=-1)
-            bump = heights * np.exp(-d2 / (2.0 * h2))
+            diff, bump = bumps_at(x)
             return scale * np.sum(-bump[..., None] * diff / h2[:, None], axis=-2)
 
         def hess(x):
-            diff = x[..., None, :] - centers
-            d2 = np.sum(diff**2, axis=-1)
-            bump = heights * np.exp(-d2 / (2.0 * h2))
+            diff, bump = bumps_at(x)
             outer = diff[..., :, None] * diff[..., None, :]
             eye = np.eye(n)
             terms = bump[..., None, None] * (
@@ -389,6 +366,8 @@ def horizontal_plane_roots(
     Each returned root z has |h'(z)| at the bisection noise floor; simple
     roots only (the presets have no tangential zeros).
     """
+    from scipy import optimize  # deferred: only this scan needs it, and it is slow to import
+
     lo, hi = float(interval[0]), float(interval[1])
     if not (hi > lo):
         raise ValueError("empty interval")
@@ -426,10 +405,7 @@ def horizontal_plane_roots(
 # i.e. zeros of 4z^2 + z - 1.  Only the first satisfies h'(z) = 0; the second
 # (sign-flipped variant) does not and is kept so reports can flag it.
 QUAD_LOG_STATIONARY_HEIGHT = (math.sqrt(17.0) - 1.0) / 8.0
-QUAD_LOG_ROOT_CANDIDATES = (
-    (math.sqrt(17.0) - 1.0) / 8.0,
-    (math.sqrt(17.0) + 1.0) / 8.0,
-)
+QUAD_LOG_ROOT_CANDIDATES = (QUAD_LOG_STATIONARY_HEIGHT, (math.sqrt(17.0) + 1.0) / 8.0)
 
 
 def audit_root_candidates(
@@ -470,8 +446,6 @@ def tangent_distance_suite(
     The two sides are computed along different code paths (plane geometry
     vs. the density pairing); the identity makes the residual roundoff.
     """
-    from .surface import tangent_plane_distance
-
     worst = 0.0
     box = ((-2.0, 2.0),) * n
     for i in range(trials):
@@ -495,17 +469,11 @@ def bernstein_functional(u: GraphFunction, truncation: float = 8.0, quad=None) -
     """
     from . import measure
 
-    n = u.dimension
-    spec = quad or measure.QuadratureSpec()
-    if spec.method == "monte_carlo":
-        R2 = truncation * truncation
+    R2 = truncation * truncation
 
-        def fn(x):
-            inside = np.sum(x * x, axis=-1) <= R2
-            return graph_slope(u, x) * inside
+    def slope_inside(x):
+        return graph_slope(u, x) * (np.sum(x * x, axis=-1) <= R2)
 
-        est, _ = measure.gaussian_mc_mean(fn, n, spec.samples, spec.seed)
-        return float(est)
-    pts, wts = measure.ball_quadrature(n, truncation, spec)
-    weight = (2.0 * math.pi) ** (-n / 2.0) * np.exp(-0.5 * np.sum(pts * pts, axis=-1))
-    return float(np.sum(wts * weight * graph_slope(u, pts)))
+    return measure.gaussian_ball_integral(
+        slope_inside, u.dimension, truncation, quad or measure.QuadratureSpec()
+    )

@@ -4,6 +4,9 @@ Gaussian ball mass, weighted sphere and hemisphere areas, weighted areas of
 graph caps inside ambient balls, and the volume-growth report that compares
 a cap against the ball mass plus the lateral cylinder tail.
 
+Every integral runs on ``gaussian_mc_mean``, ``ball_quadrature`` or
+``sphere_quadrature``; the two rules share their angular nodes.
+
 Two tail terms are computed side by side:
 
 * ``exact_lateral_tail``: the weighted area of the lateral cylinder wall,
@@ -25,6 +28,7 @@ import numpy as np
 from scipy import special
 
 from .density import Density, horizontal_gaussian
+from .graph import GraphFunction, graph_slope
 from .rng import DEFAULT_SEED, substream
 
 _MC_CHUNK = 1 << 18
@@ -36,7 +40,6 @@ class QuadratureSpec:
 
     ``spherical_product`` uses Gauss-Legendre radially (order ``order``) and
     a uniform periodic rule in the angles (``angular_order`` nodes);
-    ``tensor_gauss_legendre`` is the tensor rule for box integrals;
     ``monte_carlo`` draws ``samples`` points from counter-keyed streams, so a
     fixed seed gives bit-reproducible results.
     """
@@ -48,7 +51,7 @@ class QuadratureSpec:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        if self.method not in ("spherical_product", "tensor_gauss_legendre", "monte_carlo"):
+        if self.method not in ("spherical_product", "monte_carlo"):
             raise ValueError(f"unknown quadrature method '{self.method}'")
         if self.order < 2 or self.angular_order < 2:
             raise ValueError("quadrature order must be >= 2")
@@ -151,67 +154,6 @@ def _leggauss(order: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     return mid + half * x, half * w
 
 
-def box_quadrature(
-    bounds: Sequence[tuple[float, float]], spec: Optional[QuadratureSpec] = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor Gauss-Legendre nodes and weights over a box; for smooth
-    full-domain integrands only."""
-    spec = spec or QuadratureSpec(method="tensor_gauss_legendre")
-    axes = [_leggauss(spec.order, lo, hi) for lo, hi in bounds]
-    mesh = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    wts = axes[0][1]
-    for _, w in axes[1:]:
-        wts = np.multiply.outer(wts, w)
-    return pts, np.asarray(wts).ravel()
-
-
-def ball_quadrature(
-    n: int, R: float, spec: Optional[QuadratureSpec] = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Polar-product nodes and weights for the ball B^n(0, R), n in {1,2,3}.
-
-    The radial factor is Gauss-Legendre, angles use uniform periodic rules;
-    the integrand is assumed smooth on the closed ball.
-    """
-    spec = spec or QuadratureSpec()
-    if spec.method == "monte_carlo":
-        raise ValueError("monte carlo is handled by the caller, not as node sets")
-    if n == 1:
-        x, w = _leggauss(spec.order, -R, R)
-        return x[:, None], w
-    if n == 2:
-        r, wr = _leggauss(spec.order, 0.0, R)
-        phi = np.linspace(0.0, 2.0 * math.pi, spec.angular_order, endpoint=False)
-        pts = np.stack(
-            [
-                np.outer(r, np.cos(phi)).ravel(),
-                np.outer(r, np.sin(phi)).ravel(),
-            ],
-            axis=-1,
-        )
-        wts = np.outer(wr * r, np.full(phi.size, 2.0 * math.pi / phi.size)).ravel()
-        return pts, wts
-    if n == 3:
-        r, wr = _leggauss(spec.order, 0.0, R)
-        mu, wmu = _leggauss(spec.angular_order, -1.0, 1.0)  # cos(theta)
-        phi = np.linspace(0.0, 2.0 * math.pi, spec.angular_order, endpoint=False)
-        s = np.sqrt(1.0 - mu * mu)
-        dirs = np.stack(
-            [
-                np.outer(s, np.cos(phi)).ravel(),
-                np.outer(s, np.sin(phi)).ravel(),
-                np.repeat(mu, phi.size),
-            ],
-            axis=-1,
-        )
-        dw = np.repeat(wmu, phi.size) * (2.0 * math.pi / phi.size)
-        pts = (r[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
-        wts = (wr[:, None] * r[:, None] ** 2 * dw[None, :]).ravel()
-        return pts, wts
-    raise ValueError("ball quadrature supports n in {1, 2, 3}")
-
-
 def _horizontal_directions(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights for the unit (n-1)-sphere in R^n, n in {1,2,3}."""
     if n == 1:
@@ -223,7 +165,7 @@ def _horizontal_directions(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
             np.full(m, 2.0 * math.pi / m),
         )
     if n == 3:
-        mu, wmu = _leggauss(m, -1.0, 1.0)
+        mu, wmu = _leggauss(m, -1.0, 1.0)  # cos(theta)
         phi = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
         s = np.sqrt(1.0 - mu * mu)
         dirs = np.stack(
@@ -235,7 +177,29 @@ def _horizontal_directions(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
             axis=-1,
         )
         return dirs, np.repeat(wmu, phi.size) * (2.0 * math.pi / phi.size)
-    raise ValueError("sphere quadrature supports n in {1, 2, 3}")
+    raise ValueError("ball and sphere quadratures support n in {1, 2, 3}")
+
+
+def ball_quadrature(
+    n: int, R: float, spec: Optional[QuadratureSpec] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Polar-product nodes and weights for the ball B^n(0, R), n in {1,2,3}.
+
+    The radial factor is Gauss-Legendre with the r^{n-1} Jacobian, the
+    directions are those of the sphere rule; n = 1 is plain Gauss-Legendre
+    on [-R, R].  The integrand is assumed smooth on the closed ball.
+    """
+    spec = spec or QuadratureSpec()
+    if spec.method == "monte_carlo":
+        raise ValueError("monte carlo is handled by the caller, not as node sets")
+    if n == 1:
+        x, w = _leggauss(spec.order, -R, R)
+        return x[:, None], w
+    dirs, dw = _horizontal_directions(n, spec.angular_order)
+    r, wr = _leggauss(spec.order, 0.0, R)
+    pts = (r[:, None, None] * dirs[None, :, :]).reshape(-1, n)
+    wts = ((wr * r ** (n - 1))[:, None] * dw[None, :]).ravel()
+    return pts, wts
 
 
 def sphere_quadrature(
@@ -279,29 +243,24 @@ def weighted_sphere_area_mc(
     seed: int = DEFAULT_SEED,
     axis_offset: float = 0.0,
 ) -> tuple[float, float]:
-    """Monte Carlo (value, standard error) for the weighted sphere area."""
-    area = unit_sphere_area(n + 1) * R**n
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    stream = 0
-    while done < samples:
-        take = min(_MC_CHUNK, samples - done)
-        g = substream(seed, stream).standard_normal((take, n + 1))
+    """Monte Carlo (value, standard error) for the weighted sphere area.
+
+    Normalized standard normals in R^{n+1} are uniform on the sphere; the
+    upper-half restriction sits in the indicator, so the full area
+    multiplies the mean in both cases.
+    """
+
+    def on_sphere(g):
         p = R * g / np.linalg.norm(g, axis=1, keepdims=True)
         p[:, -1] += axis_offset
         v = dens.weight(p)
         if upper_half:
             v = v * (p[:, -1] > axis_offset)
-        total += float(np.sum(v))
-        total_sq += float(np.sum(v * v))
-        done += take
-        stream += 1
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    # the upper-half restriction sits in the indicator, so the full area
-    # multiplies the mean in both cases
-    return area * mean, area * math.sqrt(var / samples)
+        return v
+
+    mean, stderr = gaussian_mc_mean(on_sphere, n + 1, samples, seed)
+    area = unit_sphere_area(n + 1) * R**n
+    return area * mean, area * stderr
 
 
 def weighted_sphere_area(
@@ -330,6 +289,21 @@ def weighted_sphere_area(
     return float(np.sum(wts * dens.weight(pts)))
 
 
+def gaussian_ball_integral(
+    fn: Callable[[np.ndarray], np.ndarray], n: int, R: float, spec: QuadratureSpec
+) -> float:
+    """int_{|x| <= R} (2 pi)^{-n/2} e^{-|x|^2/2} fn(x) dx.
+
+    ``fn`` must vanish outside B^n(0, R): the Monte Carlo route averages it
+    over all of R^n, the spherical_product route only sees the ball.
+    """
+    if spec.method == "monte_carlo":
+        return gaussian_mc_mean(fn, n, spec.samples, spec.seed)[0]
+    pts, wts = ball_quadrature(n, R, spec)
+    weight = (2.0 * math.pi) ** (-n / 2.0) * np.exp(-0.5 * np.sum(pts * pts, axis=-1))
+    return float(np.sum(wts * weight * fn(pts)))
+
+
 def graph_cap_weighted_area(u, R: float, quad: Optional[QuadratureSpec] = None) -> float:
     """Weighted n-area of the graph piece inside the ambient ball B(p, R),
     p the intersection of the graph with the vertical axis.
@@ -344,18 +318,12 @@ def graph_cap_weighted_area(u, R: float, quad: Optional[QuadratureSpec] = None) 
     R2 = R * R
 
     def slope_inside(x):
-        g = u.gradient(x)
-        w = np.sqrt(1.0 + np.sum(g * g, axis=-1))
         du = np.asarray(u.value(x), dtype=float) - u0
-        inside = np.sum(x * x, axis=-1) + du * du <= R2
-        return w * inside
+        return graph_slope(u, x) * (np.sum(x * x, axis=-1) + du * du <= R2)
 
-    spec = quad or QuadratureSpec(method="monte_carlo")
-    if spec.method == "monte_carlo":
-        return gaussian_mc_mean(slope_inside, n, spec.samples, spec.seed)[0]
-    pts, wts = ball_quadrature(n, R, spec)
-    weight = (2.0 * math.pi) ** (-n / 2.0) * np.exp(-0.5 * np.sum(pts * pts, axis=-1))
-    return float(np.sum(wts * weight * slope_inside(pts)))
+    return gaussian_ball_integral(
+        slope_inside, n, R, quad or QuadratureSpec(method="monte_carlo")
+    )
 
 
 # ------------------------------------------------------------------ bound report
@@ -429,7 +397,5 @@ def bound_sweep(
     """Volume-growth reports over a radius grid, defaulting to the constant
     graph (the flat entire example)."""
     if u is None:
-        from .graph import GraphFunction
-
         u = GraphFunction.constant(n, 0.0)
     return [volume_bound_report(u, n, float(R), quad) for R in radii]

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .density import Density
+from .density import Density, fd_gradient
 
 
 class RankDeficiencyError(ValueError):
@@ -64,26 +64,14 @@ class ParametricSurface:
         p = np.asarray(p, dtype=float)
         if self.first_derivatives is not None:
             return np.asarray(self.first_derivatives(p), dtype=float)
-        h = self.fd_step
-        rows = []
-        for i in range(self.chart_dim):
-            e = np.zeros_like(p)
-            e[i] = h
-            rows.append((self.point(p + e) - self.point(p - e)) / (2.0 * h))
-        return np.stack(rows)
+        return np.moveaxis(fd_gradient(self.point, p, self.fd_step), -1, 0)
 
     def hessian(self, p) -> np.ndarray:
         """Second derivatives d^2 X / dp_i dp_j, shape (n, n, n+1)."""
         p = np.asarray(p, dtype=float)
         if self.second_derivatives is not None:
             return np.asarray(self.second_derivatives(p), dtype=float)
-        h = self.fd_step_hess
-        n = self.chart_dim
-        out = np.empty((n, n, self.ambient_dim))
-        for i in range(n):
-            e = np.zeros_like(p)
-            e[i] = h
-            out[i] = (self.partials(p + e) - self.partials(p - e)) / (2.0 * h)
+        out = np.moveaxis(fd_gradient(self.partials, p, self.fd_step_hess), -1, 0)
         # symmetrize; FD cross terms are only approximately symmetric
         return 0.5 * (out + np.swapaxes(out, 0, 1))
 
@@ -130,8 +118,8 @@ def generalized_cross(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def unit_normal(surface: ParametricSurface, p) -> np.ndarray:
-    """Unit normal at a chart point, in the chart's cross-product orientation."""
+def _frame(surface: ParametricSurface, p) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrix of the chart partials and the oriented unit normal."""
     J = surface.partials(p)
     gram = J @ J.T
     if np.linalg.det(gram) <= GRAM_DET_MIN:
@@ -139,21 +127,22 @@ def unit_normal(surface: ParametricSurface, p) -> np.ndarray:
             f"immersion is rank deficient at chart point {np.asarray(p)}"
         )
     nvec = generalized_cross(J)
-    return surface.orientation * nvec / np.linalg.norm(nvec)
+    return gram, surface.orientation * nvec / np.linalg.norm(nvec)
+
+
+def _mean_curvature(surface: ParametricSurface, p, gram, nvec) -> float:
+    b = surface.hessian(p) @ nvec
+    return float(np.trace(np.linalg.solve(gram, b)))
+
+
+def unit_normal(surface: ParametricSurface, p) -> np.ndarray:
+    """Unit normal at a chart point, in the chart's cross-product orientation."""
+    return _frame(surface, p)[1]
 
 
 def mean_curvature(surface: ParametricSurface, p) -> float:
     """Sum of principal curvatures, trace(g^{-1} b) with b_ij = <d2X_ij, N>."""
-    J = surface.partials(p)
-    gram = J @ J.T
-    if np.linalg.det(gram) <= GRAM_DET_MIN:
-        raise RankDeficiencyError(
-            f"immersion is rank deficient at chart point {np.asarray(p)}"
-        )
-    nvec = generalized_cross(J)
-    nvec = surface.orientation * nvec / np.linalg.norm(nvec)
-    b = surface.hessian(p) @ nvec
-    return float(np.trace(np.linalg.solve(gram, b)))
+    return _mean_curvature(surface, p, *_frame(surface, p))
 
 
 def density_normal_pairing(surface: ParametricSurface, dens: Density, p) -> float:
@@ -173,8 +162,8 @@ def weighted_mean_curvature(
         )
     p = np.asarray(p, dtype=float)
     x = surface.point(p)
-    nvec = unit_normal(surface, p)
-    h = mean_curvature(surface, p)
+    gram, nvec = _frame(surface, p)
+    h = _mean_curvature(surface, p, gram, nvec)
     term = float(dens.grad_log_weight(x) @ nvec)
     return CurvatureReport(
         chart_point=p,

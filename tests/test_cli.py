@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gaussmin
 from gaussmin.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 
 
@@ -205,3 +210,34 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bound", "--steps", "not_a_number"])
     assert exc.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["measure", "--quantity", "sphere", "--R", "-1"],
+        ["measure", "--quantity", "cap", "--R", "-1"],
+        ["measure", "--quantity", "ball", "--R", "nan"],
+        ["measure", "--quantity", "hemisphere", "--R", "inf"],
+        ["measure", "--n", "0"],
+        ["bound", "--rmin", "nan"],
+        ["bound", "--rmax", "inf"],
+        ["bound", "--n", "0"],
+        ["flow", "--n", "0"],
+    ],
+)
+def test_bad_radius_or_dimension_is_usage_error(args, capsys):
+    assert run(args) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "gaussmin:" in captured.err
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    src = str(Path(gaussmin.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, gaussmin.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.strip() == "False"

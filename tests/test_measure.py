@@ -12,7 +12,6 @@ from gaussmin.measure import (
     VolumeBoundReport,
     ball_quadrature,
     bound_sweep,
-    box_quadrature,
     exact_lateral_tail,
     gaussian_ball_volume,
     gaussian_ball_volume_mc,
@@ -94,13 +93,6 @@ def test_ball_quadrature_integrates_volume():
         assert float(np.sum(wts)) == pytest.approx(
             unit_ball_volume(n) * 1.5**n, rel=1e-10
         )
-
-
-def test_box_quadrature_gaussian_mass():
-    pts, wts = box_quadrature([(-6.0, 6.0), (-6.0, 6.0)], QuadratureSpec(order=48))
-    gauss2 = np.exp(-0.5 * np.sum(pts * pts, axis=-1)) / (2.0 * math.pi)
-    box_mass = special.erf(6.0 / math.sqrt(2.0)) ** 2
-    assert float(np.sum(wts * gauss2)) == pytest.approx(box_mass, abs=1e-12)
 
 
 # ----------------------------------------------------------------- sphere areas
@@ -238,6 +230,8 @@ def test_csv_row_shape():
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(method="trapezoid")
+    with pytest.raises(ValueError):
+        QuadratureSpec(method="tensor_gauss_legendre")
     with pytest.raises(ValueError):
         QuadratureSpec(order=1)
     with pytest.raises(ValueError):

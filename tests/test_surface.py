@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -122,6 +123,21 @@ def test_report_identity_and_unit_normal():
     rep = weighted_mean_curvature(surf, HG2, [0.4, -0.3])
     assert rep.weighted_mean_curvature == rep.mean_curvature + rep.density_term
     assert abs(np.linalg.norm(rep.unit_normal) - 1.0) <= 1e-12
+
+
+def test_weighted_curvature_evaluates_partials_once_per_point():
+    surf = make_associate_family(0.25)
+    calls = []
+
+    def counting(p):
+        calls.append(1)
+        return surf.first_derivatives(p)
+
+    counted = replace(surf, first_derivatives=counting)
+    for p in ([0.4, -0.3], [1.1, 0.2], [-2.0, 1.4]):
+        rep = weighted_mean_curvature(counted, HG2, p)
+        assert rep.as_dict() == weighted_mean_curvature(surf, HG2, p).as_dict()
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("theta", [0.0, math.pi / 4.0, math.pi / 2.0])
