@@ -1,0 +1,99 @@
+#!/usr/bin/env python3
+"""SHA-256 digests of CLI outputs over a fixed matrix of commands.
+
+Every case runs in process through ``gaussmin.cli.main`` and prints one line
+
+    case sha256(stdout) sha256(--out) sha256(--field-out)
+
+with ``-`` for a file the command does not write.  Run it with each
+checkout's ``src`` on ``PYTHONPATH`` and diff the two listings to see which
+outputs a change alters:
+
+    PYTHONPATH=old/src python scripts/cli_digest.py > old.txt
+    PYTHONPATH=new/src python scripts/cli_digest.py > new.txt
+    diff old.txt new.txt
+
+The hashes depend on the CPU's libm and SIMD code paths, so compare
+listings made on the same machine only.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+from gaussmin.cli import main as cli_main
+
+MEASURE_ARGS = ["--R", "1.7", "--samples", "200000"]
+
+
+def cases() -> list[list[str]]:
+    out = [
+        ["verify"],
+        ["verify", "--seed", "7387"],
+        ["verify", "--only", "catalog"],
+        *(["bound", "--n", n] for n in ("1", "2", "3")),
+        ["flow", "--n", "1", "--grid", "65"],
+        ["flow", "--n", "2", "--grid", "33", "--init", "random_bump", "--seed", "5"],
+        ["curvature", "--surface", "cylinder", "--params", "r=2", "--at", "0.3,-0.7"],
+        ["curvature", "--surface", "plane", "--params", "offset=0.75", "--at", "0.4,1.1"],
+        ["curvature", "--surface", "horizontal_plane", "--params", "a=0.39",
+         "--params", "profile=quad_log", "--at", "0.5,-0.2"],
+        ["curvature", "--surface", "associate", "--params", "theta=0.7853981633974483",
+         "--at", "0.3,0.5"],
+        ["curvature", "--surface", "graph", "--params", "preset=random_bump",
+         "--params", "seed=5", "--at", "0.4,-0.2"],
+        ["curvature", "--surface", "graph", "--params", "preset=parabola",
+         "--density", "product:gaussian+quad_log", "--at", "0.5,0.3"],
+        ["planes", "--profile", "quad_log"],
+        ["planes", "--profile", "quadratic:0.3", "--lo", "-1", "--hi", "1"],
+    ]
+    for quantity in ("unit-ball", "ball", "sphere", "hemisphere", "cap"):
+        for method in ("quadrature", "monte_carlo"):
+            for n in ("1", "2", "3"):
+                out.append(["measure", "--quantity", quantity, "--method", method,
+                            "--n", n, *MEASURE_ARGS])
+    for preset in ("parabola", "sinusoid", "linear", "random_bump"):
+        for method in ("quadrature", "monte_carlo"):
+            out.append(["measure", "--quantity", "cap", "--init", preset, "--method", method,
+                        "--n", "2", *MEASURE_ARGS])
+    return out
+
+
+def _digest(path: str) -> str:
+    if not os.path.exists(path):
+        return "-"
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def run_case(args: list[str], workdir: str) -> str:
+    out_path = os.path.join(workdir, "out")
+    field_path = os.path.join(workdir, "field")
+    for path in (out_path, field_path):
+        if os.path.exists(path):
+            os.remove(path)
+    argv = [*args, "--out", out_path]
+    if args[0] == "flow":
+        argv += ["--field-out", field_path]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        cli_main(argv)
+    text_digest = hashlib.sha256(stdout.getvalue().encode("utf-8")).hexdigest()
+    return f"{'_'.join(args)} {text_digest} {_digest(out_path)} {_digest(field_path)}"
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.parse_args()
+    with tempfile.TemporaryDirectory() as workdir:
+        for args in cases():
+            print(run_case(args, workdir), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

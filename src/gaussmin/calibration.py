@@ -11,7 +11,7 @@ e^{-F} omega a weighted calibration of a weighted minimal graph:
   when the graph is weighted minimal.
 
 Both are checked numerically here instead of reproducing the Stokes-theorem
-area-minimization argument they feed into.
+area-minimization argument they feed into, over arrays of points at once.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import Density
+from .density import Density, as_points
 from .graph import GraphFunction, graph_curvature_samples
 from .rng import DEFAULT_SEED, substream
 
@@ -92,29 +92,29 @@ def comass_check(
 
 def weighted_normal_divergence(
     u: GraphFunction, dens: Density, x, step: float = 1e-4
-) -> float:
-    """Ambient divergence of e^{-F} N at x by central finite differences."""
-    x = np.asarray(x, dtype=float)
-    nbar = extended_normal(u)
-    dim = x.size
+) -> np.ndarray:
+    """Ambient divergence of e^{-F} N at points x of shape (..., n+1), by
+    central finite differences; the result has shape (...)."""
+    x = as_points(x, u.dimension + 1)
+    dim = x.shape[-1]
     offsets = np.concatenate([step * np.eye(dim), -step * np.eye(dim)])
-    pts = x + offsets
-    vals = np.exp(-dens.log_weight(pts))[:, None] * nbar(pts)
-    forward, backward = vals[:dim], vals[dim:]
-    return float(np.trace(forward - backward) / (2.0 * step))
+    pts = x[..., None, :] + offsets
+    vals = np.exp(-dens.log_weight(pts))[..., None] * extended_normal(u)(pts)
+    forward, backward = vals[..., :dim, :], vals[..., dim:, :]
+    return np.trace(forward - backward, axis1=-2, axis2=-1) / (2.0 * step)
 
 
 def closedness_residual(
     u: GraphFunction, dens: Density, x, step: float = 1e-4
-) -> float:
-    """div(e^{-F} N)(x) + e^{-F(x)} H_F at the graph point under x.
+) -> np.ndarray:
+    """div(e^{-F} N)(x) + e^{-F(x)} H_F at the graph points under x.
 
-    Vanishes (to finite-difference accuracy) wherever the graph is weighted
-    minimal; for densities that depend on the vertical coordinate the
-    identity is exact on the graph itself.
+    ``x`` has shape (..., n+1) and the residuals shape (...).  They vanish
+    (to finite-difference accuracy) wherever the graph is weighted minimal;
+    for densities that depend on the vertical coordinate the identity is
+    exact on the graph itself.
     """
-    x = np.asarray(x, dtype=float)
+    x = as_points(x, u.dimension + 1)
     div = weighted_normal_divergence(u, dens, x, step)
-    base = x[:-1]
-    _, _, hf = graph_curvature_samples(u, dens, base)
-    return float(div + np.exp(-dens.log_weight(x)) * hf)
+    _, _, hf = graph_curvature_samples(u, dens, x[..., :-1])
+    return div + np.exp(-dens.log_weight(x)) * hf

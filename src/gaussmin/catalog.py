@@ -56,6 +56,11 @@ class CatalogEntry:
 
 # ----------------------------------------------------------------- constructors
 
+def _stack(parts, axis: int = -1) -> np.ndarray:
+    """np.stack after broadcasting, so constant entries fill a whole batch."""
+    return np.stack(np.broadcast_arrays(*parts), axis=axis)
+
+
 def make_associate_family(theta: float, v_max: float = 2.0) -> ParametricSurface:
     """The minimal associate family joining helicoid (theta = 0) and
     catenoid (theta = pi/2), on the chart (-pi, pi] x [-v_max, v_max].
@@ -65,35 +70,36 @@ def make_associate_family(theta: float, v_max: float = 2.0) -> ParametricSurface
     """
     ct, st = math.cos(theta), math.sin(theta)
 
+    def trig(p):
+        u, v = p[..., 0], p[..., 1]
+        return np.sin(u), np.cos(u), np.sinh(v), np.cosh(v)
+
     def immersion(p):
-        u, v = p
-        return np.array(
+        su, cu, sv, cv = trig(p)
+        return _stack(
             [
-                ct * math.sinh(v) * math.sin(u) + st * math.cosh(v) * math.cos(u),
-                -ct * math.sinh(v) * math.cos(u) + st * math.cosh(v) * math.sin(u),
-                ct * u + st * v,
+                ct * sv * su + st * cv * cu,
+                -ct * sv * cu + st * cv * su,
+                ct * p[..., 0] + st * p[..., 1],
             ]
         )
 
     def firsts(p):
-        u, v = p
-        su, cu = math.sin(u), math.cos(u)
-        sv, cv = math.sinh(v), math.cosh(v)
-        return np.array(
+        su, cu, sv, cv = trig(p)
+        return _stack(
             [
-                [ct * sv * cu - st * cv * su, ct * sv * su + st * cv * cu, ct],
-                [ct * cv * su + st * sv * cu, -ct * cv * cu + st * sv * su, st],
-            ]
+                _stack([ct * sv * cu - st * cv * su, ct * sv * su + st * cv * cu, ct]),
+                _stack([ct * cv * su + st * sv * cu, -ct * cv * cu + st * sv * su, st]),
+            ],
+            axis=-2,
         )
 
     def seconds(p):
-        u, v = p
-        su, cu = math.sin(u), math.cos(u)
-        sv, cv = math.sinh(v), math.cosh(v)
-        d_uu = [-ct * sv * su - st * cv * cu, ct * sv * cu - st * cv * su, 0.0]
-        d_uv = [ct * cv * cu - st * sv * su, ct * cv * su + st * sv * cu, 0.0]
-        d_vv = [ct * sv * su + st * cv * cu, -ct * sv * cu + st * cv * su, 0.0]
-        return np.array([[d_uu, d_uv], [d_uv, d_vv]])
+        su, cu, sv, cv = trig(p)
+        d_uu = _stack([-ct * sv * su - st * cv * cu, ct * sv * cu - st * cv * su, 0.0])
+        d_uv = _stack([ct * cv * cu - st * sv * su, ct * cv * su + st * sv * cu, 0.0])
+        d_vv = _stack([ct * sv * su + st * cv * cu, -ct * sv * cu + st * cv * su, 0.0])
+        return _stack([_stack([d_uu, d_uv], -2), _stack([d_uv, d_vv], -2)], -3)
 
     return ParametricSurface(
         chart_domain=((-math.pi, math.pi), (-v_max, v_max)),
@@ -127,18 +133,17 @@ def make_cylinder(r: float, half_height: float = 2.0) -> CatalogEntry:
         raise ValueError("radius must be positive")
 
     def immersion(p):
-        t, z = p
-        return np.array([r * math.cos(t), r * math.sin(t), z])
+        t = p[..., 0]
+        return _stack([r * np.cos(t), r * np.sin(t), p[..., 1]])
 
     def firsts(p):
-        t, _ = p
-        return np.array([[-r * math.sin(t), r * math.cos(t), 0.0], [0.0, 0.0, 1.0]])
+        t = p[..., 0]
+        return _stack([_stack([-r * np.sin(t), r * np.cos(t), 0.0]), [0.0, 0.0, 1.0]], -2)
 
     def seconds(p):
-        t, _ = p
-        out = np.zeros((2, 2, 3))
-        out[0, 0] = [-r * math.cos(t), -r * math.sin(t), 0.0]
-        return out
+        d_tt = _stack([-r * np.cos(p[..., 0]), -r * np.sin(p[..., 0]), 0.0])
+        zero = np.zeros_like(d_tt)
+        return _stack([_stack([d_tt, zero], -2), _stack([zero, zero], -2)], -3)
 
     target = r - 1.0 / r
     claim = Claim(CLAIM_MINIMAL) if abs(target) < 1e-12 else Claim(CLAIM_CONST_HF, target)
@@ -182,15 +187,15 @@ def make_plane(normal, offset: float, extent: float = 2.5) -> CatalogEntry:
     p0 = offset * nu
 
     def immersion(p):
-        return p0 + p[0] * basis[0] + p[1] * basis[1]
+        return p0 + p[..., :1] * basis[0] + p[..., 1:] * basis[1]
 
     return CatalogEntry(
         name=f"plane_offset{offset:g}",
         surface=ParametricSurface(
             chart_domain=((-extent, extent), (-extent, extent)),
             immersion=immersion,
-            first_derivatives=lambda p: basis.copy(),
-            second_derivatives=lambda p: np.zeros((2, 2, 3)),
+            first_derivatives=lambda p: np.broadcast_to(basis, p.shape[:-1] + (2, 3)).copy(),
+            second_derivatives=lambda p: np.zeros(p.shape[:-1] + (2, 2, 3)),
             name=f"plane(offset={offset:g})",
         ),
         density=horizontal_gaussian(2),
@@ -285,26 +290,19 @@ def default_catalog() -> list[CatalogEntry]:
 
 def _sample_grid(box, per_axis: int) -> np.ndarray:
     axes = [np.linspace(lo, hi, per_axis) for lo, hi in box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
 def _entry_samples(entry: CatalogEntry, per_axis: int):
     """(H, density term, H_F) arrays over the sample grid."""
     if isinstance(entry.surface, GraphFunction):
-        box = entry.sample_box
-        if box is None:
+        if entry.sample_box is None:
             raise ValueError(f"entry '{entry.name}' needs a sample_box")
-        pts = _sample_grid(box, per_axis)
+        pts = _sample_grid(entry.sample_box, per_axis)
         return graph_curvature_samples(entry.surface, entry.density, pts)
     pts = _sample_grid(entry.surface.chart_domain, per_axis)
-    h = np.empty(pts.shape[0])
-    term = np.empty(pts.shape[0])
-    for i, p in enumerate(pts):
-        rep = weighted_mean_curvature(entry.surface, entry.density, p)
-        h[i] = rep.mean_curvature
-        term[i] = rep.density_term
-    return h, term, h + term
+    rep = weighted_mean_curvature(entry.surface, entry.density, pts)
+    return rep.mean_curvature, rep.density_term, rep.weighted_mean_curvature
 
 
 def _signed_residual(values: np.ndarray, target: float) -> float:

@@ -92,11 +92,9 @@ def closedness_suite(
         z = np.asarray(u.value(base), dtype=float)
     else:
         z = rng.uniform(-1.0, 1.0, size=trials)
-    worst = 0.0
-    for b, zz in zip(base, z):
-        x = np.concatenate([b, [zz]])
-        worst = max(worst, abs(calibration.closedness_residual(u, dens, x)))
-    return worst
+    x = np.concatenate([base, z[:, None]], axis=-1)
+    residuals = calibration.closedness_residual(u, dens, x)
+    return float(np.max(np.abs(residuals), initial=0.0))
 
 
 def run_verify(tolerance: float, only: str, seed: int) -> dict:
@@ -208,10 +206,21 @@ def _cmd_flow(ns: dict) -> int:
 
 # ---------------------------------------------------------------- curvature
 
+def _chart_point(text: str, dim: int) -> np.ndarray:
+    """The --at chart point: ``dim`` finite comma-separated numbers, or the
+    origin when empty."""
+    try:
+        at = np.array([float(v) for v in text.split(",")]) if text else np.zeros(dim)
+    except ValueError:
+        at = np.array([])
+    if at.shape != (dim,) or not np.all(np.isfinite(at)):
+        raise UsageError(f"--at needs {dim} finite comma-separated numbers, got '{text}'")
+    return at
+
+
 def _resolve_surface(ns: dict):
-    """Returns (kind, object, density, chart point) for the curvature command."""
+    """Returns (surface, density, chart point) for the curvature command."""
     params = _parse_params(ns["params"])
-    at = np.array([float(v) for v in ns["at"].split(",")]) if ns["at"] else np.zeros(2)
     name = ns["surface"]
     if name == "cylinder":
         entry = catalog.make_cylinder(float(params.get("r", 1.0)))
@@ -235,12 +244,12 @@ def _resolve_surface(ns: dict):
         except KeyError:
             raise UsageError(f"unknown graph preset '{params.get('preset')}'")
         dens = horizontal_gaussian(n)
-        at = at if ns["at"] else np.zeros(n)
     else:
         raise UsageError(f"unknown surface '{name}'")
     if ns.get("density"):
         dens = density_from_name(ns["density"], dens.dimension)
-    return surf, dens, at
+    dim = surf.dimension if isinstance(surf, GraphFunction) else surf.chart_dim
+    return surf, dens, _chart_point(ns["at"], dim)
 
 
 def _cmd_curvature(ns: dict) -> int:

@@ -216,14 +216,42 @@ def graph_slope(u: GraphFunction, x):
     return np.sqrt(1.0 + np.sum(g * g, axis=-1))
 
 
-def graph_mean_curvature(u: GraphFunction, x):
-    """div(grad u / W), expanded as (W^2 tr(D2u) - grad^T D2u grad)/W^3."""
-    g = u.gradient(x)
-    hess = u.hessian(x)
+def _divergence_form(g, hess):
+    """div(grad u / W) from the gradient and Hessian of u, expanded as
+    (W^2 tr(D2u) - grad^T D2u grad)/W^3; returns it with W."""
     w2 = 1.0 + np.sum(g * g, axis=-1)
     trace = np.trace(hess, axis1=-2, axis2=-1)
     quad = np.einsum("...i,...ij,...j->...", g, hess, g)
-    return (w2 * trace - quad) / w2**1.5
+    return (w2 * trace - quad) / w2**1.5, np.sqrt(w2)
+
+
+def graph_mean_curvature(u: GraphFunction, x):
+    """Mean curvature div(grad u / W) with the upward normal."""
+    return _divergence_form(u.gradient(x), u.hessian(x))[0]
+
+
+def graph_weighted_mean_curvature(u: GraphFunction, dens: Density, x) -> CurvatureReport:
+    """CurvatureReport for the graph over base points x of shape (..., n),
+    in closed form with the upward normal (-grad u, 1)/W."""
+    if dens.dimension != u.dimension + 1:
+        raise ValueError(
+            f"density dimension {dens.dimension} != ambient {u.dimension + 1}"
+        )
+    x = as_points(x, u.dimension)
+    g = u.gradient(x)
+    h, w = _divergence_form(g, u.hessian(x))
+    ambient = np.concatenate([x, u.value(x)[..., None]], axis=-1)
+    gf = dens.grad_log_weight(ambient)
+    term = (gf[..., -1] - np.sum(gf[..., :-1] * g, axis=-1)) / w
+    normal = np.concatenate([-g, np.ones_like(w)[..., None]], axis=-1) / w[..., None]
+    return CurvatureReport(
+        chart_point=x,
+        ambient_point=ambient,
+        unit_normal=normal,
+        mean_curvature=h,
+        density_term=term,
+        weighted_mean_curvature=h + term,
+    )
 
 
 def graph_curvature_samples(u: GraphFunction, dens: Density, x):
@@ -231,36 +259,8 @@ def graph_curvature_samples(u: GraphFunction, dens: Density, x):
 
     ``x`` has shape (..., n); the three returned arrays have shape (...).
     """
-    x = np.asarray(x, dtype=float)
-    g = u.gradient(x)
-    w = np.sqrt(1.0 + np.sum(g * g, axis=-1))
-    h = graph_mean_curvature(u, x)
-    ambient = np.concatenate([x, u.value(x)[..., None]], axis=-1)
-    gf = dens.grad_log_weight(ambient)
-    term = (gf[..., -1] - np.sum(gf[..., :-1] * g, axis=-1)) / w
-    return h, term, h + term
-
-
-def graph_weighted_mean_curvature(u: GraphFunction, dens: Density, x) -> CurvatureReport:
-    """CurvatureReport for the graph at a single base point x."""
-    if dens.dimension != u.dimension + 1:
-        raise ValueError(
-            f"density dimension {dens.dimension} != ambient {u.dimension + 1}"
-        )
-    x = np.asarray(x, dtype=float)
-    h, term, hf = graph_curvature_samples(u, dens, x)
-    g = u.gradient(x)
-    w = float(np.sqrt(1.0 + g @ g))
-    normal = np.concatenate([-g, [1.0]]) / w
-    ambient = np.concatenate([x, [float(u.value(x))]])
-    return CurvatureReport(
-        chart_point=x,
-        ambient_point=ambient,
-        unit_normal=normal,
-        mean_curvature=float(h),
-        density_term=float(term),
-        weighted_mean_curvature=float(hf),
-    )
+    rep = graph_weighted_mean_curvature(u, dens, x)
+    return rep.mean_curvature, rep.density_term, rep.weighted_mean_curvature
 
 
 def as_parametric(u: GraphFunction, box: Sequence[tuple[float, float]]) -> ParametricSurface:
@@ -271,17 +271,15 @@ def as_parametric(u: GraphFunction, box: Sequence[tuple[float, float]]) -> Param
     n = u.dimension
 
     def immersion(p):
-        return np.concatenate([p, [float(u.value(p))]])
+        return np.concatenate([p, u.value(p)[..., None]], axis=-1)
 
     def firsts(p):
-        rows = np.zeros((n, n + 1))
-        rows[:, :n] = np.eye(n)
-        rows[:, n] = u.gradient(p)
-        return rows
+        g = u.gradient(p)
+        return np.concatenate([np.broadcast_to(np.eye(n), g.shape + (n,)), g[..., None]], axis=-1)
 
     def seconds(p):
-        out = np.zeros((n, n, n + 1))
-        out[:, :, n] = u.hessian(p)
+        out = np.zeros(p.shape[:-1] + (n, n, n + 1))
+        out[..., n] = u.hessian(p)
         return out
 
     return ParametricSurface(
@@ -453,7 +451,7 @@ def tangent_distance_suite(
         surf = as_parametric(u, box)
         p = substream(seed, 10_000 + i).uniform(-2.0, 2.0, size=n)
         lhs, rhs = tangent_plane_distance(surf, p)
-        worst = max(worst, abs(lhs - rhs))
+        worst = max(worst, float(abs(lhs - rhs)))
     return worst
 
 

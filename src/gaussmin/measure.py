@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy import special
 
-from .density import Density, horizontal_gaussian
+from .density import Density
 from .graph import GraphFunction, graph_slope
 from .rng import DEFAULT_SEED, substream
 
@@ -330,11 +330,12 @@ def graph_cap_weighted_area(u, R: float, quad: Optional[QuadratureSpec] = None) 
 
 @dataclass(frozen=True)
 class VolumeBoundReport:
-    """One radius of the volume-growth comparison.
+    """One radius of the volume-growth comparison: the weighted cap area
+    ``lhs`` against the Gaussian ball mass plus a lateral tail.
 
-    ``chain_ok`` gates on the exact lateral tail; ``hemisphere`` carries the
-    weighted upper-hemisphere area (the intermediate comparison surface) and
-    ``hemisphere_ok`` whether the cap is below it.
+    ``chain_ok`` gates on the exact lateral tail.  The intermediate
+    comparison surface, the weighted upper hemisphere, comes from
+    ``weighted_sphere_area``.
     """
 
     n: int
@@ -344,8 +345,6 @@ class VolumeBoundReport:
     nominal_tail: float
     exact_tail: float
     chain_ok: bool
-    hemisphere: float
-    hemisphere_ok: bool
 
     CSV_HEADER = "n,R,lhs,ball_term,nominal_tail,exact_tail,chain_ok"
 
@@ -361,8 +360,7 @@ def volume_bound_report(
     u, n: int, R: float, quad: Optional[QuadratureSpec] = None
 ) -> VolumeBoundReport:
     """Compare the weighted cap area of a (weighted minimal) graph against
-    the Gaussian ball mass plus the lateral tail, and against the weighted
-    upper hemisphere.
+    the Gaussian ball mass plus the lateral tail.
 
     The caller asserts weighted minimality of ``u``; the constant presets
     are the known entire examples.
@@ -370,10 +368,6 @@ def volume_bound_report(
     spec = quad or QuadratureSpec()
     lhs = graph_cap_weighted_area(u, R, spec)
     ball = gaussian_ball_volume(n, R)
-    hemi = weighted_sphere_area(
-        horizontal_gaussian(n), n, R, upper_half=True,
-        quad=spec if spec.method != "monte_carlo" else None,
-    )
     exact = exact_lateral_tail(n, R)
     return VolumeBoundReport(
         n=n,
@@ -383,8 +377,6 @@ def volume_bound_report(
         nominal_tail=nominal_lateral_tail(n, R),
         exact_tail=exact,
         chain_ok=bool(lhs <= ball + exact + 1e-9),
-        hemisphere=hemi,
-        hemisphere_ok=bool(lhs <= hemi + 1e-9),
     )
 
 

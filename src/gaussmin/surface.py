@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .density import Density, fd_gradient
+from .density import Density, as_points, fd_gradient
 
 
 class RankDeficiencyError(ValueError):
@@ -34,10 +34,13 @@ GRAM_DET_MIN = 1e-12
 class ParametricSurface:
     """Immersion of an n-dimensional chart box into R^{n+1}.
 
-    ``first_derivatives(p)`` returns the n partial derivative vectors as an
-    (n, n+1) array; ``second_derivatives(p)`` an (n, n, n+1) array.  Both are
-    optional: central finite differences (steps ``fd_step`` / ``fd_step_hess``)
-    are used when a provider is missing.
+    Callables are vectorized over leading axes, like ``GraphFunction``'s:
+    ``immersion`` maps chart points (..., n) -> (..., n+1),
+    ``first_derivatives`` returns the n partial derivative vectors as a
+    (..., n, n+1) array and ``second_derivatives`` a (..., n, n, n+1)
+    array.  Both derivative providers are optional: central finite
+    differences (steps ``fd_step`` / ``fd_step_hess``) are used when one is
+    missing.
     """
 
     chart_domain: tuple[tuple[float, float], ...]
@@ -58,22 +61,22 @@ class ParametricSurface:
         return self.chart_dim + 1
 
     def point(self, p) -> np.ndarray:
-        return np.asarray(self.immersion(np.asarray(p, dtype=float)), dtype=float)
+        return np.asarray(self.immersion(as_points(p, self.chart_dim)), dtype=float)
 
     def partials(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
+        p = as_points(p, self.chart_dim)
         if self.first_derivatives is not None:
             return np.asarray(self.first_derivatives(p), dtype=float)
-        return np.moveaxis(fd_gradient(self.point, p, self.fd_step), -1, 0)
+        return np.swapaxes(fd_gradient(self.point, p, self.fd_step), -1, -2)
 
     def hessian(self, p) -> np.ndarray:
-        """Second derivatives d^2 X / dp_i dp_j, shape (n, n, n+1)."""
-        p = np.asarray(p, dtype=float)
+        """Second derivatives d^2 X / dp_i dp_j, shape (..., n, n, n+1)."""
+        p = as_points(p, self.chart_dim)
         if self.second_derivatives is not None:
             return np.asarray(self.second_derivatives(p), dtype=float)
-        out = np.moveaxis(fd_gradient(self.partials, p, self.fd_step_hess), -1, 0)
+        out = np.moveaxis(fd_gradient(self.partials, p, self.fd_step_hess), -1, -3)
         # symmetrize; FD cross terms are only approximately symmetric
-        return 0.5 * (out + np.swapaxes(out, 0, 1))
+        return 0.5 * (out + np.swapaxes(out, -3, -2))
 
     def flipped(self) -> "ParametricSurface":
         return replace(self, orientation=-self.orientation)
@@ -81,15 +84,16 @@ class ParametricSurface:
 
 @dataclass(frozen=True)
 class CurvatureReport:
-    """Pointwise curvature data; weighted_mean_curvature = mean_curvature +
-    density_term by construction."""
+    """Curvature data over chart points (..., n): each field is an array over
+    the leading axes (0-d for one point, which ``as_dict`` serializes), and
+    weighted_mean_curvature = mean_curvature + density_term by construction."""
 
     chart_point: np.ndarray
     ambient_point: np.ndarray
     unit_normal: np.ndarray
-    mean_curvature: float
-    density_term: float
-    weighted_mean_curvature: float
+    mean_curvature: np.ndarray
+    density_term: np.ndarray
+    weighted_mean_curvature: np.ndarray
 
     def as_dict(self) -> dict:
         return {
@@ -103,68 +107,65 @@ class CurvatureReport:
 
 
 def generalized_cross(rows: np.ndarray) -> np.ndarray:
-    """Vector orthogonal to the n rows of an (n, n+1) matrix.
+    """Vector orthogonal to the n rows of (..., n, n+1) matrices.
 
+    Component i is the signed determinant of the minor without column i.
     Signs are chosen so that det([rows; result]) = |result|^2 >= 0, i.e. the
     rows followed by the result form a positively oriented basis.
     """
     rows = np.asarray(rows, dtype=float)
-    n = rows.shape[0]
-    out = np.empty(n + 1)
-    cols = np.arange(n + 1)
-    for i in range(n + 1):
-        minor = rows[:, cols != i]
-        out[i] = (-1.0) ** (n + i) * np.linalg.det(minor)
-    return out
+    n = rows.shape[-1] - 1
+    keep = np.array([np.delete(np.arange(n + 1), i) for i in range(n + 1)])
+    minors = np.moveaxis(rows[..., keep], -2, -3)  # (..., n+1, n, n)
+    return (-1.0) ** (n + np.arange(n + 1)) * np.linalg.det(minors)
 
 
 def _frame(surface: ParametricSurface, p) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrix of the chart partials and the oriented unit normal."""
+    """Gram matrices of the chart partials and the oriented unit normals."""
     J = surface.partials(p)
-    gram = J @ J.T
-    if np.linalg.det(gram) <= GRAM_DET_MIN:
-        raise RankDeficiencyError(
-            f"immersion is rank deficient at chart point {np.asarray(p)}"
-        )
+    gram = J @ np.swapaxes(J, -1, -2)
+    bad = np.linalg.det(gram) <= GRAM_DET_MIN
+    if np.any(bad):
+        first = np.reshape(p, (-1, surface.chart_dim))[np.flatnonzero(bad)[0]]
+        raise RankDeficiencyError(f"immersion is rank deficient at chart point {first}")
     nvec = generalized_cross(J)
-    return gram, surface.orientation * nvec / np.linalg.norm(nvec)
+    return gram, surface.orientation * nvec / np.sqrt(np.vecdot(nvec, nvec))[..., None]
 
 
-def _mean_curvature(surface: ParametricSurface, p, gram, nvec) -> float:
-    b = surface.hessian(p) @ nvec
-    return float(np.trace(np.linalg.solve(gram, b)))
+def _mean_curvature(surface: ParametricSurface, p, gram, nvec) -> np.ndarray:
+    b = (surface.hessian(p) @ nvec[..., None, :, None])[..., 0]
+    return np.trace(np.linalg.solve(gram, b), axis1=-2, axis2=-1)
 
 
 def unit_normal(surface: ParametricSurface, p) -> np.ndarray:
-    """Unit normal at a chart point, in the chart's cross-product orientation."""
+    """Unit normals at chart points, in the chart's cross-product orientation."""
     return _frame(surface, p)[1]
 
 
-def mean_curvature(surface: ParametricSurface, p) -> float:
+def mean_curvature(surface: ParametricSurface, p) -> np.ndarray:
     """Sum of principal curvatures, trace(g^{-1} b) with b_ij = <d2X_ij, N>."""
     return _mean_curvature(surface, p, *_frame(surface, p))
 
 
-def density_normal_pairing(surface: ParametricSurface, dens: Density, p) -> float:
-    """The density term <grad F, N> at the ambient point of a chart point."""
-    nvec = unit_normal(surface, p)
-    x = surface.point(p)
-    return float(dens.grad_log_weight(x) @ nvec)
+def density_normal_pairing(surface: ParametricSurface, dens: Density, p) -> np.ndarray:
+    """The density term <grad F, N> at the ambient points of chart points."""
+    return np.vecdot(dens.grad_log_weight(surface.point(p)), unit_normal(surface, p))
 
 
 def weighted_mean_curvature(
     surface: ParametricSurface, dens: Density, p
 ) -> CurvatureReport:
-    """H_F = H + <grad F, N> at a chart point; density domain errors propagate."""
+    """H_F = H + <grad F, N> at chart points (..., n); density domain errors
+    propagate."""
     if dens.dimension != surface.ambient_dim:
         raise ValueError(
             f"density dimension {dens.dimension} != ambient {surface.ambient_dim}"
         )
-    p = np.asarray(p, dtype=float)
+    p = as_points(p, surface.chart_dim)
     x = surface.point(p)
     gram, nvec = _frame(surface, p)
     h = _mean_curvature(surface, p, gram, nvec)
-    term = float(dens.grad_log_weight(x) @ nvec)
+    term = np.vecdot(dens.grad_log_weight(x), nvec)
     return CurvatureReport(
         chart_point=p,
         ambient_point=x,
@@ -175,22 +176,22 @@ def weighted_mean_curvature(
     )
 
 
-def tangent_plane_distance(surface: ParametricSurface, p) -> tuple[float, float]:
+def tangent_plane_distance(surface: ParametricSurface, p) -> tuple[np.ndarray, np.ndarray]:
     """Distance identity between the axis projection and the tangent plane.
 
-    Returns (lhs, rhs) where lhs is the Euclidean distance from the
-    projection of M = X(p) onto the vertical axis to the affine tangent
-    hyperplane at M, and rhs = |<(x_1, ..., x_n, 0), N>|, the absolute
-    density term of the horizontal Gaussian log-weight.  The two agree for
-    every regular surface point.
+    Returns (lhs, rhs) over chart points (..., n), where lhs is the
+    Euclidean distance from the projection of M = X(p) onto the vertical
+    axis to the affine tangent hyperplane at M, and rhs = |<(x_1, ..., x_n,
+    0), N>|, the absolute density term of the horizontal Gaussian
+    log-weight.  The two agree for every regular surface point.
     """
     x = surface.point(p)
     nvec = unit_normal(surface, p)
     axis_point = np.zeros_like(x)
-    axis_point[-1] = x[-1]
+    axis_point[..., -1] = x[..., -1]
     # point-to-hyperplane distance |<n, q> + d| with d = -<n, M>, |n| = 1
-    lhs = abs(float(nvec @ axis_point - nvec @ x))
+    lhs = np.abs(np.vecdot(nvec, axis_point) - np.vecdot(nvec, x))
     grad_f = x.copy()
-    grad_f[-1] = 0.0
-    rhs = abs(float(grad_f @ nvec))
+    grad_f[..., -1] = 0.0
+    rhs = np.abs(np.vecdot(grad_f, nvec))
     return lhs, rhs

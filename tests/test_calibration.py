@@ -86,6 +86,19 @@ def test_closedness_residual_small_everywhere_for_presets():
         assert worst <= 1e-4, name
 
 
+@pytest.mark.parametrize("name", ["linear", "sinusoid", "random_bump"])
+def test_batched_closedness_matches_pointwise_calls(name):
+    u = graph_presets(2)[name]
+    rng = substream(8, 0)
+    x = np.concatenate(
+        [rng.uniform(-2.0, 2.0, size=(100, 2)), rng.uniform(-1.0, 1.0, size=(100, 1))], axis=-1
+    )
+    batch = closedness_residual(u, HG2, x)
+    assert batch.shape == (100,)
+    single = np.array([closedness_residual(u, HG2, p) for p in x])
+    assert np.max(np.abs(batch - single)) <= 1e-15
+
+
 def test_divergence_small_iff_weighted_minimal():
     # minimal preset: parabola under its companion product density, on-graph
     dens = Density.product(Density.gaussian(2), Profile.quad_log())

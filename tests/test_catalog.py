@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +21,12 @@ from gaussmin.catalog import (
 )
 from gaussmin.density import Profile
 from gaussmin.graph import QUAD_LOG_STATIONARY_HEIGHT
-from gaussmin.surface import mean_curvature
+from gaussmin.surface import (
+    CurvatureReport,
+    ParametricSurface,
+    mean_curvature,
+    weighted_mean_curvature,
+)
 
 
 def test_default_catalog_names_unique_and_complete():
@@ -134,3 +140,19 @@ def test_associate_normal_third_component():
         assert n[1] == pytest.approx(math.sin(u) / math.cosh(v), abs=1e-12)
     entries = {e.name: e for e in default_catalog()}
     assert any("sinh(v)" in a for a in entries["catenoid"].annotations)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [e for e in default_catalog() if isinstance(e.surface, ParametricSurface)],
+    ids=lambda e: e.name,
+)
+def test_batched_report_matches_pointwise_calls(entry):
+    axes = [np.linspace(lo, hi, 21) for lo, hi in entry.surface.chart_domain]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)  # (21, 21, 2)
+    batch = weighted_mean_curvature(entry.surface, entry.density, grid)
+    for idx in np.ndindex(grid.shape[:-1]):
+        single = weighted_mean_curvature(entry.surface, entry.density, grid[idx])
+        for field in dataclasses.fields(CurvatureReport):
+            diff = np.abs(getattr(batch, field.name)[idx] - getattr(single, field.name))
+            assert np.max(diff) <= 1e-15, (field.name, idx)

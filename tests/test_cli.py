@@ -233,6 +233,23 @@ def test_bad_radius_or_dimension_is_usage_error(args, capsys):
     assert "gaussmin:" in captured.err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--surface", "cylinder", "--at", "1,2,3"],
+        ["--surface", "cylinder", "--at", "1"],
+        ["--surface", "plane", "--at", "abc"],
+        ["--surface", "graph", "--params", "n=3", "--at", "1,2"],
+        ["--surface", "associate", "--at", "nan,0"],
+    ],
+)
+def test_bad_chart_point_is_usage_error(args, capsys):
+    assert run(["curvature", *args]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--at" in captured.err
+
+
 def test_import_leaves_scipy_optimize_unloaded():
     src = str(Path(gaussmin.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

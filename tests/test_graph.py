@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -27,7 +28,7 @@ from gaussmin.graph import (
 )
 from gaussmin.measure import QuadratureSpec, gaussian_ball_volume
 from gaussmin.rng import substream
-from gaussmin.surface import weighted_mean_curvature
+from gaussmin.surface import CurvatureReport, weighted_mean_curvature
 
 HG2 = horizontal_gaussian(2)
 ROOT = (math.sqrt(17.0) - 1.0) / 8.0  # zero of 4z^2 + z - 1 (quadratic formula)
@@ -124,6 +125,18 @@ def test_graph_matches_parametric_embedding():
             assert rep_g.weighted_mean_curvature == pytest.approx(
                 rep_s.weighted_mean_curvature, abs=1e-6
             ), name
+
+
+@pytest.mark.parametrize("name", ["constant", "linear", "parabola", "sinusoid", "random_bump"])
+def test_batched_graph_report_matches_pointwise_calls(name):
+    u = graph_presets(2)[name]
+    pts = substream(23, 0).uniform(-2.0, 2.0, size=(21, 21, 2))
+    batch = graph_weighted_mean_curvature(u, HG2, pts)
+    for idx in np.ndindex(pts.shape[:-1]):
+        single = graph_weighted_mean_curvature(u, HG2, pts[idx])
+        for field in dataclasses.fields(CurvatureReport):
+            diff = np.abs(getattr(batch, field.name)[idx] - getattr(single, field.name))
+            assert np.max(diff) <= 1e-15, (field.name, idx)
 
 
 def test_fd_fallbacks_match_analytic_providers():

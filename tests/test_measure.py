@@ -207,15 +207,17 @@ def test_volume_bound_report_constant_graph():
     assert rep.lhs == pytest.approx(1.0 - math.exp(-2.0), abs=1e-10)
     assert rep.ball_term == pytest.approx(1.0 - math.exp(-2.0), abs=1e-14)
     assert rep.nominal_tail > 0.0 and rep.exact_tail > 0.0
-    assert rep.chain_ok and rep.hemisphere_ok
-    assert rep.lhs <= rep.hemisphere + 1e-9
+    assert rep.chain_ok
+    assert rep.lhs <= weighted_sphere_area(horizontal_gaussian(2), 2, 2.0) + 1e-9
 
 
 def test_bound_sweep_all_chains_ok():
-    rows = bound_sweep(2, np.linspace(0.5, 6.0, 12))
+    radii = np.linspace(0.5, 6.0, 12)
+    rows = bound_sweep(2, radii)
     assert len(rows) == 12
     assert all(r.chain_ok for r in rows)
-    assert all(r.hemisphere_ok for r in rows)
+    hg2 = horizontal_gaussian(2)
+    assert all(r.lhs <= weighted_sphere_area(hg2, 2, float(R)) + 1e-9 for r, R in zip(rows, radii))
 
 
 def test_csv_row_shape():

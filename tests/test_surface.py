@@ -179,6 +179,27 @@ def test_rank_deficiency_raises():
         unit_normal(surf, [0.0, 0.0])
 
 
+def test_rank_deficiency_in_a_batch_names_the_point():
+    def cone(p):  # the v-partial vanishes where u = 0
+        u, v = p[..., 0], p[..., 1]
+        return np.stack([u * np.cos(v), u * np.sin(v), u], axis=-1)
+
+    surf = ParametricSurface(chart_domain=((-1, 1), (-1, 1)), immersion=cone)
+    pts = np.array([[0.5, 0.2], [0.0, 0.3], [-0.4, 0.9]])
+    assert np.allclose(np.linalg.norm(unit_normal(surf, pts[[0, 2]]), axis=-1), 1.0)
+    with pytest.raises(RankDeficiencyError, match=r"\[0\. +0\.3\]"):
+        weighted_mean_curvature(surf, HG2, pts)
+
+
+@pytest.mark.parametrize("p", [[0.1, 0.2, 0.3], [0.1], [[0.1, 0.2, 0.3]]])
+def test_wrong_chart_dimension_is_rejected(p):
+    cyl = make_cylinder(1.0)
+    with pytest.raises(ValueError, match="dimension 2"):
+        weighted_mean_curvature(cyl.surface, cyl.density, p)
+    with pytest.raises(ValueError, match="dimension 2"):
+        cyl.surface.point(p)
+
+
 # ------------------------------------------------------ distance identity
 
 def test_sphere_tangent_distance_by_hand():
