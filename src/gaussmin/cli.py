@@ -60,6 +60,27 @@ def _parse_params(items: Optional[Sequence[str]]) -> dict:
     return out
 
 
+def _finite(text, what: str, kind=float):
+    """``text`` as a finite number of type ``kind``; UsageError otherwise."""
+    try:
+        value = kind(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise UsageError(f"{what} must be a finite number, got '{text}'")
+    return value
+
+
+def _graph_preset(name: str, n: int, seed: int) -> GraphFunction:
+    """The named graph preset, built alone, for n in {1, 2, 3}."""
+    if not 1 <= n <= 3:
+        raise UsageError(f"graph presets support n in {{1, 2, 3}}, got {n}")
+    try:
+        return graph.graph_preset(name, n, seed)
+    except KeyError:
+        raise UsageError(f"unknown graph preset '{name}'") from None
+
+
 # ------------------------------------------------------------------- verify
 
 def _calibration_presets() -> list[tuple[str, GraphFunction, Density, bool]]:
@@ -209,11 +230,8 @@ def _cmd_flow(ns: dict) -> int:
 def _chart_point(text: str, dim: int) -> np.ndarray:
     """The --at chart point: ``dim`` finite comma-separated numbers, or the
     origin when empty."""
-    try:
-        at = np.array([float(v) for v in text.split(",")]) if text else np.zeros(dim)
-    except ValueError:
-        at = np.array([])
-    if at.shape != (dim,) or not np.all(np.isfinite(at)):
+    at = np.array([_finite(v, "--at") for v in text.split(",")]) if text else np.zeros(dim)
+    if at.shape != (dim,):
         raise UsageError(f"--at needs {dim} finite comma-separated numbers, got '{text}'")
     return at
 
@@ -222,27 +240,27 @@ def _resolve_surface(ns: dict):
     """Returns (surface, density, chart point) for the curvature command."""
     params = _parse_params(ns["params"])
     name = ns["surface"]
+
+    def number(key: str, default, kind=float):
+        return _finite(params.get(key, default), f"--params {key}", kind)
+
     if name == "cylinder":
-        entry = catalog.make_cylinder(float(params.get("r", 1.0)))
+        entry = catalog.make_cylinder(number("r", 1.0))
         surf, dens = entry.surface, entry.density
     elif name == "plane":
-        normal = [float(v) for v in params.get("normal", "1:0:0").split(":")]
-        entry = catalog.make_plane(normal, float(params.get("offset", 0.0)))
+        normal = [_finite(v, "--params normal") for v in params.get("normal", "1:0:0").split(":")]
+        entry = catalog.make_plane(normal, number("offset", 0.0))
         surf, dens = entry.surface, entry.density
     elif name == "horizontal_plane":
         prof = profile_from_name(params["profile"]) if "profile" in params else None
-        entry = catalog.make_horizontal_plane(float(params.get("a", 0.0)), prof)
+        entry = catalog.make_horizontal_plane(number("a", 0.0), prof)
         surf, dens = entry.surface, entry.density
     elif name == "associate":
-        surf = catalog.make_associate_family(float(params.get("theta", 0.0)))
+        surf = catalog.make_associate_family(number("theta", 0.0))
         dens = horizontal_gaussian(2)
     elif name == "graph":
-        n = int(params.get("n", 2))
-        presets = graph.graph_presets(n, seed=int(params.get("seed", DEFAULT_SEED)))
-        try:
-            surf = presets[params.get("preset", "parabola")]
-        except KeyError:
-            raise UsageError(f"unknown graph preset '{params.get('preset')}'")
+        n = number("n", 2, int)
+        surf = _graph_preset(params.get("preset", "parabola"), n, number("seed", DEFAULT_SEED, int))
         dens = horizontal_gaussian(n)
     else:
         raise UsageError(f"unknown surface '{name}'")
@@ -313,11 +331,7 @@ def _cmd_measure(ns: dict) -> int:
         )
     elif quantity == "cap":
         payload["R"] = R
-        presets = graph.graph_presets(n, seed=ns["seed"])
-        try:
-            u = presets[ns["init"]]
-        except KeyError:
-            raise UsageError(f"unknown graph preset '{ns['init']}'")
+        u = _graph_preset(ns["init"], n, ns["seed"])
         method = "spherical_product" if ns["method"] == "quadrature" else "monte_carlo"
         spec = measure.QuadratureSpec(
             method=method, samples=int(ns["samples"]), seed=ns["seed"]
@@ -332,14 +346,25 @@ def _cmd_measure(ns: dict) -> int:
 
 # --------------------------------------------------------------------- main
 
+# option -> (test of its value, what the test asks), for whichever command has it
+_RANGES = {
+    "n": (lambda v: v >= 1, ">= 1"),
+    "grid": (lambda v: v >= 3, ">= 3"),
+    "samples": (lambda v: v >= 1_000, ">= 1000"),
+    "L": (lambda v: 0.0 < v < math.inf, "finite and positive"),
+    **dict.fromkeys(
+        ("R", "rmin", "rmax", "tmax", "osc_tol", "hf_tol", "tolerance"),
+        (lambda v: 0.0 <= v < math.inf, "finite and non-negative"),
+    ),
+    **dict.fromkeys(("lo", "hi"), (math.isfinite, "finite")),
+}
+
+
 def _check_ranges(ns: dict) -> None:
-    """Usage checks shared by every command: a dimension n >= 1 and finite,
-    non-negative radii."""
-    if "n" in ns and int(ns["n"]) < 1:
-        raise UsageError("dimension n must be >= 1")
-    for key in ("R", "rmin", "rmax"):
-        if key in ns and not 0.0 <= float(ns[key]) < math.inf:
-            raise UsageError(f"{key} must be finite and non-negative, got {ns[key]}")
+    """Usage checks shared by every command, one ``_RANGES`` row per option."""
+    for key, (ok, requirement) in _RANGES.items():
+        if key in ns and not ok(float(ns[key])):
+            raise UsageError(f"{key} must be {requirement}, got {ns[key]}")
 
 
 _DEFAULTS: dict[str, dict] = {

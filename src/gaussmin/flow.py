@@ -8,6 +8,11 @@ conditions are imposed by ghost-node reflection.  Constants are the unique
 Neumann-stationary graphs over a Gaussian-weighted box, so generic initial
 data flattens.
 
+One grid operator serves every n: with slopes u_i and W^2 = 1 + sum_k u_k^2,
+    H = (sum_i (1 + sum_{k != i} u_k^2) u_ii - 2 sum_{i<j} u_i u_j u_ij) / W^3,
+H_F = H + (dF/dx_{n+1} - sum_i u_i dF/dx_i) / W, and one pass over a field
+gives H_F and the weighted area, so each candidate field is evaluated once.
+
 Explicit Euler with CFL safety dt <= safety * dx^2 / (2n); a step that
 increases the weighted area beyond roundoff (or produces non-finite values)
 is rejected and retried with half the step size.
@@ -17,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -103,55 +108,51 @@ def _d2(p: np.ndarray, axis: int, dx: float) -> np.ndarray:
     return (p[tuple(hi)] - 2.0 * p[tuple(mid)] + p[tuple(lo)]) / (dx * dx)
 
 
-def _slopes(fld: GridField):
-    """Reflect-padded field, central slopes, W^2 and ambient points (x, u)."""
+def _field_geometry(fld: GridField, dens: Density) -> tuple[float, np.ndarray]:
+    """Trapezoid weighted area and H_F at every node from one set of slopes;
+    reflected ghost nodes enforce the Neumann condition."""
+    n, dx = fld.dimension, fld.dx
     p = np.pad(fld.values, 1, mode="reflect")
-    grads = tuple(_d1(p, i, fld.dx) for i in range(fld.dimension))
-    w2 = sum((g * g for g in grads), 1.0)
+    grads = [_d1(p, i, dx) for i in range(n)]
+    sq = [g * g for g in grads]
+    w2 = sum(sq, 1.0)
+    diag = [(1.0 + sum(sq[:i] + sq[i + 1:])) * _d2(p, i, dx) for i in range(n)]
+    mixed = sum(grads[i] * grads[j] * _d1(np.pad(grads[i], 1, mode="reflect"), j, dx)
+                for i in range(n) for j in range(i + 1, n))
+    h = (sum(diag[1:], diag[0]) - 2.0 * mixed) / w2**1.5
     ambient = np.concatenate([fld.nodes(), fld.values[..., None]], axis=-1)
-    return p, grads, w2, ambient
-
-
-def grid_weighted_mean_curvature(fld: GridField, dens: Density) -> np.ndarray:
-    """H_F at every node: divergence-form H plus the density term, with
-    reflected ghost nodes enforcing the Neumann condition."""
-    dx = fld.dx
-    p, grads, w2, ambient = _slopes(fld)
-    if fld.dimension == 1:
-        h = _d2(p, 0, dx) / w2**1.5
-    else:
-        ux, uy = grads
-        uxx, uyy = _d2(p, 0, dx), _d2(p, 1, dx)
-        uxy = _d1(np.pad(ux, 1, mode="reflect"), 1, dx)
-        h = (w2 * (uxx + uyy) - (ux * ux * uxx + 2.0 * ux * uy * uxy + uy * uy * uyy)) / w2**1.5
-    gf = dens.grad_log_weight(ambient)
     w = np.sqrt(w2)
+    gf = dens.grad_log_weight(ambient)
     term = gf[..., -1]
     for i, gi in enumerate(grads):
         term = term - gf[..., i] * gi
-    return h + term / w
+    integrand = np.exp(-dens.log_weight(ambient)) * w
+    for _ in range(n):
+        integrand = np.trapezoid(integrand, dx=dx, axis=-1)
+    return float(integrand), h + term / w
+
+
+def grid_weighted_mean_curvature(fld: GridField, dens: Density) -> np.ndarray:
+    """H_F at every node: divergence-form H plus the density term."""
+    return _field_geometry(fld, dens)[1]
 
 
 def weighted_area(fld: GridField, dens: Density) -> float:
     """Trapezoid-rule weighted area int e^{-F(x, u)} W dx over the box."""
-    _, _, w2, ambient = _slopes(fld)
-    integrand = np.exp(-dens.log_weight(ambient)) * np.sqrt(w2)
-    for _ in range(fld.dimension):
-        integrand = np.trapezoid(integrand, dx=fld.dx, axis=-1)
-    return float(integrand)
+    return _field_geometry(fld, dens)[0]
 
 
 @dataclass
 class FlowState:
-    """Owned by a single stepping loop; ``history`` records
-    (time, weighted_area, oscillation, max |H_F|) per accepted state."""
+    """Owned by a single stepping loop; ``hf`` is H_F of ``field`` and
+    ``history`` records (time, weighted_area, oscillation, max |H_F|) per
+    accepted state, the last record being that of ``field``."""
 
     field: GridField
     time: float
     dt: float
-    history: list = field(default_factory=list)
-    # cached H_F of the current field; recomputed when absent
-    hf_cache: Optional[np.ndarray] = None
+    hf: np.ndarray
+    history: list
 
 
 @dataclass(frozen=True)
@@ -199,16 +200,16 @@ def initial_state(
     dt = dt if dt is not None else stable_dt(fld.dimension, fld.dx, safety)
     if dt > stable_dt(fld.dimension, fld.dx, safety) * (1.0 + 1e-12):
         raise ValueError("dt violates the explicit-scheme stability bound")
-    return _accepted(fld, dens, 0.0, dt, weighted_area(fld, dens), [])
+    area, hf = _field_geometry(fld, dens)
+    return _accepted(fld, 0.0, dt, area, hf, [])
 
 
 def _accepted(
-    fld: GridField, dens: Density, t: float, dt: float, area: float, history: list
+    fld: GridField, t: float, dt: float, area: float, hf: np.ndarray, history: list
 ) -> FlowState:
     """The state of an accepted field, its record appended to ``history``."""
-    hf = grid_weighted_mean_curvature(fld, dens)
     history.append((t, area, fld.oscillation(), float(np.max(np.abs(hf)))))
-    return FlowState(field=fld, time=t, dt=dt, history=history, hf_cache=hf)
+    return FlowState(field=fld, time=t, dt=dt, hf=hf, history=history)
 
 
 def flow_step(state: FlowState, dens: Density) -> FlowState:
@@ -218,20 +219,15 @@ def flow_step(state: FlowState, dens: Density) -> FlowState:
     the weighted area by more than AREA_SLACK or produces non-finite values.
     """
     fld = state.field
-    hf = (
-        state.hf_cache
-        if state.hf_cache is not None
-        else grid_weighted_mean_curvature(fld, dens)
-    )
-    area0 = state.history[-1][1] if state.history else weighted_area(fld, dens)
+    area0 = state.history[-1][1]
     dt = state.dt
     for _ in range(MAX_REJECTIONS + 1):
-        cand = fld.values + dt * hf
+        cand = fld.values + dt * state.hf
         if np.all(np.isfinite(cand)):
             new_fld = GridField(fld.half_width, cand)
-            area = weighted_area(new_fld, dens)
+            area, hf = _field_geometry(new_fld, dens)
             if area <= area0 + AREA_SLACK:
-                return _accepted(new_fld, dens, state.time + dt, dt, area, state.history)
+                return _accepted(new_fld, state.time + dt, dt, area, hf, state.history)
         dt *= 0.5
     raise FlowStepError(
         f"step rejected {MAX_REJECTIONS} times at t = {state.time:.6g}"

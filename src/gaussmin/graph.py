@@ -136,18 +136,20 @@ class GraphFunction:
         return GraphFunction(dimension=n, u=u, grad_u=grad, hess_u=hess, name="sinusoid")
 
     @staticmethod
-    def quadratic_form(intercept: float, linear: Sequence[float], quadratic) -> "GraphFunction":
-        """u(x) = intercept + <linear, x> + x^T quadratic x / 2."""
+    def quadratic_form(intercept, linear, quadratic) -> "GraphFunction":
+        """u(x) = intercept + <linear, x> + x^T quadratic x / 2; stacked coefficients
+        (...), (..., n), (..., n, n) broadcast against the points' leading axes."""
         a = np.asarray(linear, dtype=float)
         q = np.asarray(quadratic, dtype=float)
-        q = 0.5 * (q + q.T)
-        n = a.size
+        q = 0.5 * (q + np.swapaxes(q, -1, -2))
+        n = a.shape[-1]
 
         return GraphFunction(
             dimension=n,
-            u=lambda x: intercept + x @ a + 0.5 * np.einsum("...i,ij,...j->...", x, q, x),
-            grad_u=lambda x: np.broadcast_to(a, x.shape) + x @ q,
-            hess_u=lambda x: np.broadcast_to(q, x.shape + (n,)).copy(),
+            u=lambda x: intercept + np.vecdot(x, a)
+            + 0.5 * np.einsum("...i,...ij,...j->...", x, q, x),
+            grad_u=lambda x: a + np.vecmat(x, q),
+            hess_u=lambda x: np.broadcast_to(q, np.broadcast_shapes(q.shape, x.shape + (n,))).copy(),
             name="quadratic_form",
         )
 
@@ -159,6 +161,8 @@ class GraphFunction:
         bumps: int = 4,
     ) -> "GraphFunction":
         """Seeded sum of Gaussian bumps, rescaled so max |u| = amplitude."""
+        if not 1 <= n <= 3:
+            raise ValueError(f"random_bump probes a 161^n grid; n must be 1, 2 or 3, got {n}")
         rng = substream(seed, 0)
         centers = rng.uniform(-2.0, 2.0, size=(bumps, n))
         widths = rng.uniform(0.8, 1.6, size=bumps)
@@ -197,15 +201,23 @@ class GraphFunction:
         )
 
 
+_PRESETS: dict[str, Callable[[int, int], GraphFunction]] = {
+    "constant": lambda n, seed: GraphFunction.constant(n, 0.7),
+    "linear": lambda n, seed: GraphFunction.linear([0.5] + [0.0] * (n - 1)),
+    "parabola": lambda n, seed: GraphFunction.parabola(n),
+    "sinusoid": lambda n, seed: GraphFunction.sinusoid(n),
+    "random_bump": lambda n, seed: GraphFunction.random_bump(n, seed=seed),
+}
+
+
+def graph_preset(name: str, n: int, seed: int = DEFAULT_SEED) -> GraphFunction:
+    """One graph of the preset family, built alone; KeyError if unknown."""
+    return _PRESETS[name](n, seed)
+
+
 def graph_presets(n: int, seed: int = DEFAULT_SEED) -> dict[str, GraphFunction]:
     """The standard preset family used by the verification suites."""
-    return {
-        "constant": GraphFunction.constant(n, 0.7),
-        "linear": GraphFunction.linear([0.5] + [0.0] * (n - 1)),
-        "parabola": GraphFunction.parabola(n),
-        "sinusoid": GraphFunction.sinusoid(n),
-        "random_bump": GraphFunction.random_bump(n, seed=seed),
-    }
+    return {name: graph_preset(name, n, seed) for name in _PRESETS}
 
 
 # --------------------------------------------------------------------- curvature
@@ -377,21 +389,11 @@ def horizontal_plane_roots(
     vals = h.slope(grid)
     if float(np.max(np.abs(vals))) < 1e-12:
         return RootScan(roots=(), identically_zero=True)
-    roots: list[float] = []
-    for i in range(subintervals):
-        v0, v1 = vals[i], vals[i + 1]
-        if v0 == 0.0:
-            roots.append(float(grid[i]))
-        elif v0 * v1 < 0.0:
-            roots.append(
-                float(
-                    optimize.bisect(
-                        lambda z: float(h.slope(z)), grid[i], grid[i + 1], xtol=xtol
-                    )
-                )
-            )
-    if vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
+    # exact zeros on the grid, then one bisection per sign change
+    roots = [float(z) for z in grid[vals == 0.0]] + [
+        float(optimize.bisect(lambda z: float(h.slope(z)), grid[i], grid[i + 1], xtol=xtol))
+        for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+    ]
     merged: list[float] = []
     for r in sorted(roots):
         if not merged or r - merged[-1] > 1e-9:
@@ -413,26 +415,26 @@ def audit_root_candidates(
     out = []
     for z in candidates:
         slope = float(h.slope(float(z))) if h.contains(z) else math.nan
-        out.append(
-            {
-                "value": float(z),
-                "slope": slope,
-                "is_root": bool(abs(slope) <= tol) if math.isfinite(slope) else False,
-            }
-        )
+        # a NaN slope (outside the domain) compares false, so it is no root
+        out.append({"value": float(z), "slope": slope, "is_root": bool(abs(slope) <= tol)})
     return out
 
 
 # ------------------------------------------------------- distance identity suite
 
+def _quadratic_coefficients(seed: int, streams: Sequence[int], n: int):
+    """Stacked (intercept, linear, quadratic); entry k comes from substream
+    streams[k], which draws the three in that order."""
+    rngs = [substream(seed, stream) for stream in streams]
+    return (np.array([r.uniform(-1.0, 1.0) for r in rngs]),
+            np.reshape([r.uniform(-1.0, 1.0, n) for r in rngs], (-1, n)),
+            np.reshape([r.uniform(-0.5, 0.5, (n, n)) for r in rngs], (-1, n, n)))
+
+
 def random_quadratic_graph(seed: int, stream: int, n: int = 2) -> GraphFunction:
     """Seeded random quadratic graph used by the distance-identity suite."""
-    rng = substream(seed, stream)
-    return GraphFunction.quadratic_form(
-        intercept=rng.uniform(-1.0, 1.0),
-        linear=rng.uniform(-1.0, 1.0, size=n),
-        quadratic=rng.uniform(-0.5, 0.5, size=(n, n)),
-    )
+    c, a, q = _quadratic_coefficients(seed, [stream], n)
+    return GraphFunction.quadratic_form(c[0], a[0], q[0])
 
 
 def tangent_distance_suite(
@@ -444,15 +446,12 @@ def tangent_distance_suite(
     The two sides are computed along different code paths (plane geometry
     vs. the density pairing); the identity makes the residual roundoff.
     """
-    worst = 0.0
-    box = ((-2.0, 2.0),) * n
-    for i in range(trials):
-        u = random_quadratic_graph(seed, i, n)
-        surf = as_parametric(u, box)
-        p = substream(seed, 10_000 + i).uniform(-2.0, 2.0, size=n)
-        lhs, rhs = tangent_plane_distance(surf, p)
-        worst = max(worst, float(abs(lhs - rhs)))
-    return worst
+    family = GraphFunction.quadratic_form(*_quadratic_coefficients(seed, range(trials), n))
+    p = np.reshape(
+        [substream(seed, 10_000 + i).uniform(-2.0, 2.0, size=n) for i in range(trials)], (trials, n)
+    )
+    lhs, rhs = tangent_plane_distance(as_parametric(family, ((-2.0, 2.0),) * n), p)
+    return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
 # ------------------------------------------------------------ weighted area

@@ -9,6 +9,8 @@ import pytest
 
 import gaussmin
 from gaussmin.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
+from gaussmin.graph import GraphFunction
+from gaussmin.measure import gaussian_ball_volume
 
 
 def run(args):
@@ -248,6 +250,57 @@ def test_bad_chart_point_is_usage_error(args, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--at" in captured.err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["flow", "--L", "0"],
+        ["flow", "--L", "-1"],
+        ["flow", "--grid", "9", "--osc-tol", "nan"],
+        ["flow", "--grid", "9", "--hf-tol", "-1"],
+        ["flow", "--grid", "2"],
+        ["measure", "--quantity", "ball", "--method", "monte_carlo", "--samples", "0"],
+        ["measure", "--quantity", "ball", "--method", "monte_carlo", "--samples", "-5"],
+        ["planes", "--hi", "inf"],
+        ["planes", "--lo", "nan"],
+        ["verify", "--tolerance", "nan"],
+        ["curvature", "--params", "r=nan"],
+        ["curvature", "--surface", "plane", "--params", "normal=1:inf:0"],
+        ["curvature", "--surface", "associate", "--params", "theta=abc"],
+        ["curvature", "--surface", "graph", "--params", "n=0"],
+    ],
+)
+def test_bad_numeric_option_is_usage_error(args, capsys):
+    assert run(args) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "gaussmin:" in captured.err
+
+
+def test_measure_cap_builds_only_the_requested_preset(tmp_path, monkeypatch):
+    def unused(*args, **kwargs):
+        raise AssertionError("random_bump built for another preset")
+
+    monkeypatch.setattr(GraphFunction, "random_bump", staticmethod(unused))
+    out = tmp_path / "cap.json"
+    args = ["measure", "--quantity", "cap", "--n", "3", "--init", "constant", "--R", "2"]
+    assert run([*args, "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["value"] == pytest.approx(gaussian_ball_volume(3, 2.0))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["measure", "--quantity", "cap", "--n", "4", "--init", "constant"],
+        ["measure", "--quantity", "cap", "--init", "vortex"],
+        ["curvature", "--surface", "graph", "--params", "n=4", "--params", "preset=random_bump"],
+        ["curvature", "--surface", "graph", "--params", "preset=vortex"],
+    ],
+)
+def test_unsupported_graph_preset_is_usage_error(args, capsys):
+    assert run(args) == EXIT_USAGE
+    assert "graph preset" in capsys.readouterr().err
 
 
 def test_import_leaves_scipy_optimize_unloaded():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 from gaussmin.density import horizontal_gaussian
 from gaussmin.flow import (
     AREA_SLACK,
-    FlowState,
     GridField,
     VERDICT_CONVERGED,
     VERDICT_MAX_TIME,
@@ -20,6 +20,7 @@ from gaussmin.flow import (
     stable_dt,
     weighted_area,
 )
+from gaussmin.graph import GraphFunction, graph_weighted_mean_curvature
 
 HG1 = horizontal_gaussian(1)
 HG2 = horizontal_gaussian(2)
@@ -62,6 +63,32 @@ def test_grid_curvature_matches_analytic_on_interior():
     expected = -x * 0.25 / math.sqrt(1.0625)
     interior = slice(2, -2)
     assert np.max(np.abs(hf[interior] - expected[interior])) <= 1e-6
+
+
+def test_two_dimensional_operator_reduces_to_one_dimensional_columns():
+    # a field constant along y has u_y = u_yy = u_xy = 0 exactly, so the
+    # general-n operator must give the 1-D H_F in every column, bit for bit
+    f1 = initial_field(1, 4.0, 65, "sinusoid")
+    f2 = GridField(4.0, np.repeat(f1.values[:, None], 65, axis=1))
+    hf1 = grid_weighted_mean_curvature(f1, HG1)
+    hf2 = grid_weighted_mean_curvature(f2, HG2)
+    assert np.array_equal(hf2, np.repeat(hf1[:, None], 65, axis=1))
+
+
+def test_two_dimensional_operator_is_second_order_on_interior():
+    # the closed-form graph kernel is the reference, including the mixed
+    # derivative term; the errors are taken on the coarse interior nodes
+    u = GraphFunction.random_bump(2, seed=5)
+    errors = []
+    for m in (33, 65, 129):
+        fld = initial_field(2, 4.0, m, "random_bump", seed=5)
+        exact = graph_weighted_mean_curvature(u, HG2, fld.nodes()).weighted_mean_curvature
+        stride = (m - 1) // 32
+        common = (slice(stride, -stride, stride),) * 2
+        hf = grid_weighted_mean_curvature(fld, HG2)
+        errors.append(float(np.max(np.abs(hf[common] - exact[common]))))
+    assert errors[0] / errors[1] >= 3.5
+    assert errors[1] / errors[2] >= 3.5
 
 
 def test_constant_is_exact_fixed_point():
@@ -114,7 +141,7 @@ def test_flow_run_hits_time_budget():
 def test_unstable_dt_triggers_rejection_and_halving():
     fld = initial_field(1, 4.0, 65, "sinusoid")
     big = 50.0 * stable_dt(1, fld.dx)
-    state = FlowState(field=fld, time=0.0, dt=big, history=[])
+    state = dataclasses.replace(initial_state(fld, HG1), dt=big)
     for _ in range(100):
         state = flow_step(state, HG1)
     # the oscillatory instability must have forced at least one halving,

@@ -19,16 +19,18 @@ from gaussmin.graph import (
     classify_hyperplane,
     graph_curvature_samples,
     graph_mean_curvature,
+    graph_preset,
     graph_presets,
     graph_slope,
     graph_weighted_mean_curvature,
     horizontal_plane_roots,
     hyperplane_minimality,
     random_quadratic_graph,
+    tangent_distance_suite,
 )
 from gaussmin.measure import QuadratureSpec, gaussian_ball_volume
 from gaussmin.rng import substream
-from gaussmin.surface import CurvatureReport, weighted_mean_curvature
+from gaussmin.surface import CurvatureReport, tangent_plane_distance, weighted_mean_curvature
 
 HG2 = horizontal_gaussian(2)
 ROOT = (math.sqrt(17.0) - 1.0) / 8.0  # zero of 4z^2 + z - 1 (quadratic formula)
@@ -269,3 +271,38 @@ def test_quadratic_form_derivatives_match_fd():
     x = np.array([0.7, -1.1])
     assert np.max(np.abs(u.gradient(x) - bare.gradient(x))) <= 1e-6
     assert np.max(np.abs(u.hessian(x) - bare.hessian(x))) <= 1e-4
+
+
+def test_stacked_quadratic_form_matches_its_members():
+    rng = substream(31, 0)
+    c, a, q = rng.uniform(-1, 1, 5), rng.uniform(-1, 1, (5, 2)), rng.uniform(-1, 1, (5, 2, 2))
+    family = GraphFunction.quadratic_form(c, a, q)
+    x = rng.uniform(-2, 2, (5, 2))
+    for k in range(5):
+        member = GraphFunction.quadratic_form(c[k], a[k], q[k])
+        assert family.value(x)[k] == pytest.approx(member.value(x[k]), abs=1e-15)
+        assert np.allclose(family.gradient(x)[k], member.gradient(x[k]), rtol=0, atol=1e-15)
+        assert np.array_equal(family.hessian(x)[k], member.hessian(x[k]))
+
+
+def test_tangent_suite_matches_one_graph_per_trial():
+    # the stacked suite draws the same graphs and points as a per-trial loop
+    for seed in (0, 7387):
+        worst = 0.0
+        for i in range(100):
+            surf = as_parametric(random_quadratic_graph(seed, i), ((-2.0, 2.0),) * 2)
+            p = substream(seed, 10_000 + i).uniform(-2.0, 2.0, size=2)
+            lhs, rhs = tangent_plane_distance(surf, p)
+            worst = max(worst, float(abs(lhs - rhs)))
+        assert tangent_distance_suite(trials=100, seed=seed) == pytest.approx(worst, abs=2e-16)
+    assert tangent_distance_suite(trials=0) == 0.0
+
+
+def test_presets_are_built_one_at_a_time():
+    x = substream(5, 0).uniform(-2.0, 2.0, size=(7, 2))
+    for name, u in graph_presets(2, seed=5).items():
+        assert np.array_equal(graph_preset(name, 2, seed=5).value(x), u.value(x))
+    with pytest.raises(KeyError):
+        graph_preset("vortex", 2)
+    with pytest.raises(ValueError):
+        GraphFunction.random_bump(4)
