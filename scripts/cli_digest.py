@@ -36,6 +36,7 @@ def cases() -> list[list[str]]:
         ["verify", "--seed", "7387"],
         ["verify", "--only", "catalog"],
         *(["bound", "--n", n] for n in ("1", "2", "3")),
+        ["flow", "--n", "1"],
         ["flow", "--n", "1", "--grid", "65"],
         ["flow", "--n", "2", "--grid", "33", "--init", "random_bump", "--seed", "5"],
         ["flow", "--n", "2", "--grid", "65"],

@@ -4,7 +4,6 @@ initial graphs and tabulate how fast each collapses to a constant."""
 
 import argparse
 
-from gaussmin.density import horizontal_gaussian
 from gaussmin.flow import flow_run, initial_field, initial_state
 
 
@@ -17,14 +16,13 @@ def main() -> None:
     ap.add_argument("--seed", type=lambda s: int(s, 0), default=0xD1CE)
     args = ap.parse_args()
 
-    dens = horizontal_gaussian(args.n)
     inits = ["sinusoid", "linear", "random_bump", "constant:0.4"]
     print(f"{'init':<14} {'verdict':<22} {'t_end':>8} {'osc_end':>10} {'area_drop':>10}")
     for init in inits:
         fld = initial_field(args.n, 4.0, args.grid, init, args.seed)
-        state = initial_state(fld, dens)
+        state = initial_state(fld)
         a0 = state.history[0][1]
-        result = flow_run(state, dens, args.tmax, args.osc_tol, args.osc_tol)
+        result = flow_run(state, args.tmax, args.osc_tol, args.osc_tol)
         drop = a0 - result.state.history[-1][1]
         print(
             f"{init:<14} {result.verdict:<22} {result.state.time:>8.3f} "

@@ -182,13 +182,12 @@ def _cmd_verify(ns: dict) -> int:
 # -------------------------------------------------------------------- bound
 
 def _cmd_bound(ns: dict) -> int:
-    n = int(ns["n"])
-    if not 1 <= n <= 3:
+    if not 1 <= ns["n"] <= 3:
         raise UsageError("bound supports n in {1, 2, 3}")
     if ns["steps"] < 1 or ns["rmax"] < ns["rmin"]:
         raise UsageError("bad radius range")
-    radii = np.linspace(ns["rmin"], ns["rmax"], int(ns["steps"]))
-    rows = measure.bound_sweep(n, radii)
+    radii = np.linspace(ns["rmin"], ns["rmax"], ns["steps"])
+    rows = measure.bound_sweep(ns["n"], radii)
     text = measure.VolumeBoundReport.CSV_HEADER + "\n"
     text += "".join(r.csv_row() + "\n" for r in rows)
     _write(text, ns["out"])
@@ -198,13 +197,12 @@ def _cmd_bound(ns: dict) -> int:
 # --------------------------------------------------------------------- flow
 
 def _cmd_flow(ns: dict) -> int:
-    n = int(ns["n"])
+    n = ns["n"]
     if n not in (1, 2):
         raise UsageError("flow supports n in {1, 2}")
-    dens = horizontal_gaussian(n)
-    fld = flow.initial_field(n, ns["L"], int(ns["grid"]), ns["init"], ns["seed"])
-    state = flow.initial_state(fld, dens)
-    result = flow.flow_run(state, dens, ns["tmax"], ns["osc_tol"], ns["hf_tol"])
+    fld = flow.initial_field(n, ns["L"], ns["grid"], ns["init"], ns["seed"])
+    state = flow.initial_state(fld)
+    result = flow.flow_run(state, ns["tmax"], ns["osc_tol"], ns["hf_tol"])
     series = "t,weighted_area,oscillation,max_abs_hf\n"
     series += "".join(
         f"{t:.17g},{a:.17g},{o:.17g},{m:.17g}\n" for t, a, o, m in result.state.history
@@ -305,8 +303,7 @@ def _cmd_planes(ns: dict) -> int:
 # ------------------------------------------------------------------ measure
 
 def _cmd_measure(ns: dict) -> int:
-    n = int(ns["n"])
-    R = float(ns["R"])
+    n, R = ns["n"], ns["R"]
     quantity = ns["quantity"]
     payload: dict = {"quantity": quantity, "n": n}
     if quantity == "unit-ball":
@@ -315,31 +312,23 @@ def _cmd_measure(ns: dict) -> int:
         payload["R"] = R
         payload["value"] = measure.gaussian_ball_volume(n, R)
         if ns["method"] == "monte_carlo":
-            est, se = measure.gaussian_ball_volume_mc(n, R, int(ns["samples"]), ns["seed"])
+            est, se = measure.gaussian_ball_volume_mc(n, R, ns["samples"], ns["seed"])
             payload["monte_carlo"] = {"value": est, "stderr": se, "seed": ns["seed"]}
     elif quantity in ("sphere", "hemisphere"):
         payload["R"] = R
-        spec = (
-            measure.QuadratureSpec(
-                method="monte_carlo", samples=int(ns["samples"]), seed=ns["seed"]
-            )
-            if ns["method"] == "monte_carlo"
-            else None
-        )
+        spec = None
+        if ns["method"] == "monte_carlo":
+            spec = measure.QuadratureSpec(method="monte_carlo", samples=ns["samples"], seed=ns["seed"])
         payload["value"] = measure.weighted_sphere_area(
             horizontal_gaussian(n), n, R, upper_half=quantity == "hemisphere", quad=spec
         )
-    elif quantity == "cap":
+    else:  # "cap", the last of the --quantity choices
         payload["R"] = R
         u = _graph_preset(ns["init"], n, ns["seed"])
         method = "spherical_product" if ns["method"] == "quadrature" else "monte_carlo"
-        spec = measure.QuadratureSpec(
-            method=method, samples=int(ns["samples"]), seed=ns["seed"]
-        )
+        spec = measure.QuadratureSpec(method=method, samples=ns["samples"], seed=ns["seed"])
         payload["graph"] = ns["init"]
         payload["value"] = measure.graph_cap_weighted_area(u, R, spec)
-    else:
-        raise UsageError(f"unknown quantity '{quantity}'")
     _write(_json_text(payload), ns["out"])
     return EXIT_OK
 
@@ -406,7 +395,7 @@ _HANDLERS = {
 }
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     sup = argparse.SUPPRESS
     parser = _Parser(prog="gaussmin", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -463,29 +452,50 @@ def _build_parser() -> _Parser:
 
     for sp in sub.choices.values():
         sp.add_argument("--config", default=sup, help="JSON config file; flags override")
-    return parser
+    return parser, sub.choices
+
+
+def _read_config(path: str, command: argparse.ArgumentParser, known: dict) -> dict:
+    """The config file's values, each converted and checked by the type and
+    choices of its flag, as its text would be on the command line."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            loaded = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read config: {exc}") from None
+    if not isinstance(loaded, dict):
+        raise UsageError("config must be a JSON object")
+    unknown = set(loaded) - set(known)
+    if unknown:
+        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    actions = {a.dest: a for a in command._actions}
+    for key, value in loaded.items():
+        if key == "params":
+            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+                raise UsageError("config params must be a list of strings")
+            continue
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise UsageError(f"config {key} must be a string or a number, got {json.dumps(value)}")
+        action = actions[key]
+        try:
+            loaded[key] = (action.type or str)(str(value))
+        except ValueError:
+            raise UsageError(f"config {key}: invalid value {json.dumps(value)}") from None
+        if action.choices is not None and loaded[key] not in action.choices:
+            raise UsageError(f"config {key} must be one of {action.choices}, got {json.dumps(value)}")
+    return loaded
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     ns = vars(parser.parse_args(argv))
     command = ns.pop("command")
     config_path = ns.pop("config", None)
     merged = dict(_DEFAULTS[command])
-    if config_path:
-        try:
-            with open(config_path, "r", encoding="utf-8") as fh:
-                loaded = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"gaussmin: cannot read config: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        unknown = set(loaded) - set(merged)
-        if unknown:
-            print(f"gaussmin: unknown config keys: {sorted(unknown)}", file=sys.stderr)
-            return EXIT_USAGE
-        merged.update(loaded)
-    merged.update(ns)
     try:
+        if config_path:
+            merged.update(_read_config(config_path, commands[command], merged))
+        merged.update(ns)
         _check_ranges(merged)
         return _HANDLERS[command](merged)
     except UsageError as exc:

@@ -3,7 +3,7 @@
 A density is the positive weight e^{-F}; we store the log-weight F and its
 gradient. The Gaussian preset is kept normalized,
 F(x) = |x|^2/2 + (n/2) ln(2 pi), so the total weighted volume of R^n is
-exactly 1 (the normalization constant is exposed as ``log_norm``).
+exactly 1.
 
 All evaluation callables are vectorized over leading axes: points have
 shape (..., dimension).
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -130,19 +130,12 @@ def as_points(x, dimension: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Density:
-    """Weight e^{-F} on R^dimension, given by log-weight F and its gradient.
-
-    ``log_norm`` is the additive normalization constant already contained in
-    F (for the Gaussian kind, (n/2) ln(2 pi)).
-    """
+    """Weight e^{-F} on R^dimension, given by log-weight F and its gradient."""
 
     dimension: int
     kind: str  # "gaussian" | "radial" | "product"
     _log_weight: Callable[[np.ndarray], np.ndarray]
     _grad: Callable[[np.ndarray], np.ndarray]
-    log_norm: float = 0.0
-    horizontal: Optional["Density"] = None
-    vertical: Optional[Profile] = None
 
     def log_weight(self, x):
         """F(x); the weight itself is e^{-F(x)}."""
@@ -168,7 +161,6 @@ class Density:
             kind="gaussian",
             _log_weight=lambda x: 0.5 * np.sum(x * x, axis=-1) + log_norm,
             _grad=lambda x: x.copy(),
-            log_norm=log_norm,
         )
 
     @staticmethod
@@ -191,7 +183,6 @@ class Density:
             kind="radial",
             _log_weight=lambda x: profile(np.linalg.norm(x, axis=-1)),
             _grad=grad,
-            vertical=profile,
         )
 
     @staticmethod
@@ -216,9 +207,6 @@ class Density:
             kind="product",
             _log_weight=log_weight,
             _grad=grad,
-            log_norm=horizontal.log_norm,
-            horizontal=horizontal,
-            vertical=vertical,
         )
 
 

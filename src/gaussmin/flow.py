@@ -1,21 +1,21 @@
-"""Weighted mean-curvature descent for graphs over a truncated box.
+"""Weighted mean-curvature descent for graphs over a truncated box in G^n x R.
 
-The update u <- u + dt * H_F(u) is the gradient flow of the weighted area
-int e^{-F} W dx in the weight-scaled inner product, so the weighted area is
-a Lyapunov function: dA/dt = -int e^{-F} H_F^2 <= 0.  Spatial derivatives
-are second-order central differences; homogeneous Neumann boundary
-conditions are imposed by ghost-node reflection.  Constants are the unique
-Neumann-stationary graphs over a Gaussian-weighted box, so generic initial
-data flattens.
+The density is that of G^n x R: e^{-F} = phi(x) = (2 pi)^{-n/2} e^{-|x|^2/2},
+normalized and independent of the height, so it is read once per grid.  Then
+H_F = H - sum_i x_i u_i / W, and u <- u + dt * H_F(u) is the gradient flow of
+the weighted area int phi W dx in the weight-scaled inner product, a Lyapunov
+function: dA/dt = -int phi H_F^2 <= 0.  Constants are the unique
+Neumann-stationary graphs over the box, so generic initial data flattens.
 
 One grid operator serves every n: with slopes u_i and W^2 = 1 + sum_k u_k^2,
-    H = (sum_i (1 + sum_{k != i} u_k^2) u_ii - 2 sum_{i<j} u_i u_j u_ij) / W^3,
-H_F = H + (dF/dx_{n+1} - sum_i u_i dF/dx_i) / W, and one pass over a field
-gives H_F and the weighted area, so each candidate field is evaluated once.
+    H = (sum_i (1 + sum_{k != i} u_k^2) u_ii - 2 sum_{i<j} u_i u_j u_ij) / W^3;
+one pass over a field gives H_F and the weighted area.  Derivatives are
+second-order central differences; homogeneous Neumann boundary conditions
+are imposed by ghost-node reflection.
 
-Explicit Euler with CFL safety dt <= safety * dx^2 / (2n); a step that
-increases the weighted area beyond roundoff (or produces non-finite values)
-is rejected and retried with half the step size.
+Explicit Euler with dt <= CFL_SAFETY * dx^2 / (2n); a step that increases the
+weighted area beyond roundoff (or produces non-finite values) is rejected and
+retried with half the step size.
 """
 
 from __future__ import annotations
@@ -94,6 +94,14 @@ def grid_nodes(half_width: float, resolution: int, n: int) -> np.ndarray:
     return nodes
 
 
+@functools.lru_cache(maxsize=8)
+def _grid_weight(half_width: float, resolution: int, n: int) -> np.ndarray:
+    """Read-only phi at the grid nodes; memoized, as no field changes it."""
+    weight = Density.gaussian(n).weight(grid_nodes(half_width, resolution, n))
+    weight.flags.writeable = False
+    return weight
+
+
 def _d1(p: np.ndarray, axis: int, dx: float) -> np.ndarray:
     sl = [slice(1, -1)] * p.ndim
     hi, lo = sl.copy(), sl.copy()
@@ -108,7 +116,7 @@ def _d2(p: np.ndarray, axis: int, dx: float) -> np.ndarray:
     return (p[tuple(hi)] - 2.0 * p[tuple(mid)] + p[tuple(lo)]) / (dx * dx)
 
 
-def _field_geometry(fld: GridField, dens: Density) -> tuple[float, np.ndarray]:
+def _field_geometry(fld: GridField) -> tuple[float, np.ndarray]:
     """Trapezoid weighted area and H_F at every node from one set of slopes;
     reflected ghost nodes enforce the Neumann condition."""
     n, dx = fld.dimension, fld.dx
@@ -120,26 +128,25 @@ def _field_geometry(fld: GridField, dens: Density) -> tuple[float, np.ndarray]:
     mixed = sum(grads[i] * grads[j] * _d1(np.pad(grads[i], 1, mode="reflect"), j, dx)
                 for i in range(n) for j in range(i + 1, n))
     h = (sum(diag[1:], diag[0]) - 2.0 * mixed) / w2**1.5
-    ambient = np.concatenate([fld.nodes(), fld.values[..., None]], axis=-1)
     w = np.sqrt(w2)
-    gf = dens.grad_log_weight(ambient)
-    term = gf[..., -1]
+    x = fld.nodes()
+    term = 0.0
     for i, gi in enumerate(grads):
-        term = term - gf[..., i] * gi
-    integrand = np.exp(-dens.log_weight(ambient)) * w
+        term = term - x[..., i] * gi
+    integrand = _grid_weight(fld.half_width, fld.resolution, n) * w
     for _ in range(n):
         integrand = np.trapezoid(integrand, dx=dx, axis=-1)
     return float(integrand), h + term / w
 
 
-def grid_weighted_mean_curvature(fld: GridField, dens: Density) -> np.ndarray:
+def grid_weighted_mean_curvature(fld: GridField) -> np.ndarray:
     """H_F at every node: divergence-form H plus the density term."""
-    return _field_geometry(fld, dens)[1]
+    return _field_geometry(fld)[1]
 
 
-def weighted_area(fld: GridField, dens: Density) -> float:
-    """Trapezoid-rule weighted area int e^{-F(x, u)} W dx over the box."""
-    return _field_geometry(fld, dens)[0]
+def weighted_area(fld: GridField) -> float:
+    """Trapezoid-rule weighted area int phi W dx over the box."""
+    return _field_geometry(fld)[0]
 
 
 @dataclass
@@ -162,8 +169,8 @@ class FlowResult:
     limit_constant: Optional[float] = None
 
 
-def stable_dt(n: int, dx: float, safety: float = CFL_SAFETY) -> float:
-    return safety * dx * dx / (2.0 * n)
+def stable_dt(n: int, dx: float) -> float:
+    return CFL_SAFETY * dx * dx / (2.0 * n)
 
 
 def initial_field(
@@ -194,13 +201,11 @@ def initial_field(
     return GridField(half_width, np.asarray(g.value(nodes), dtype=float))
 
 
-def initial_state(
-    fld: GridField, dens: Density, safety: float = CFL_SAFETY, dt: Optional[float] = None
-) -> FlowState:
-    dt = dt if dt is not None else stable_dt(fld.dimension, fld.dx, safety)
-    if dt > stable_dt(fld.dimension, fld.dx, safety) * (1.0 + 1e-12):
+def initial_state(fld: GridField, dt: Optional[float] = None) -> FlowState:
+    dt = dt if dt is not None else stable_dt(fld.dimension, fld.dx)
+    if dt > stable_dt(fld.dimension, fld.dx) * (1.0 + 1e-12):
         raise ValueError("dt violates the explicit-scheme stability bound")
-    area, hf = _field_geometry(fld, dens)
+    area, hf = _field_geometry(fld)
     return _accepted(fld, 0.0, dt, area, hf, [])
 
 
@@ -212,7 +217,7 @@ def _accepted(
     return FlowState(field=fld, time=t, dt=dt, hf=hf, history=history)
 
 
-def flow_step(state: FlowState, dens: Density) -> FlowState:
+def flow_step(state: FlowState) -> FlowState:
     """One accepted explicit Euler step u <- u + dt * H_F(u).
 
     Rejects (halving dt, up to MAX_REJECTIONS times) any step that increases
@@ -225,7 +230,7 @@ def flow_step(state: FlowState, dens: Density) -> FlowState:
         cand = fld.values + dt * state.hf
         if np.all(np.isfinite(cand)):
             new_fld = GridField(fld.half_width, cand)
-            area, hf = _field_geometry(new_fld, dens)
+            area, hf = _field_geometry(new_fld)
             if area <= area0 + AREA_SLACK:
                 return _accepted(new_fld, state.time + dt, dt, area, hf, state.history)
         dt *= 0.5
@@ -235,11 +240,7 @@ def flow_step(state: FlowState, dens: Density) -> FlowState:
 
 
 def flow_run(
-    state: FlowState,
-    dens: Density,
-    t_max: float,
-    osc_tol: float = 0.005,
-    hf_tol: float = 0.005,
+    state: FlowState, t_max: float, osc_tol: float = 0.005, hf_tol: float = 0.005
 ) -> FlowResult:
     """Iterate flow_step until flattening or the time budget runs out.
 
@@ -256,24 +257,21 @@ def flow_run(
         if state.time >= t_max:
             return FlowResult(state, VERDICT_MAX_TIME)
         try:
-            state = flow_step(state, dens)
+            state = flow_step(state)
         except FlowStepError:
             return FlowResult(state, VERDICT_STEP_FAILURE)
 
 
-def run_to_time(
-    fld: GridField, dens: Density, t_end: float, safety: float = CFL_SAFETY
-) -> FlowState:
+def run_to_time(fld: GridField, t_end: float) -> FlowState:
     """Advance to exactly t_end with a uniform step dividing it."""
-    steps = max(1, math.ceil(t_end / stable_dt(fld.dimension, fld.dx, safety)))
-    state = initial_state(fld, dens, dt=t_end / steps)
+    steps = max(1, math.ceil(t_end / stable_dt(fld.dimension, fld.dx)))
+    state = initial_state(fld, dt=t_end / steps)
     for _ in range(steps):
-        state = flow_step(state, dens)
+        state = flow_step(state)
     return state
 
 
 def refinement_order(
-    dens: Density,
     n: int = 1,
     half_width: float = 4.0,
     resolutions: tuple[int, int, int] = (33, 65, 129),
@@ -291,7 +289,7 @@ def refinement_order(
     if m1 != 2 * (m0 - 1) + 1 or m2 != 2 * (m1 - 1) + 1:
         raise ValueError("resolutions must nest: m' = 2(m-1)+1")
     sols = [
-        run_to_time(initial_field(n, half_width, m, init, seed), dens, t_end).field.values
+        run_to_time(initial_field(n, half_width, m, init, seed), t_end).field.values
         for m in (m0, m1, m2)
     ]
     sub = (slice(None, None, 2),) * n

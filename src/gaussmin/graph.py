@@ -19,6 +19,9 @@ from .density import Density, DomainError, Profile, as_points, fd_gradient
 from .rng import DEFAULT_SEED, substream
 from .surface import CurvatureReport, ParametricSurface, tangent_plane_distance
 
+FD_STEP = 1e-6
+FD_STEP_HESS = 1e-4
+
 
 @dataclass(frozen=True)
 class GraphFunction:
@@ -34,8 +37,6 @@ class GraphFunction:
     grad_u: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hess_u: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = ""
-    fd_step: float = 1e-6
-    fd_step_hess: float = 1e-4
 
     def value(self, x):
         return self.u(as_points(x, self.dimension))
@@ -44,13 +45,13 @@ class GraphFunction:
         x = as_points(x, self.dimension)
         if self.grad_u is not None:
             return np.asarray(self.grad_u(x), dtype=float)
-        return fd_gradient(self.u, x, self.fd_step)
+        return fd_gradient(self.u, x, FD_STEP)
 
     def hessian(self, x):
         x = as_points(x, self.dimension)
         if self.hess_u is not None:
             return np.asarray(self.hess_u(x), dtype=float)
-        hess = fd_gradient(self.gradient, x, self.fd_step_hess)
+        hess = fd_gradient(self.gradient, x, FD_STEP_HESS)
         return 0.5 * (hess + np.swapaxes(hess, -1, -2))
 
     # ------------------------------------------------------------------ presets

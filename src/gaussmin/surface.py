@@ -28,6 +28,8 @@ class RankDeficiencyError(ValueError):
 
 
 GRAM_DET_MIN = 1e-12
+FD_STEP = 1e-5
+FD_STEP_HESS = 1e-4
 
 
 @dataclass(frozen=True)
@@ -39,7 +41,7 @@ class ParametricSurface:
     ``first_derivatives`` returns the n partial derivative vectors as a
     (..., n, n+1) array and ``second_derivatives`` a (..., n, n, n+1)
     array.  Both derivative providers are optional: central finite
-    differences (steps ``fd_step`` / ``fd_step_hess``) are used when one is
+    differences (steps ``FD_STEP`` / ``FD_STEP_HESS``) are used when one is
     missing.
     """
 
@@ -48,8 +50,6 @@ class ParametricSurface:
     first_derivatives: Optional[Callable[[np.ndarray], np.ndarray]] = None
     second_derivatives: Optional[Callable[[np.ndarray], np.ndarray]] = None
     orientation: int = 1
-    fd_step: float = 1e-5
-    fd_step_hess: float = 1e-4
     name: str = ""
 
     @property
@@ -67,14 +67,14 @@ class ParametricSurface:
         p = as_points(p, self.chart_dim)
         if self.first_derivatives is not None:
             return np.asarray(self.first_derivatives(p), dtype=float)
-        return np.swapaxes(fd_gradient(self.point, p, self.fd_step), -1, -2)
+        return np.swapaxes(fd_gradient(self.point, p, FD_STEP), -1, -2)
 
     def hessian(self, p) -> np.ndarray:
         """Second derivatives d^2 X / dp_i dp_j, shape (..., n, n, n+1)."""
         p = as_points(p, self.chart_dim)
         if self.second_derivatives is not None:
             return np.asarray(self.second_derivatives(p), dtype=float)
-        out = np.moveaxis(fd_gradient(self.partials, p, self.fd_step_hess), -1, -3)
+        out = np.moveaxis(fd_gradient(self.partials, p, FD_STEP_HESS), -1, -3)
         # symmetrize; FD cross terms are only approximately symmetric
         return 0.5 * (out + np.swapaxes(out, -3, -2))
 

@@ -247,8 +247,8 @@ def test_axis_distance_identity():
 
 
 def test_flow_flattening_and_refinement():
-    state = initial_state(initial_field(1, 4.0, 257, "sinusoid"), HG1)
-    result = flow_run(state, HG1, t_max=50.0, osc_tol=0.005, hf_tol=0.005)
+    state = initial_state(initial_field(1, 4.0, 257, "sinusoid"))
+    result = flow_run(state, t_max=50.0, osc_tol=0.005, hf_tol=0.005)
     areas = np.array([rec[1] for rec in result.state.history])
     monotone = float(np.max(np.diff(areas))) <= AREA_SLACK
     converged = (
@@ -256,11 +256,11 @@ def test_flow_flattening_and_refinement():
         and result.state.time < 50.0
         and result.state.field.oscillation() <= 0.005
     )
-    const_state = initial_state(initial_field(1, 4.0, 257, "constant:0.25"), HG1)
+    const_state = initial_state(initial_field(1, 4.0, 257, "constant:0.25"))
     const_fixed = np.array_equal(
-        flow_step(const_state, HG1).field.values, const_state.field.values
+        flow_step(const_state).field.values, const_state.field.values
     )
-    order = refinement_order(HG1, n=1, resolutions=(33, 65, 129), t_end=1.0)
+    order = refinement_order(n=1, resolutions=(33, 65, 129), t_end=1.0)
     ok = monotone and converged and const_fixed and order >= 1.8
     assert _line(
         f"flow flattening: monotone area, converged at t = {result.state.time:.2f}, "

@@ -208,6 +208,38 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, config, flags",
+    [
+        ("verify", {"only": "bogus"}, None),
+        ("measure", {"method": "exact"}, None),
+        ("bound", {"steps": 2.5}, None),
+        ("bound", {"n": True}, None),
+        ("flow", {"n": 1, "grid": 33.5}, None),
+        ("verify", {"tolerance": "x"}, None),
+        ("bound", {"rmin": None}, None),
+        ("curvature", {"params": "r=2"}, None),
+        ("verify", {"seed": "7", "only": "identity"}, ["--seed", "7", "--only", "identity"]),
+    ],
+)
+def test_config_values_are_checked_like_flags(tmp_path, capsys, command, config, flags):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "config.out"
+    code = run([command, "--config", str(cfg), "--out", str(out)])
+    if flags is None:
+        # rejected as a usage error, in one line, before anything runs
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("gaussmin: ") and err.count("\n") == 1
+        assert not out.exists()
+    else:
+        assert code == EXIT_OK
+        by_flags = tmp_path / "flags.out"
+        assert run([command, *flags, "--out", str(by_flags)]) == EXIT_OK
+        assert out.read_bytes() == by_flags.read_bytes()
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bound", "--steps", "not_a_number"])

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gaussmin.density import horizontal_gaussian
+from gaussmin.density import Density, horizontal_gaussian
 from gaussmin.flow import (
     AREA_SLACK,
     GridField,
@@ -22,7 +22,6 @@ from gaussmin.flow import (
 )
 from gaussmin.graph import GraphFunction, graph_weighted_mean_curvature
 
-HG1 = horizontal_gaussian(1)
 HG2 = horizontal_gaussian(2)
 
 
@@ -52,13 +51,13 @@ def test_initial_fields_by_name():
 def test_initial_state_rejects_unstable_dt():
     fld = initial_field(1, 4.0, 65, "sinusoid")
     with pytest.raises(ValueError):
-        initial_state(fld, HG1, dt=10.0 * stable_dt(1, fld.dx))
+        initial_state(fld, dt=10.0 * stable_dt(1, fld.dx))
 
 
 def test_grid_curvature_matches_analytic_on_interior():
     # u = 0.25 x: H = 0 and H_F = -x * 0.25 / sqrt(1 + 0.0625)
     fld = initial_field(1, 4.0, 257, "linear")
-    hf = grid_weighted_mean_curvature(fld, HG1)
+    hf = grid_weighted_mean_curvature(fld)
     x = fld.axis()
     expected = -x * 0.25 / math.sqrt(1.0625)
     interior = slice(2, -2)
@@ -70,8 +69,8 @@ def test_two_dimensional_operator_reduces_to_one_dimensional_columns():
     # general-n operator must give the 1-D H_F in every column, bit for bit
     f1 = initial_field(1, 4.0, 65, "sinusoid")
     f2 = GridField(4.0, np.repeat(f1.values[:, None], 65, axis=1))
-    hf1 = grid_weighted_mean_curvature(f1, HG1)
-    hf2 = grid_weighted_mean_curvature(f2, HG2)
+    hf1 = grid_weighted_mean_curvature(f1)
+    hf2 = grid_weighted_mean_curvature(f2)
     assert np.array_equal(hf2, np.repeat(hf1[:, None], 65, axis=1))
 
 
@@ -85,41 +84,41 @@ def test_two_dimensional_operator_is_second_order_on_interior():
         exact = graph_weighted_mean_curvature(u, HG2, fld.nodes()).weighted_mean_curvature
         stride = (m - 1) // 32
         common = (slice(stride, -stride, stride),) * 2
-        hf = grid_weighted_mean_curvature(fld, HG2)
+        hf = grid_weighted_mean_curvature(fld)
         errors.append(float(np.max(np.abs(hf[common] - exact[common]))))
     assert errors[0] / errors[1] >= 3.5
     assert errors[1] / errors[2] >= 3.5
 
 
 def test_constant_is_exact_fixed_point():
-    state = initial_state(initial_field(1, 4.0, 65, "constant:0.7"), HG1)
-    stepped = flow_step(state, HG1)
+    state = initial_state(initial_field(1, 4.0, 65, "constant:0.7"))
+    stepped = flow_step(state)
     assert np.array_equal(stepped.field.values, state.field.values)
-    result = flow_run(initial_state(initial_field(1, 4.0, 65, "constant:0.7"), HG1), HG1, 10.0)
+    result = flow_run(initial_state(initial_field(1, 4.0, 65, "constant:0.7")), 10.0)
     assert result.verdict == VERDICT_CONVERGED
     assert result.limit_constant == pytest.approx(0.7, abs=1e-15)
     assert result.state.time == 0.0
 
 
 def test_first_step_strictly_decreases_area():
-    state = initial_state(initial_field(1, 4.0, 257, "sinusoid"), HG1)
+    state = initial_state(initial_field(1, 4.0, 257, "sinusoid"))
     a0 = state.history[0][1]
-    stepped = flow_step(state, HG1)
+    stepped = flow_step(state)
     a1 = stepped.history[-1][1]
     assert a1 < a0
 
 
 def test_linear_initial_data_flattens():
-    state = initial_state(initial_field(1, 4.0, 65, "linear"), HG1)
+    state = initial_state(initial_field(1, 4.0, 65, "linear"))
     osc0 = state.field.oscillation()
     for _ in range(400):
-        state = flow_step(state, HG1)
+        state = flow_step(state)
     assert state.field.oscillation() < osc0
 
 
 def test_flow_run_converges_and_areas_monotone():
-    state = initial_state(initial_field(1, 4.0, 65, "sinusoid"), HG1)
-    result = flow_run(state, HG1, t_max=50.0, osc_tol=0.005, hf_tol=0.005)
+    state = initial_state(initial_field(1, 4.0, 65, "sinusoid"))
+    result = flow_run(state, t_max=50.0, osc_tol=0.005, hf_tol=0.005)
     assert result.verdict == VERDICT_CONVERGED
     areas = np.array([rec[1] for rec in result.state.history])
     assert float(np.max(np.diff(areas))) <= AREA_SLACK
@@ -132,8 +131,8 @@ def test_flow_run_converges_and_areas_monotone():
 
 
 def test_flow_run_hits_time_budget():
-    state = initial_state(initial_field(1, 4.0, 65, "sinusoid"), HG1)
-    result = flow_run(state, HG1, t_max=20.0 * state.dt, osc_tol=1e-9, hf_tol=1e-9)
+    state = initial_state(initial_field(1, 4.0, 65, "sinusoid"))
+    result = flow_run(state, t_max=20.0 * state.dt, osc_tol=1e-9, hf_tol=1e-9)
     assert result.verdict == VERDICT_MAX_TIME
     assert result.state.time >= 20.0 * state.dt
 
@@ -141,9 +140,9 @@ def test_flow_run_hits_time_budget():
 def test_unstable_dt_triggers_rejection_and_halving():
     fld = initial_field(1, 4.0, 65, "sinusoid")
     big = 50.0 * stable_dt(1, fld.dx)
-    state = dataclasses.replace(initial_state(fld, HG1), dt=big)
+    state = dataclasses.replace(initial_state(fld), dt=big)
     for _ in range(100):
-        state = flow_step(state, HG1)
+        state = flow_step(state)
     # the oscillatory instability must have forced at least one halving,
     # and every accepted step kept the area monotone
     assert state.dt < big
@@ -152,9 +151,9 @@ def test_unstable_dt_triggers_rejection_and_halving():
 
 
 def test_odd_symmetry_is_preserved():
-    state = initial_state(initial_field(1, 4.0, 129, "sinusoid"), HG1)
+    state = initial_state(initial_field(1, 4.0, 129, "sinusoid"))
     for _ in range(300):
-        state = flow_step(state, HG1)
+        state = flow_step(state)
     v = state.field.values
     assert np.max(np.abs(v + v[::-1])) <= 1e-10
 
@@ -162,18 +161,47 @@ def test_odd_symmetry_is_preserved():
 def test_two_dimensional_bump_decays():
     fld = initial_field(2, 4.0, 33, "random_bump", seed=0xD1CE)
     osc0 = fld.oscillation()
-    state = run_to_time(fld, HG2, 2.0)
+    state = run_to_time(fld, 2.0)
     assert state.field.oscillation() < 0.5 * osc0
     areas = np.array([rec[1] for rec in state.history])
     assert float(np.max(np.diff(areas))) <= AREA_SLACK
 
 
 def test_refinement_order_is_second_order():
-    order = refinement_order(HG1, n=1, resolutions=(33, 65, 129), t_end=1.0)
+    order = refinement_order(n=1, resolutions=(33, 65, 129), t_end=1.0)
     assert order >= 1.8
 
 
 def test_run_to_time_lands_exactly():
     fld = initial_field(1, 4.0, 33, "sinusoid")
-    state = run_to_time(fld, HG1, 0.5)
+    state = run_to_time(fld, 0.5)
     assert state.time == pytest.approx(0.5, abs=1e-12)
+
+
+def test_flow_step_evaluates_no_density(monkeypatch):
+    calls = {"log_weight": 0, "grad_log_weight": 0}
+    for name in calls:
+        def counted(self, x, _name=name, _original=getattr(Density, name)):
+            calls[_name] += 1
+            return _original(self, x)
+        monkeypatch.setattr(Density, name, counted)
+    state = initial_state(initial_field(2, 4.0, 17, "sinusoid"))
+    for _ in range(50):
+        state = flow_step(state)
+    # at most the one evaluation of the memoized Gaussian factor of the grid
+    assert calls["log_weight"] <= 1
+    assert calls["grad_log_weight"] == 0
+
+
+@pytest.mark.parametrize("n, m", [(1, 65), (2, 33), (2, 65)])
+def test_weighted_area_of_constant_is_gaussian_trapezoid_mass(n, m):
+    # W = 1 for a constant, so the area is the tensor trapezoid rule applied
+    # to the Gaussian: the n-th power of the 1-D trapezoid mass.
+    ax = np.linspace(-4.0, 4.0, m)
+    weights = np.full(m, ax[1] - ax[0])
+    weights[[0, -1]] *= 0.5
+    mass = float(np.sum(weights * np.exp(-0.5 * ax * ax))) / math.sqrt(2.0 * math.pi)
+    area = weighted_area(initial_field(n, 4.0, m, "constant:0.3"))
+    assert area == pytest.approx(mass**n, rel=1e-15, abs=0.0)
+    assert area == weighted_area(initial_field(n, 4.0, m, "constant:-2"))
+    assert abs(area - math.erf(4.0 / math.sqrt(2.0)) ** n) <= 2e-5
