@@ -3,11 +3,15 @@
 
 Every case runs in process through ``gaussmin.cli.main`` and prints one line
 
-    case sha256(stdout) sha256(--out) sha256(--field-out)
+    case exit_code sha256(stdout) sha256(stderr) sha256(--out) sha256(--field-out)
 
-with ``-`` for a file the command does not write.  Run it with each
-checkout's ``src`` on ``PYTHONPATH`` and diff the two listings to see which
-outputs a change alters:
+with ``-`` for a file the command does not write.  A case that raises is
+recorded as the interpreter would exit, with code 1, and its stderr as the
+exception's last line; warnings enter stderr as ``Category: message``
+without the source path, so checkouts in different directories compare.
+Run it with each checkout's ``src`` on ``PYTHONPATH`` and diff the two
+listings to see which outputs, exit codes or error messages a change
+alters:
 
     PYTHONPATH=old/src python scripts/cli_digest.py > old.txt
     PYTHONPATH=new/src python scripts/cli_digest.py > new.txt
@@ -24,10 +28,33 @@ import io
 import os
 import sys
 import tempfile
+import traceback
+import warnings
 
 from gaussmin.cli import main as cli_main
 
 MEASURE_ARGS = ["--R", "1.7", "--samples", "200000"]
+
+# inputs that must fail: usage errors (exit 64) and overflowing radii (exit 2)
+ERROR_CASES = [
+    ["planes", "--profile", "bogus"],
+    ["planes", "--profile", "quadratic:abc"],
+    ["planes", "--profile", "linear:1,2,3"],
+    ["planes", "--lo", "1", "--hi", "0"],
+    ["curvature", "--density", "bogus"],
+    ["curvature", "--surface", "horizontal_plane", "--params", "profile=bogus"],
+    ["curvature", "--params", "r=-1"],
+    ["curvature", "--surface", "plane", "--params", "normal=1:0:1"],
+    ["curvature", "--surface", "plane", "--params", "normal=1:0"],
+    ["curvature", "--surface", "plane", "--params", "normal=0:0:0"],
+    ["flow", "--init", "bogus", "--grid", "9"],
+    ["flow", "--init", "constant:abc", "--grid", "9"],
+    ["measure", "--quantity", "hemisphere", "--n", "4"],
+    ["bound", "--n", "2", "--rmax", "1e200", "--steps", "2"],
+    ["measure", "--quantity", "sphere", "--n", "3", "--R", "1e200"],
+    ["measure", "--quantity", "hemisphere", "--n", "2", "--method", "monte_carlo",
+     "--samples", "1000", "--R", "1e200"],
+]
 
 
 def cases() -> list[list[str]]:
@@ -62,7 +89,7 @@ def cases() -> list[list[str]]:
         for method in ("quadrature", "monte_carlo"):
             out.append(["measure", "--quantity", "cap", "--init", preset, "--method", method,
                         "--n", "2", *MEASURE_ARGS])
-    return out
+    return out + ERROR_CASES
 
 
 def _digest(path: str) -> str:
@@ -81,11 +108,26 @@ def run_case(args: list[str], workdir: str) -> str:
     argv = [*args, "--out", out_path]
     if args[0] == "flow":
         argv += ["--field-out", field_path]
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-        cli_main(argv)
-    text_digest = hashlib.sha256(stdout.getvalue().encode("utf-8")).hexdigest()
-    return f"{'_'.join(args)} {text_digest} {_digest(out_path)} {_digest(field_path)}"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # an uncaught error exits 1 with a traceback
+            code = 1
+            stderr.write("".join(traceback.format_exception_only(exc)))
+    for w in caught:
+        stderr.write(f"{w.category.__name__}: {w.message}\n")
+    digests = [_text_digest(stdout.getvalue()), _text_digest(stderr.getvalue()),
+               _digest(out_path), _digest(field_path)]
+    return " ".join(["_".join(args), str(code), *digests])
+
+
+def _text_digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def main() -> int:

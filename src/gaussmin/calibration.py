@@ -24,6 +24,9 @@ from .density import Density, as_points
 from .graph import GraphFunction, graph_curvature_samples
 from .rng import DEFAULT_SEED, substream
 
+SAMPLE_HALF_WIDTH = 2.0  # base points of the checks lie in [-2, 2]^n
+FD_STEP = 1e-4
+
 
 @dataclass(frozen=True)
 class ExtendedNormalField:
@@ -65,12 +68,7 @@ def tangent_frame(u: GraphFunction, base_point) -> np.ndarray:
     return q.T
 
 
-def comass_check(
-    u: GraphFunction,
-    trials: int = 10_000,
-    seed: int = DEFAULT_SEED,
-    half_width: float = 2.0,
-) -> float:
+def comass_check(u: GraphFunction, trials: int = 10_000, seed: int = DEFAULT_SEED) -> float:
     """Max |omega| over seeded random ambient points and orthonormal frames.
 
     The Hadamard bound caps the value at 1; it is attained (to rounding)
@@ -81,7 +79,7 @@ def comass_check(
         raise ValueError("trials must be >= 1")
     n = u.dimension
     rng = substream(seed, 0)
-    base = rng.uniform(-half_width, half_width, size=(trials, n))
+    base = rng.uniform(-SAMPLE_HALF_WIDTH, SAMPLE_HALF_WIDTH, size=(trials, n))
     z = rng.uniform(-1.0, 1.0, size=(trials, 1))
     pts = np.concatenate([base, z], axis=-1)
     normals = extended_normal(u)(pts)
@@ -90,23 +88,19 @@ def comass_check(
     return float(np.max(np.abs(np.linalg.det(mats))))
 
 
-def weighted_normal_divergence(
-    u: GraphFunction, dens: Density, x, step: float = 1e-4
-) -> np.ndarray:
+def weighted_normal_divergence(u: GraphFunction, dens: Density, x) -> np.ndarray:
     """Ambient divergence of e^{-F} N at points x of shape (..., n+1), by
-    central finite differences; the result has shape (...)."""
+    central finite differences of step FD_STEP; the result has shape (...)."""
     x = as_points(x, u.dimension + 1)
     dim = x.shape[-1]
-    offsets = np.concatenate([step * np.eye(dim), -step * np.eye(dim)])
+    offsets = np.concatenate([FD_STEP * np.eye(dim), -FD_STEP * np.eye(dim)])
     pts = x[..., None, :] + offsets
     vals = np.exp(-dens.log_weight(pts))[..., None] * extended_normal(u)(pts)
     forward, backward = vals[..., :dim, :], vals[..., dim:, :]
-    return np.trace(forward - backward, axis1=-2, axis2=-1) / (2.0 * step)
+    return np.trace(forward - backward, axis1=-2, axis2=-1) / (2.0 * FD_STEP)
 
 
-def closedness_residual(
-    u: GraphFunction, dens: Density, x, step: float = 1e-4
-) -> np.ndarray:
+def closedness_residual(u: GraphFunction, dens: Density, x) -> np.ndarray:
     """div(e^{-F} N)(x) + e^{-F(x)} H_F at the graph points under x.
 
     ``x`` has shape (..., n+1) and the residuals shape (...).  They vanish
@@ -115,6 +109,6 @@ def closedness_residual(
     exact on the graph itself.
     """
     x = as_points(x, u.dimension + 1)
-    div = weighted_normal_divergence(u, dens, x, step)
+    div = weighted_normal_divergence(u, dens, x)
     _, _, hf = graph_curvature_samples(u, dens, x[..., :-1])
     return div + np.exp(-dens.log_weight(x)) * hf

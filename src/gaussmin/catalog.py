@@ -27,6 +27,13 @@ from .graph import (
 )
 from .surface import ParametricSurface, weighted_mean_curvature
 
+# chart half-extents of the catalog surfaces
+ASSOCIATE_V_MAX = 2.0
+CYLINDER_HALF_HEIGHT = 2.0
+PLANE_EXTENT = 2.5
+PARABOLA_EXTENT = 3.0
+SAMPLES_PER_AXIS = 21  # verification grid nodes per chart axis
+
 CLAIM_MINIMAL = "weighted_minimal"
 CLAIM_CONST_HF = "constant_weighted_curvature"
 CLAIM_CONST_PAIRING = "constant_density_term"
@@ -61,9 +68,10 @@ def _stack(parts, axis: int = -1) -> np.ndarray:
     return np.stack(np.broadcast_arrays(*parts), axis=axis)
 
 
-def make_associate_family(theta: float, v_max: float = 2.0) -> ParametricSurface:
+def make_associate_family(theta: float) -> ParametricSurface:
     """The minimal associate family joining helicoid (theta = 0) and
-    catenoid (theta = pi/2), on the chart (-pi, pi] x [-v_max, v_max].
+    catenoid (theta = pi/2), on the chart (-pi, pi] x [-ASSOCIATE_V_MAX,
+    ASSOCIATE_V_MAX].
 
     Analytic first and second derivatives are included so curvature
     residuals sit at roundoff.
@@ -102,7 +110,7 @@ def make_associate_family(theta: float, v_max: float = 2.0) -> ParametricSurface
         return _stack([_stack([d_uu, d_uv], -2), _stack([d_uv, d_vv], -2)], -3)
 
     return ParametricSurface(
-        chart_domain=((-math.pi, math.pi), (-v_max, v_max)),
+        chart_domain=((-math.pi, math.pi), (-ASSOCIATE_V_MAX, ASSOCIATE_V_MAX)),
         immersion=immersion,
         first_derivatives=firsts,
         second_derivatives=seconds,
@@ -124,7 +132,7 @@ def _associate_entry(theta: float, name: str, claim: Claim, source: str) -> Cata
     )
 
 
-def make_cylinder(r: float, half_height: float = 2.0) -> CatalogEntry:
+def make_cylinder(r: float) -> CatalogEntry:
     """Right circular cylinder of radius r about the vertical axis.
 
     With the outward normal, H_F = r - 1/r; radius 1 is weighted minimal.
@@ -150,7 +158,7 @@ def make_cylinder(r: float, half_height: float = 2.0) -> CatalogEntry:
     return CatalogEntry(
         name=f"cylinder_r{r:g}",
         surface=ParametricSurface(
-            chart_domain=((-math.pi, math.pi), (-half_height, half_height)),
+            chart_domain=((-math.pi, math.pi), (-CYLINDER_HALF_HEIGHT, CYLINDER_HALF_HEIGHT)),
             immersion=immersion,
             first_derivatives=firsts,
             second_derivatives=seconds,
@@ -162,7 +170,7 @@ def make_cylinder(r: float, half_height: float = 2.0) -> CatalogEntry:
     )
 
 
-def make_plane(normal, offset: float, extent: float = 2.5) -> CatalogEntry:
+def make_plane(normal, offset: float) -> CatalogEntry:
     """Plane {<normal, p> = offset} for a horizontal or vertical unit normal.
 
     A horizontal normal gives a plane parallel to the vertical axis with
@@ -170,6 +178,8 @@ def make_plane(normal, offset: float, extent: float = 2.5) -> CatalogEntry:
     vertical normal gives a horizontal plane.
     """
     nu = np.asarray(normal, dtype=float)
+    if nu.shape != (3,) or not np.any(nu):
+        raise ValueError(f"plane normal must be a nonzero 3-vector, got {normal}")
     nu = nu / np.linalg.norm(nu)
     horizontal_part = np.linalg.norm(nu[:2])
     if abs(nu[2]) < 1e-12:
@@ -192,7 +202,7 @@ def make_plane(normal, offset: float, extent: float = 2.5) -> CatalogEntry:
     return CatalogEntry(
         name=f"plane_offset{offset:g}",
         surface=ParametricSurface(
-            chart_domain=((-extent, extent), (-extent, extent)),
+            chart_domain=((-PLANE_EXTENT, PLANE_EXTENT),) * 2,
             immersion=immersion,
             first_derivatives=lambda p: np.broadcast_to(basis, p.shape[:-1] + (2, 3)).copy(),
             second_derivatives=lambda p: np.zeros(p.shape[:-1] + (2, 2, 3)),
@@ -204,9 +214,7 @@ def make_plane(normal, offset: float, extent: float = 2.5) -> CatalogEntry:
     )
 
 
-def make_horizontal_plane(
-    a: float, profile: Optional[Profile] = None, extent: float = 2.5
-) -> CatalogEntry:
+def make_horizontal_plane(a: float, profile: Optional[Profile] = None) -> CatalogEntry:
     """Horizontal plane z = a; weighted minimal under the horizontal
     Gaussian, and under a product density exactly when h'(a) = 0."""
     if profile is None:
@@ -233,12 +241,12 @@ def make_horizontal_plane(
         density=dens,
         claim=claim,
         source=source,
-        sample_box=((-extent, extent), (-extent, extent)),
+        sample_box=((-PLANE_EXTENT, PLANE_EXTENT),) * 2,
         annotations=annotations,
     )
 
 
-def make_parabola_with_profile(extent: float = 3.0) -> CatalogEntry:
+def make_parabola_with_profile() -> CatalogEntry:
     """Graph z = x^2 over the plane, weighted minimal under the product
     density with the quad_log companion profile."""
     return CatalogEntry(
@@ -247,7 +255,7 @@ def make_parabola_with_profile(extent: float = 3.0) -> CatalogEntry:
         density=Density.product(Density.gaussian(2), Profile.quad_log()),
         claim=Claim(CLAIM_MINIMAL),
         source="entire non-planar weighted minimal graph z = x^2 under the companion product density",
-        sample_box=((-extent, extent), (-extent, extent)),
+        sample_box=((-PARABOLA_EXTENT, PARABOLA_EXTENT),) * 2,
     )
 
 
@@ -288,19 +296,19 @@ def default_catalog() -> list[CatalogEntry]:
 
 # ----------------------------------------------------------------- verification
 
-def _sample_grid(box, per_axis: int) -> np.ndarray:
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in box]
+def _sample_grid(box) -> np.ndarray:
+    axes = [np.linspace(lo, hi, SAMPLES_PER_AXIS) for lo, hi in box]
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
-def _entry_samples(entry: CatalogEntry, per_axis: int):
+def _entry_samples(entry: CatalogEntry):
     """(H, density term, H_F) arrays over the sample grid."""
     if isinstance(entry.surface, GraphFunction):
         if entry.sample_box is None:
             raise ValueError(f"entry '{entry.name}' needs a sample_box")
-        pts = _sample_grid(entry.sample_box, per_axis)
+        pts = _sample_grid(entry.sample_box)
         return graph_curvature_samples(entry.surface, entry.density, pts)
-    pts = _sample_grid(entry.surface.chart_domain, per_axis)
+    pts = _sample_grid(entry.surface.chart_domain)
     rep = weighted_mean_curvature(entry.surface, entry.density, pts)
     return rep.mean_curvature, rep.density_term, rep.weighted_mean_curvature
 
@@ -312,8 +320,8 @@ def _signed_residual(values: np.ndarray, target: float) -> float:
     )
 
 
-def verify_entry(entry: CatalogEntry, tolerance: float, per_axis: int = 21) -> dict:
-    h, term, hf = _entry_samples(entry, per_axis)
+def verify_entry(entry: CatalogEntry, tolerance: float) -> dict:
+    h, term, hf = _entry_samples(entry)
     if entry.claim.kind == CLAIM_MINIMAL:
         residual = float(np.max(np.abs(hf)))
     elif entry.claim.kind == CLAIM_CONST_HF:
@@ -351,14 +359,12 @@ class CatalogReport:
 
 
 def verify_catalog(
-    tolerance: float = 1e-5,
-    entries: Optional[list[CatalogEntry]] = None,
-    per_axis: int = 21,
+    tolerance: float = 1e-5, entries: Optional[list[CatalogEntry]] = None
 ) -> CatalogReport:
     """Check every entry's claim at the tolerance; an empty catalog passes
     vacuously."""
     entries = default_catalog() if entries is None else entries
     return CatalogReport(
         tolerance=tolerance,
-        results=[verify_entry(e, tolerance, per_axis) for e in entries],
+        results=[verify_entry(e, tolerance) for e in entries],
     )

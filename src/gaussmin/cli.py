@@ -71,6 +71,15 @@ def _finite(text, what: str, kind=float):
     return value
 
 
+def _checked(what: str, build, *args):
+    """``build(*args)`` for a name or value given on the command line; the
+    ValueError it raises for a bad one is a UsageError."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise UsageError(f"{what}: {exc}") from None
+
+
 def _graph_preset(name: str, n: int, seed: int) -> GraphFunction:
     """The named graph preset, built alone, for n in {1, 2, 3}."""
     if not 1 <= n <= 3:
@@ -94,25 +103,25 @@ def _calibration_presets() -> list[tuple[str, GraphFunction, Density, bool]]:
     ]
 
 
+CLOSEDNESS_TRIALS = 100
+
+
 def closedness_suite(
-    u: GraphFunction,
-    dens: Density,
-    trials: int = 100,
-    seed: int = DEFAULT_SEED,
-    on_graph: bool = False,
-    half_width: float = 2.0,
+    u: GraphFunction, dens: Density, seed: int = DEFAULT_SEED, on_graph: bool = False
 ) -> float:
-    """Max |closedness residual| over seeded ambient sample points.
+    """Max |closedness residual| over CLOSEDNESS_TRIALS seeded ambient sample
+    points.
 
     For densities that depend on the vertical coordinate the identity holds
     on the graph itself, so sampling is restricted there.
     """
     rng = substream(seed, 3)
-    base = rng.uniform(-half_width, half_width, size=(trials, u.dimension))
+    half_width = calibration.SAMPLE_HALF_WIDTH
+    base = rng.uniform(-half_width, half_width, size=(CLOSEDNESS_TRIALS, u.dimension))
     if on_graph:
         z = np.asarray(u.value(base), dtype=float)
     else:
-        z = rng.uniform(-1.0, 1.0, size=trials)
+        z = rng.uniform(-1.0, 1.0, size=CLOSEDNESS_TRIALS)
     x = np.concatenate([base, z[:, None]], axis=-1)
     residuals = calibration.closedness_residual(u, dens, x)
     return float(np.max(np.abs(residuals), initial=0.0))
@@ -133,7 +142,7 @@ def run_verify(tolerance: float, only: str, seed: int) -> dict:
             )
     if only in ("all", "calibration"):
         for name, u, dens, on_graph in _calibration_presets():
-            residual = closedness_suite(u, dens, 100, seed, on_graph)
+            residual = closedness_suite(u, dens, seed, on_graph)
             checks.append(
                 {
                     "group": "calibration",
@@ -200,7 +209,7 @@ def _cmd_flow(ns: dict) -> int:
     n = ns["n"]
     if n not in (1, 2):
         raise UsageError("flow supports n in {1, 2}")
-    fld = flow.initial_field(n, ns["L"], ns["grid"], ns["init"], ns["seed"])
+    fld = _checked("--init", flow.initial_field, n, ns["L"], ns["grid"], ns["init"], ns["seed"])
     state = flow.initial_state(fld)
     result = flow.flow_run(state, ns["tmax"], ns["osc_tol"], ns["hf_tol"])
     series = "t,weighted_area,oscillation,max_abs_hf\n"
@@ -243,14 +252,16 @@ def _resolve_surface(ns: dict):
         return _finite(params.get(key, default), f"--params {key}", kind)
 
     if name == "cylinder":
-        entry = catalog.make_cylinder(number("r", 1.0))
+        entry = _checked("--params r", catalog.make_cylinder, number("r", 1.0))
         surf, dens = entry.surface, entry.density
     elif name == "plane":
         normal = [_finite(v, "--params normal") for v in params.get("normal", "1:0:0").split(":")]
-        entry = catalog.make_plane(normal, number("offset", 0.0))
+        entry = _checked("--params normal", catalog.make_plane, normal, number("offset", 0.0))
         surf, dens = entry.surface, entry.density
     elif name == "horizontal_plane":
-        prof = profile_from_name(params["profile"]) if "profile" in params else None
+        prof = None
+        if "profile" in params:
+            prof = _checked("--params profile", profile_from_name, params["profile"])
         entry = catalog.make_horizontal_plane(number("a", 0.0), prof)
         surf, dens = entry.surface, entry.density
     elif name == "associate":
@@ -263,7 +274,7 @@ def _resolve_surface(ns: dict):
     else:
         raise UsageError(f"unknown surface '{name}'")
     if ns.get("density"):
-        dens = density_from_name(ns["density"], dens.dimension)
+        dens = _checked("--density", density_from_name, ns["density"], dens.dimension)
     dim = surf.dimension if isinstance(surf, GraphFunction) else surf.chart_dim
     return surf, dens, _chart_point(ns["at"], dim)
 
@@ -284,7 +295,9 @@ def _cmd_curvature(ns: dict) -> int:
 # ------------------------------------------------------------------- planes
 
 def _cmd_planes(ns: dict) -> int:
-    prof = profile_from_name(ns["profile"])
+    prof = _checked("--profile", profile_from_name, ns["profile"])
+    if not ns["hi"] > ns["lo"]:
+        raise UsageError(f"--hi must exceed --lo, got [{ns['lo']}, {ns['hi']}]")
     scan = graph.horizontal_plane_roots(prof, (ns["lo"], ns["hi"]))
     payload = {
         "profile": ns["profile"],
@@ -319,6 +332,8 @@ def _cmd_measure(ns: dict) -> int:
         spec = None
         if ns["method"] == "monte_carlo":
             spec = measure.QuadratureSpec(method="monte_carlo", samples=ns["samples"], seed=ns["seed"])
+        elif not 1 <= n <= 3:
+            raise UsageError(f"sphere quadrature supports n in {{1, 2, 3}}, got {n}")
         payload["value"] = measure.weighted_sphere_area(
             horizontal_gaussian(n), n, R, upper_half=quantity == "hemisphere", quad=spec
         )
@@ -501,7 +516,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"gaussmin: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, OverflowError) as exc:
         print(f"gaussmin: error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -115,7 +115,10 @@ def profile_from_name(spec: str) -> Profile:
     except KeyError:
         raise ValueError(f"unknown profile preset '{name}'") from None
     args = [float(a) for a in argstr.split(",") if a] if argstr else []
-    return factory(*args)
+    try:
+        return factory(*args)
+    except TypeError:
+        raise ValueError(f"too many arguments for profile preset '{name}'") from None
 
 
 # --------------------------------------------------------------------------- densities

@@ -190,7 +190,7 @@ def initial_field(
         level = float(arg) if arg else 0.0
         g = GraphFunction.constant(n, level)
     elif name == "sinusoid":
-        g = GraphFunction.sinusoid(n, amplitude=0.5, half_width=half_width)
+        g = GraphFunction.sinusoid(n, half_width=half_width)
     elif name == "linear":
         g = GraphFunction.linear([0.25] + [0.0] * (n - 1))
     elif name == "random_bump":
@@ -271,28 +271,19 @@ def run_to_time(fld: GridField, t_end: float) -> FlowState:
     return state
 
 
-def refinement_order(
-    n: int = 1,
-    half_width: float = 4.0,
-    resolutions: tuple[int, int, int] = (33, 65, 129),
-    t_end: float = 1.0,
-    init: str = "sinusoid",
-    seed: int = DEFAULT_SEED,
-) -> float:
-    """Observed convergence order from three nested grids at a fixed time.
+# nested grids (m' = 2(m-1)+1, so coarse nodes embed in fine ones) and end time
+REFINEMENT_GRIDS = (33, 65, 129)
+REFINEMENT_T_END = 1.0
 
-    Successive resolutions must satisfy m' = 2(m-1)+1 so coarse nodes embed
-    in fine grids; the order is log2 of the ratio of successive max-norm
-    differences on the common nodes.
-    """
-    m0, m1, m2 = resolutions
-    if m1 != 2 * (m0 - 1) + 1 or m2 != 2 * (m1 - 1) + 1:
-        raise ValueError("resolutions must nest: m' = 2(m-1)+1")
+
+def refinement_order() -> float:
+    """Observed convergence order of the default 1-D sinusoid flow at
+    REFINEMENT_T_END on the three REFINEMENT_GRIDS: log2 of the ratio of
+    successive max-norm differences on the common nodes."""
     sols = [
-        run_to_time(initial_field(n, half_width, m, init, seed), t_end).field.values
-        for m in (m0, m1, m2)
+        run_to_time(initial_field(1, resolution=m), REFINEMENT_T_END).field.values
+        for m in REFINEMENT_GRIDS
     ]
-    sub = (slice(None, None, 2),) * n
-    d1 = float(np.max(np.abs(sols[0] - sols[1][sub])))
-    d2 = float(np.max(np.abs(sols[1] - sols[2][sub])))
+    d1 = float(np.max(np.abs(sols[0] - sols[1][::2])))
+    d2 = float(np.max(np.abs(sols[1] - sols[2][::2])))
     return math.log2(d1 / d2)

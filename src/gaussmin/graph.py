@@ -21,6 +21,8 @@ from .surface import CurvatureReport, ParametricSurface, tangent_plane_distance
 
 FD_STEP = 1e-6
 FD_STEP_HESS = 1e-4
+SINUSOID_AMPLITUDE = 0.5
+BUMP_COUNT = 4  # Gaussian bumps in a random_bump graph
 
 
 @dataclass(frozen=True)
@@ -101,12 +103,12 @@ class GraphFunction:
         )
 
     @staticmethod
-    def sinusoid(n: int = 1, amplitude: float = 0.5, half_width: float = 4.0) -> "GraphFunction":
-        """u(x) = amplitude * prod_i sin(pi x_i / half_width)."""
+    def sinusoid(n: int = 1, half_width: float = 4.0) -> "GraphFunction":
+        """u(x) = SINUSOID_AMPLITUDE * prod_i sin(pi x_i / half_width)."""
         k = math.pi / half_width
 
         def u(x):
-            return amplitude * np.prod(np.sin(k * x), axis=-1)
+            return SINUSOID_AMPLITUDE * np.prod(np.sin(k * x), axis=-1)
 
         def grad(x):
             s = np.sin(k * x)
@@ -114,7 +116,7 @@ class GraphFunction:
             g = np.empty_like(x)
             for i in range(n):
                 others = np.prod(np.delete(s, i, axis=-1), axis=-1) if n > 1 else 1.0
-                g[..., i] = amplitude * k * c[..., i] * others
+                g[..., i] = SINUSOID_AMPLITUDE * k * c[..., i] * others
             return g
 
         def hess(x):
@@ -131,7 +133,7 @@ class GraphFunction:
                             fac = fac * k * c[..., l]
                         else:
                             fac = fac * s[..., l]
-                    h[..., i, j] = amplitude * fac
+                    h[..., i, j] = SINUSOID_AMPLITUDE * fac
             return h
 
         return GraphFunction(dimension=n, u=u, grad_u=grad, hess_u=hess, name="sinusoid")
@@ -159,15 +161,14 @@ class GraphFunction:
         n: int = 2,
         seed: int = DEFAULT_SEED,
         amplitude: float = 0.3,
-        bumps: int = 4,
     ) -> "GraphFunction":
-        """Seeded sum of Gaussian bumps, rescaled so max |u| = amplitude."""
+        """Seeded sum of BUMP_COUNT Gaussian bumps, rescaled so max |u| = amplitude."""
         if not 1 <= n <= 3:
             raise ValueError(f"random_bump probes a 161^n grid; n must be 1, 2 or 3, got {n}")
         rng = substream(seed, 0)
-        centers = rng.uniform(-2.0, 2.0, size=(bumps, n))
-        widths = rng.uniform(0.8, 1.6, size=bumps)
-        heights = rng.uniform(-1.0, 1.0, size=bumps)
+        centers = rng.uniform(-2.0, 2.0, size=(BUMP_COUNT, n))
+        widths = rng.uniform(0.8, 1.6, size=BUMP_COUNT)
+        heights = rng.uniform(-1.0, 1.0, size=BUMP_COUNT)
 
         h2 = widths**2
 
@@ -309,17 +310,13 @@ def as_parametric(u: GraphFunction, box: Sequence[tuple[float, float]]) -> Param
 MINIMAL_HORIZONTAL = "minimal_horizontal"
 MINIMAL_TILTED = "minimal_tilted"
 NOT_MINIMAL = "not_minimal"
+# a tilted plane is tested at PLANE_SAMPLES offsets s in [-PLANE_SPAN, PLANE_SPAN]
+PLANE_SAMPLES = 41
+PLANE_SPAN = 2.0
+PLANE_TOL = 1e-9
 
 
-def hyperplane_minimality(
-    a_vec: Sequence[float],
-    c: float,
-    h: Profile,
-    *,
-    samples: int = 41,
-    span: float = 2.0,
-    tol: float = 1e-9,
-) -> str:
+def hyperplane_minimality(a_vec: Sequence[float], c: float, h: Profile) -> str:
     """Classify the hyperplane sum(a_i x_i) + x_{n+1} + c = 0 under e^{-(f+h)}.
 
     The plane is weighted minimal iff sum(a_i x_i) + h'(x_{n+1}) vanishes
@@ -332,17 +329,17 @@ def hyperplane_minimality(
         z = -float(c)
         if not h.contains(z):
             return NOT_MINIMAL
-        return MINIMAL_HORIZONTAL if abs(float(h.slope(z))) <= tol else NOT_MINIMAL
-    s = np.linspace(-span, span, samples)
+        return MINIMAL_HORIZONTAL if abs(float(h.slope(z))) <= PLANE_TOL else NOT_MINIMAL
+    s = np.linspace(-PLANE_SPAN, PLANE_SPAN, PLANE_SAMPLES)
     z = -float(c) - s
     keep = z > h.domain_min + 1e-9
     if np.count_nonzero(keep) < 5:
         return NOT_MINIMAL
     residual = s[keep] + h.slope(z[keep])
-    return MINIMAL_TILTED if float(np.max(np.abs(residual))) <= tol else NOT_MINIMAL
+    return MINIMAL_TILTED if float(np.max(np.abs(residual))) <= PLANE_TOL else NOT_MINIMAL
 
 
-def classify_hyperplane(coeffs: Sequence[float], const: float, h: Profile, **kw) -> str:
+def classify_hyperplane(coeffs: Sequence[float], const: float, h: Profile) -> str:
     """Classify a general non-vertical plane sum(coeffs_i x_i) + const = 0.
 
     Normalizes by the x_{n+1} coefficient first, so the result is invariant
@@ -351,7 +348,7 @@ def classify_hyperplane(coeffs: Sequence[float], const: float, h: Profile, **kw)
     coeffs = np.asarray(coeffs, dtype=float)
     if abs(coeffs[-1]) < 1e-14:
         raise ValueError("vertical hyperplane: coefficient of x_{n+1} is zero")
-    return hyperplane_minimality(coeffs[:-1] / coeffs[-1], float(const) / coeffs[-1], h, **kw)
+    return hyperplane_minimality(coeffs[:-1] / coeffs[-1], float(const) / coeffs[-1], h)
 
 
 # ----------------------------------------------------------------- plane roots
@@ -365,14 +362,14 @@ class RootScan:
     identically_zero: bool = False
 
 
-def horizontal_plane_roots(
-    h: Profile,
-    interval: tuple[float, float],
-    *,
-    subintervals: int = 10_000,
-    xtol: float = 1e-13,
-) -> RootScan:
-    """All roots of h' in [lo, hi]: uniform bracketing scan plus bisection.
+ROOT_SCAN_SUBINTERVALS = 10_000
+ROOT_XTOL = 1e-13  # bisection tolerance
+ROOT_TOL = 1e-10  # |h'| at or below this marks a candidate height as a root
+
+
+def horizontal_plane_roots(h: Profile, interval: tuple[float, float]) -> RootScan:
+    """All roots of h' in [lo, hi]: a scan of ROOT_SCAN_SUBINTERVALS uniform
+    brackets plus bisection.
 
     Each returned root z has |h'(z)| at the bisection noise floor; simple
     roots only (the presets have no tangential zeros).
@@ -386,13 +383,13 @@ def horizontal_plane_roots(
         raise DomainError(
             f"interval [{lo}, {hi}] leaves the domain of profile '{h.name}'"
         )
-    grid = np.linspace(lo, hi, subintervals + 1)
+    grid = np.linspace(lo, hi, ROOT_SCAN_SUBINTERVALS + 1)
     vals = h.slope(grid)
     if float(np.max(np.abs(vals))) < 1e-12:
         return RootScan(roots=(), identically_zero=True)
     # exact zeros on the grid, then one bisection per sign change
     roots = [float(z) for z in grid[vals == 0.0]] + [
-        float(optimize.bisect(lambda z: float(h.slope(z)), grid[i], grid[i + 1], xtol=xtol))
+        float(optimize.bisect(lambda z: float(h.slope(z)), grid[i], grid[i + 1], xtol=ROOT_XTOL))
         for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
     ]
     merged: list[float] = []
@@ -409,15 +406,13 @@ QUAD_LOG_STATIONARY_HEIGHT = (math.sqrt(17.0) - 1.0) / 8.0
 QUAD_LOG_ROOT_CANDIDATES = (QUAD_LOG_STATIONARY_HEIGHT, (math.sqrt(17.0) + 1.0) / 8.0)
 
 
-def audit_root_candidates(
-    h: Profile, candidates: Sequence[float], tol: float = 1e-10
-) -> list[dict]:
+def audit_root_candidates(h: Profile, candidates: Sequence[float]) -> list[dict]:
     """Evaluate |h'| at candidate heights and mark which are actual roots."""
     out = []
     for z in candidates:
         slope = float(h.slope(float(z))) if h.contains(z) else math.nan
         # a NaN slope (outside the domain) compares false, so it is no root
-        out.append({"value": float(z), "slope": slope, "is_root": bool(abs(slope) <= tol)})
+        out.append({"value": float(z), "slope": slope, "is_root": bool(abs(slope) <= ROOT_TOL)})
     return out
 
 
@@ -438,15 +433,17 @@ def random_quadratic_graph(seed: int, stream: int, n: int = 2) -> GraphFunction:
     return GraphFunction.quadratic_form(c[0], a[0], q[0])
 
 
-def tangent_distance_suite(
-    trials: int = 100, seed: int = DEFAULT_SEED, n: int = 2
-) -> float:
+TANGENT_SUITE_DIM = 2  # the suite's graphs live over R^2
+
+
+def tangent_distance_suite(trials: int = 100, seed: int = DEFAULT_SEED) -> float:
     """Max |d(axis projection, tangent plane) - |<grad f, N>|| over random
-    graph surfaces and chart points.
+    quadratic graph surfaces and chart points.
 
     The two sides are computed along different code paths (plane geometry
     vs. the density pairing); the identity makes the residual roundoff.
     """
+    n = TANGENT_SUITE_DIM
     family = GraphFunction.quadratic_form(*_quadratic_coefficients(seed, range(trials), n))
     p = np.reshape(
         [substream(seed, 10_000 + i).uniform(-2.0, 2.0, size=n) for i in range(trials)], (trials, n)

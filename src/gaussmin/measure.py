@@ -25,36 +25,33 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import special
 
 from .density import Density
 from .graph import GraphFunction, graph_slope
 from .rng import DEFAULT_SEED, substream
 
 _MC_CHUNK = 1 << 18
+QUAD_ORDER = 64  # Gauss-Legendre nodes in the radius or the polar angle
+QUAD_ANGULAR_ORDER = 64  # nodes per angular coordinate of the direction rule
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """How to evaluate an integral.
 
-    ``spherical_product`` uses Gauss-Legendre radially (order ``order``) and
-    a uniform periodic rule in the angles (``angular_order`` nodes);
+    ``spherical_product`` uses Gauss-Legendre radially (``QUAD_ORDER`` nodes)
+    and a uniform periodic rule in the angles (``QUAD_ANGULAR_ORDER`` nodes);
     ``monte_carlo`` draws ``samples`` points from counter-keyed streams, so a
     fixed seed gives bit-reproducible results.
     """
 
     method: str = "spherical_product"
-    order: int = 64
-    angular_order: int = 64
     samples: int = 1_000_000
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         if self.method not in ("spherical_product", "monte_carlo"):
             raise ValueError(f"unknown quadrature method '{self.method}'")
-        if self.order < 2 or self.angular_order < 2:
-            raise ValueError("quadrature order must be >= 2")
         if self.samples < 1_000:
             raise ValueError("monte carlo needs at least 1000 samples")
 
@@ -63,6 +60,8 @@ class QuadratureSpec:
 
 def unit_ball_volume(n: int) -> float:
     """C_n = pi^{n/2} / Gamma(n/2 + 1)."""
+    from scipy import special  # deferred, like scipy.optimize: slow to import
+
     if n < 1:
         raise ValueError("dimension must be positive")
     return float(math.pi ** (n / 2.0) / special.gamma(n / 2.0 + 1.0))
@@ -70,6 +69,8 @@ def unit_ball_volume(n: int) -> float:
 
 def unit_sphere_area(n: int) -> float:
     """Area of the unit (n-1)-sphere in R^n; equals n * C_n (2 for n = 1)."""
+    from scipy import special
+
     if n < 1:
         raise ValueError("dimension must be positive")
     return float(2.0 * math.pi ** (n / 2.0) / special.gamma(n / 2.0))
@@ -81,6 +82,8 @@ def gaussian_ball_volume(n: int, R: float) -> float:
     Equals the regularized lower incomplete gamma P(n/2, R^2/2); monotone in
     R and -> 1 as R -> infinity.
     """
+    from scipy import special
+
     if n < 1:
         raise ValueError("dimension must be positive")
     if R < 0:
@@ -180,47 +183,36 @@ def _horizontal_directions(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     raise ValueError("ball and sphere quadratures support n in {1, 2, 3}")
 
 
-def ball_quadrature(
-    n: int, R: float, spec: Optional[QuadratureSpec] = None
-) -> tuple[np.ndarray, np.ndarray]:
+def ball_quadrature(n: int, R: float) -> tuple[np.ndarray, np.ndarray]:
     """Polar-product nodes and weights for the ball B^n(0, R), n in {1,2,3}.
 
     The radial factor is Gauss-Legendre with the r^{n-1} Jacobian, the
     directions are those of the sphere rule; n = 1 is plain Gauss-Legendre
     on [-R, R].  The integrand is assumed smooth on the closed ball.
     """
-    spec = spec or QuadratureSpec()
-    if spec.method == "monte_carlo":
-        raise ValueError("monte carlo is handled by the caller, not as node sets")
     if n == 1:
-        x, w = _leggauss(spec.order, -R, R)
+        x, w = _leggauss(QUAD_ORDER, -R, R)
         return x[:, None], w
-    dirs, dw = _horizontal_directions(n, spec.angular_order)
-    r, wr = _leggauss(spec.order, 0.0, R)
+    dirs, dw = _horizontal_directions(n, QUAD_ANGULAR_ORDER)
+    r, wr = _leggauss(QUAD_ORDER, 0.0, R)
     pts = (r[:, None, None] * dirs[None, :, :]).reshape(-1, n)
     wts = ((wr * r ** (n - 1))[:, None] * dw[None, :]).ravel()
     return pts, wts
 
 
 def sphere_quadrature(
-    n: int,
-    R: float,
-    upper_half: bool = True,
-    spec: Optional[QuadratureSpec] = None,
-    axis_offset: float = 0.0,
+    n: int, R: float, upper_half: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights for the n-sphere S^n(c, R) in R^{n+1}, c on the
-    vertical axis at height ``axis_offset``.
+    """Nodes and weights for the centered n-sphere S^n(0, R) in R^{n+1}.
 
-    Points are (R sin(t) w, offset + R cos(t)) with t the polar angle from
-    the north pole and w a horizontal unit direction; the area element is
+    Points are (R sin(t) w, R cos(t)) with t the polar angle from the north
+    pole and w a horizontal unit direction; the area element is
     R^n sin^{n-1}(t) dt dsigma(w).
     """
-    spec = spec or QuadratureSpec()
-    t, wt = _leggauss(spec.order, 0.0, math.pi / 2.0 if upper_half else math.pi)
-    dirs, dw = _horizontal_directions(n, spec.angular_order)
+    t, wt = _leggauss(QUAD_ORDER, 0.0, math.pi / 2.0 if upper_half else math.pi)
+    dirs, dw = _horizontal_directions(n, QUAD_ANGULAR_ORDER)
     horiz = (R * np.sin(t))[:, None, None] * dirs[None, :, :]
-    vert = axis_offset + R * np.cos(t)
+    vert = R * np.cos(t)
     pts = np.concatenate(
         [
             horiz.reshape(-1, n),
@@ -241,25 +233,25 @@ def weighted_sphere_area_mc(
     upper_half: bool = True,
     samples: int = 1_000_000,
     seed: int = DEFAULT_SEED,
-    axis_offset: float = 0.0,
 ) -> tuple[float, float]:
-    """Monte Carlo (value, standard error) for the weighted sphere area.
+    """Monte Carlo (value, standard error) for the weighted area of the
+    centered sphere S^n(0, R).
 
     Normalized standard normals in R^{n+1} are uniform on the sphere; the
     upper-half restriction sits in the indicator, so the full area
     multiplies the mean in both cases.
     """
+    # first, so a radius whose area overflows fails before any sampling
+    area = unit_sphere_area(n + 1) * R**n
 
     def on_sphere(g):
         p = R * g / np.linalg.norm(g, axis=1, keepdims=True)
-        p[:, -1] += axis_offset
         v = dens.weight(p)
         if upper_half:
-            v = v * (p[:, -1] > axis_offset)
+            v = v * (p[:, -1] > 0.0)
         return v
 
     mean, stderr = gaussian_mc_mean(on_sphere, n + 1, samples, seed)
-    area = unit_sphere_area(n + 1) * R**n
     return area * mean, area * stderr
 
 
@@ -269,23 +261,17 @@ def weighted_sphere_area(
     R: float,
     upper_half: bool = True,
     quad: Optional[QuadratureSpec] = None,
-    axis_offset: float = 0.0,
 ) -> float:
-    """Weighted n-area of S^n(c, R) (or its upper half) under e^{-F}.
-
-    For densities independent of the vertical coordinate the value does not
-    depend on ``axis_offset``.
-    """
+    """Weighted n-area of the centered sphere S^n(0, R) (or its upper half)
+    under e^{-F}."""
     if dens.dimension != n + 1:
         raise ValueError(f"density dimension {dens.dimension} != ambient {n + 1}")
     if R == 0.0:
         return 0.0
     spec = quad or QuadratureSpec()
     if spec.method == "monte_carlo":
-        return weighted_sphere_area_mc(
-            dens, n, R, upper_half, spec.samples, spec.seed, axis_offset
-        )[0]
-    pts, wts = sphere_quadrature(n, R, upper_half, spec, axis_offset)
+        return weighted_sphere_area_mc(dens, n, R, upper_half, spec.samples, spec.seed)[0]
+    pts, wts = sphere_quadrature(n, R, upper_half)
     return float(np.sum(wts * dens.weight(pts)))
 
 
@@ -299,7 +285,7 @@ def gaussian_ball_integral(
     """
     if spec.method == "monte_carlo":
         return gaussian_mc_mean(fn, n, spec.samples, spec.seed)[0]
-    pts, wts = ball_quadrature(n, R, spec)
+    pts, wts = ball_quadrature(n, R)
     weight = (2.0 * math.pi) ** (-n / 2.0) * np.exp(-0.5 * np.sum(pts * pts, axis=-1))
     return float(np.sum(wts * weight * fn(pts)))
 
@@ -356,38 +342,34 @@ class VolumeBoundReport:
         )
 
 
-def volume_bound_report(
-    u, n: int, R: float, quad: Optional[QuadratureSpec] = None
-) -> VolumeBoundReport:
-    """Compare the weighted cap area of a (weighted minimal) graph against
-    the Gaussian ball mass plus the lateral tail.
+def volume_bound_report(u, R: float) -> VolumeBoundReport:
+    """Compare the weighted cap area of a (weighted minimal) graph over R^n,
+    n = ``u.dimension``, against the Gaussian ball mass plus the lateral
+    tail; the cap area comes from the spherical_product rule.
 
     The caller asserts weighted minimality of ``u``; the constant presets
     are the known entire examples.
     """
-    spec = quad or QuadratureSpec()
-    lhs = graph_cap_weighted_area(u, R, spec)
+    n = u.dimension
+    # the closed forms first, so a radius whose tail overflows fails before
+    # the quadrature meets it
     ball = gaussian_ball_volume(n, R)
     exact = exact_lateral_tail(n, R)
+    nominal = nominal_lateral_tail(n, R)
+    lhs = graph_cap_weighted_area(u, R, QuadratureSpec())
     return VolumeBoundReport(
         n=n,
         R=float(R),
         lhs=lhs,
         ball_term=ball,
-        nominal_tail=nominal_lateral_tail(n, R),
+        nominal_tail=nominal,
         exact_tail=exact,
         chain_ok=bool(lhs <= ball + exact + 1e-9),
     )
 
 
-def bound_sweep(
-    n: int,
-    radii: Sequence[float],
-    quad: Optional[QuadratureSpec] = None,
-    u=None,
-) -> list[VolumeBoundReport]:
-    """Volume-growth reports over a radius grid, defaulting to the constant
-    graph (the flat entire example)."""
-    if u is None:
-        u = GraphFunction.constant(n, 0.0)
-    return [volume_bound_report(u, n, float(R), quad) for R in radii]
+def bound_sweep(n: int, radii: Sequence[float]) -> list[VolumeBoundReport]:
+    """Volume-growth reports over a radius grid for the constant graph over
+    R^n (the flat entire example)."""
+    u = GraphFunction.constant(n, 0.0)
+    return [volume_bound_report(u, float(R)) for R in radii]

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import gaussmin
-from gaussmin.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
+from gaussmin.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from gaussmin.graph import GraphFunction
 from gaussmin.measure import gaussian_ball_volume
 
@@ -301,6 +301,19 @@ def test_bad_chart_point_is_usage_error(args, capsys):
         ["curvature", "--surface", "plane", "--params", "normal=1:inf:0"],
         ["curvature", "--surface", "associate", "--params", "theta=abc"],
         ["curvature", "--surface", "graph", "--params", "n=0"],
+        ["planes", "--profile", "bogus"],
+        ["planes", "--profile", "quadratic:abc"],
+        ["planes", "--profile", "linear:1,2,3"],
+        ["planes", "--lo", "1", "--hi", "0"],
+        ["curvature", "--density", "bogus"],
+        ["curvature", "--surface", "horizontal_plane", "--params", "profile=bogus"],
+        ["curvature", "--params", "r=-1"],
+        ["curvature", "--surface", "plane", "--params", "normal=1:0:1"],
+        ["curvature", "--surface", "plane", "--params", "normal=1:0"],
+        ["curvature", "--surface", "plane", "--params", "normal=0:0:0"],
+        ["flow", "--init", "bogus", "--grid", "9"],
+        ["flow", "--init", "constant:abc", "--grid", "9"],
+        ["measure", "--quantity", "hemisphere", "--n", "4"],
     ],
 )
 def test_bad_numeric_option_is_usage_error(args, capsys):
@@ -308,6 +321,22 @@ def test_bad_numeric_option_is_usage_error(args, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "gaussmin:" in captured.err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["bound", "--n", "2", "--rmax", "1e200", "--steps", "2"],
+        ["measure", "--quantity", "sphere", "--n", "3", "--R", "1e200"],
+        ["measure", "--quantity", "hemisphere", "--n", "2", "--method", "monte_carlo",
+         "--samples", "1000", "--R", "1e200"],
+    ],
+)
+def test_overflowing_radius_is_runtime_error(args, capsys):
+    assert run(args) == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("gaussmin: error:") and captured.err.count("\n") == 1
 
 
 def test_measure_cap_builds_only_the_requested_preset(tmp_path, monkeypatch):
@@ -338,8 +367,11 @@ def test_unsupported_graph_preset_is_usage_error(args, capsys):
 def test_import_leaves_scipy_optimize_unloaded():
     src = str(Path(gaussmin.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, gaussmin.cli; print('scipy.optimize' in sys.modules)"
+    code = (
+        "import sys, gaussmin.cli; "
+        "print([m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules])"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"

@@ -168,7 +168,7 @@ def test_two_dimensional_bump_decays():
 
 
 def test_refinement_order_is_second_order():
-    order = refinement_order(n=1, resolutions=(33, 65, 129), t_end=1.0)
+    order = refinement_order()
     assert order >= 1.8
 
 
