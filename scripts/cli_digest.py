@@ -63,6 +63,8 @@ def cases() -> list[list[str]]:
         ["verify", "--seed", "7387"],
         ["verify", "--only", "catalog"],
         *(["bound", "--n", n] for n in ("1", "2", "3")),
+        ["bound", "--n", "1", "--rmax", "1e200", "--steps", "2"],
+        ["measure", "--quantity", "cap", "--n", "2", "--R", "1e200"],
         ["flow", "--n", "1"],
         ["flow", "--n", "1", "--grid", "65"],
         ["flow", "--n", "2", "--grid", "33", "--init", "random_bump", "--seed", "5"],

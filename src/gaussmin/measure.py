@@ -33,6 +33,7 @@ from .rng import DEFAULT_SEED, substream
 _MC_CHUNK = 1 << 18
 QUAD_ORDER = 64  # Gauss-Legendre nodes in the radius or the polar angle
 QUAD_ANGULAR_ORDER = 64  # nodes per angular coordinate of the direction rule
+GAUSSIAN_MASS_RADIUS = 10.0  # the Gaussian in R^n, n <= 3, has mass < 1e-20 beyond it
 
 
 @dataclass(frozen=True)
@@ -285,7 +286,7 @@ def gaussian_ball_integral(
     """
     if spec.method == "monte_carlo":
         return gaussian_mc_mean(fn, n, spec.samples, spec.seed)[0]
-    pts, wts = ball_quadrature(n, R)
+    pts, wts = ball_quadrature(n, min(R, GAUSSIAN_MASS_RADIUS))
     weight = (2.0 * math.pi) ** (-n / 2.0) * np.exp(-0.5 * np.sum(pts * pts, axis=-1))
     return float(np.sum(wts * weight * fn(pts)))
 

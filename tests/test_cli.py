@@ -9,6 +9,7 @@ import pytest
 
 import gaussmin
 from gaussmin.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
+from gaussmin.flow import AREA_SLACK
 from gaussmin.graph import GraphFunction
 from gaussmin.measure import gaussian_ball_volume
 
@@ -108,6 +109,20 @@ def test_flow_sinusoid_short_run(tmp_path, capsys):
     )
     assert code == EXIT_OK
     assert "max_time_reached" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("init", ["sinusoid", "random_bump"])
+def test_flow_2d_grid_65_converges_in_few_monotone_steps(tmp_path, capsys, init):
+    out = tmp_path / "series.csv"
+    args = ["flow", "--n", "2", "--grid", "65", "--init", init, "--out", str(out)]
+    assert run(args) == EXIT_OK
+    assert "converged_to_constant" in capsys.readouterr().out
+    rows = out.read_text().strip().splitlines()[1:]
+    areas = [float(row.split(",")[1]) for row in rows]
+    assert max(b - a for a, b in zip(areas, areas[1:])) <= AREA_SLACK
+    # one row per accepted step plus the initial state; a regression guard
+    # on the step count (175 sinusoid steps, 266 for the default random_bump)
+    assert len(rows) - 1 <= 400
 
 
 def test_flow_rejects_bad_dimension(capsys):
@@ -337,6 +352,18 @@ def test_overflowing_radius_is_runtime_error(args, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("gaussmin: error:") and captured.err.count("\n") == 1
+
+
+def test_huge_radius_gives_the_full_gaussian_mass(tmp_path):
+    # the quadrature stops where the Gaussian has no double-precision mass,
+    # so radii far past it neither overflow nor lose the mass
+    out = tmp_path / "o"
+    assert run(["bound", "--n", "1", "--rmax", "1e200", "--steps", "2", "--out", str(out)]) == EXIT_OK
+    row = out.read_text().strip().splitlines()[-1].split(",")
+    assert float(row[3]) == 1.0
+    assert float(row[2]) == pytest.approx(1.0, abs=1e-13)
+    assert run(["measure", "--quantity", "cap", "--n", "2", "--R", "1e200", "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["value"] == pytest.approx(1.0, abs=1e-13)
 
 
 def test_measure_cap_builds_only_the_requested_preset(tmp_path, monkeypatch):

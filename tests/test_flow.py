@@ -1,15 +1,17 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from gaussmin import flow
 from gaussmin.density import Density, horizontal_gaussian
 from gaussmin.flow import (
     AREA_SLACK,
+    FLOW_DT,
     GridField,
     VERDICT_CONVERGED,
     VERDICT_MAX_TIME,
+    VERDICT_STEP_FAILURE,
     flow_run,
     flow_step,
     grid_weighted_mean_curvature,
@@ -17,7 +19,6 @@ from gaussmin.flow import (
     initial_state,
     refinement_order,
     run_to_time,
-    stable_dt,
     weighted_area,
 )
 from gaussmin.graph import GraphFunction, graph_weighted_mean_curvature
@@ -50,8 +51,10 @@ def test_initial_fields_by_name():
 
 def test_initial_state_rejects_unstable_dt():
     fld = initial_field(1, 4.0, 65, "sinusoid")
-    with pytest.raises(ValueError):
-        initial_state(fld, dt=10.0 * stable_dt(1, fld.dx))
+    for dt in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            initial_state(fld, dt=dt)
+    assert initial_state(fld).dt == FLOW_DT
 
 
 def test_grid_curvature_matches_analytic_on_interior():
@@ -137,17 +140,89 @@ def test_flow_run_hits_time_budget():
     assert result.state.time >= 20.0 * state.dt
 
 
-def test_unstable_dt_triggers_rejection_and_halving():
-    fld = initial_field(1, 4.0, 65, "sinusoid")
-    big = 50.0 * stable_dt(1, fld.dx)
-    state = dataclasses.replace(initial_state(fld), dt=big)
-    for _ in range(100):
+def _force_uphill(monkeypatch, uphill):
+    # the semi-implicit step does not go uphill on its own: reverse the
+    # increment of the k-th solve when uphill(k); returns each solve's dt
+    solve, calls = flow._ou_solve, []
+
+    def reversed_when(half_width, rhs, dt):
+        calls.append(dt)
+        w = solve(half_width, rhs, dt)
+        return -w if uphill(len(calls)) else w
+
+    monkeypatch.setattr(flow, "_ou_solve", reversed_when)
+    return calls
+
+
+def test_unstable_dt_triggers_rejection_and_halving(monkeypatch):
+    calls = _force_uphill(monkeypatch, lambda k: k == 1)
+    state = initial_state(initial_field(1, 4.0, 65, "sinusoid"))
+    for _ in range(20):
         state = flow_step(state)
-    # the oscillatory instability must have forced at least one halving,
+    # the uphill attempt was rejected and retried at half the step size,
     # and every accepted step kept the area monotone
-    assert state.dt < big
+    assert calls[:2] == [FLOW_DT, FLOW_DT / 2]
+    assert state.dt == FLOW_DT / 2 and len(state.history) == 21
     areas = np.array([rec[1] for rec in state.history])
     assert float(np.max(np.diff(areas))) <= AREA_SLACK
+
+
+def test_flow_run_fails_once_dt_has_halved_max_rejections_times(monkeypatch):
+    # each step's first attempt goes uphill, so every accepted step halves
+    # dt for good; the run must stop rather than crawl on a vanishing step
+    _force_uphill(monkeypatch, lambda k: k % 2 == 1)
+    result = flow_run(initial_state(initial_field(1, 4.0, 65, "sinusoid")), t_max=50.0)
+    assert result.verdict == VERDICT_STEP_FAILURE
+    assert result.state.dt == FLOW_DT * 0.5**11 and len(result.state.history) == 12
+
+
+def _ou_matrix(L, m):
+    # reference L_OU = d_xx - x d_x, column by column from the three-point
+    # stencils with np.pad's reflected ghost nodes u_{-1} = u_1, u_m = u_{m-2}
+    dx = 2.0 * L / (m - 1)
+    x = np.linspace(-L, L, m)
+    cols = []
+    for e in np.eye(m):
+        p = np.pad(e, 1, mode="reflect")
+        cols.append((p[2:] - 2.0 * p[1:-1] + p[:-2]) / dx**2 - x * (p[2:] - p[:-2]) / (2.0 * dx))
+    return np.stack(cols, axis=1)
+
+
+def _ou_dense(n, m, L):
+    ou = _ou_matrix(L, m)
+    eye = np.eye(m)
+    return ou if n == 1 else np.kron(ou, eye) + np.kron(eye, ou)
+
+
+@pytest.mark.parametrize("L", [4.0, 10.0])
+@pytest.mark.parametrize("m", [3, 5, 9, 65])
+@pytest.mark.parametrize("n", [1, 2])
+def test_ou_solve_matches_dense_solve(n, m, L):
+    # the coarse grids (5 and 9 at L = 4, all but 3 at L = 10) give L_OU
+    # complex eigenpairs; at L = 10 its eigenvectors are conditioned ~1e12
+    rhs = np.random.default_rng(m).standard_normal((m,) * n)
+    # a 4,225-unknown dense solve takes seconds: the 2-D grid 65 checks FLOW_DT only
+    for dt in (FLOW_DT,) if m**n > 1000 else (FLOW_DT, FLOW_DT / 2, 1.0):
+        system = np.eye(m**n) - dt * _ou_dense(n, m, L)
+        dense = np.linalg.solve(system, rhs.ravel()).reshape(rhs.shape)
+        fast = flow._ou_solve(L, rhs, dt)
+        assert np.linalg.norm(fast - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_ou_matrix_is_linear_part_of_hf(n):
+    # H_F is odd in u, so H_F(eps s) - eps L_OU s = O(eps^3), boundary nodes
+    # included: the reference matrix of the solve test is H_F's linear part
+    s = initial_field(n, 4.0, 33, "sinusoid").values
+    ou_s = s @ _ou_matrix(4.0, 33).T
+    if n == 2:
+        ou_s = ou_s + _ou_matrix(4.0, 33) @ s
+    errors = [
+        float(np.max(np.abs(grid_weighted_mean_curvature(GridField(4.0, eps * s)) - eps * ou_s)))
+        for eps in (1e-1, 5e-2, 2.5e-2)
+    ]
+    assert errors[0] / errors[1] == pytest.approx(8.0, rel=0.05)
+    assert errors[1] / errors[2] == pytest.approx(8.0, rel=0.05)
 
 
 def test_odd_symmetry_is_preserved():

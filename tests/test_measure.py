@@ -153,6 +153,15 @@ def test_cap_of_constant_graph_is_ball_mass():
     assert graph_cap_weighted_area(u, 8.0, spec) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cap_of_constant_graph_is_ball_mass_at_large_radii(n):
+    # the radial nodes must sit where the Gaussian has mass, however large R is
+    u = GraphFunction.constant(n, 0.0)
+    for R in (20.0, 30.0, 100.0, 1000.0):
+        cap = graph_cap_weighted_area(u, R, QuadratureSpec())
+        assert abs(cap - special.gammainc(n / 2.0, R * R / 2.0)) <= 1e-13
+
+
 def test_cap_of_tilted_plane_matches_ellipse_oracle():
     # u = x_1: the cap projects to {2 x_1^2 + x_2^2 <= R^2} with W = sqrt(2)
     R = 2.0
