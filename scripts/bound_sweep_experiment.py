@@ -22,7 +22,7 @@ from gaussmin.measure import (
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n", type=int, default=2, choices=(1, 2, 3))
+    ap.add_argument("--n", type=int, default=2)
     ap.add_argument("--rmin", type=float, default=0.5)
     ap.add_argument("--rmax", type=float, default=6.0)
     ap.add_argument("--steps", type=int, default=12)

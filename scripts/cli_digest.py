@@ -49,7 +49,6 @@ ERROR_CASES = [
     ["curvature", "--surface", "plane", "--params", "normal=0:0:0"],
     ["flow", "--init", "bogus", "--grid", "9"],
     ["flow", "--init", "constant:abc", "--grid", "9"],
-    ["measure", "--quantity", "hemisphere", "--n", "4"],
     ["bound", "--n", "2", "--rmax", "1e200", "--steps", "2"],
     ["measure", "--quantity", "sphere", "--n", "3", "--R", "1e200"],
     ["measure", "--quantity", "hemisphere", "--n", "2", "--method", "monte_carlo",
@@ -62,7 +61,9 @@ def cases() -> list[list[str]]:
         ["verify"],
         ["verify", "--seed", "7387"],
         ["verify", "--only", "catalog"],
-        *(["bound", "--n", n] for n in ("1", "2", "3")),
+        *(["bound", "--n", n] for n in ("1", "2", "3", "4")),
+        ["measure", "--quantity", "hemisphere", "--n", "4"],
+        ["measure", "--quantity", "sphere", "--n", "6", "--R", "1.7"],
         ["bound", "--n", "1", "--rmax", "1e200", "--steps", "2"],
         ["measure", "--quantity", "cap", "--n", "2", "--R", "1e200"],
         ["flow", "--n", "1"],

@@ -127,50 +127,27 @@ def closedness_suite(
     return float(np.max(np.abs(residuals), initial=0.0))
 
 
+def _check(group: str, name: str, residual: float, ok: bool) -> dict:
+    return {"group": group, "name": name, "residual": residual, "pass": bool(ok)}
+
+
 def run_verify(tolerance: float, only: str, seed: int) -> dict:
     checks = []
     if only in ("all", "catalog"):
-        report = catalog.verify_catalog(tolerance)
-        for r in report.results:
-            checks.append(
-                {
-                    "group": "catalog",
-                    "name": r["name"],
-                    "residual": r["residual"],
-                    "pass": r["pass"],
-                }
-            )
+        for r in catalog.verify_catalog(tolerance).results:
+            checks.append(_check("catalog", r["name"], r["residual"], r["pass"]))
     if only in ("all", "calibration"):
         for name, u, dens, on_graph in _calibration_presets():
             residual = closedness_suite(u, dens, seed, on_graph)
-            checks.append(
-                {
-                    "group": "calibration",
-                    "name": f"closedness:{name}",
-                    "residual": residual,
-                    "pass": bool(residual <= tolerance),
-                }
-            )
-            comass = calibration.comass_check(u, trials=10_000, seed=seed)
-            excess = max(0.0, comass - 1.0)
-            checks.append(
-                {
-                    "group": "calibration",
-                    "name": f"comass:{name}",
-                    "residual": excess,
-                    "pass": bool(excess <= max(tolerance, 1e-12)),
-                }
-            )
+            ok = residual <= tolerance
+            checks.append(_check("calibration", f"closedness:{name}", residual, ok))
+            excess = max(0.0, calibration.comass_check(u, trials=10_000, seed=seed) - 1.0)
+            ok = excess <= max(tolerance, 1e-12)
+            checks.append(_check("calibration", f"comass:{name}", excess, ok))
     if only in ("all", "identity"):
         residual = graph.tangent_distance_suite(trials=100, seed=seed)
-        checks.append(
-            {
-                "group": "identity",
-                "name": "tangent_distance_identity",
-                "residual": residual,
-                "pass": bool(residual <= tolerance),
-            }
-        )
+        ok = residual <= tolerance
+        checks.append(_check("identity", "tangent_distance_identity", residual, ok))
     return {
         "tolerance": tolerance,
         "seed": seed,
@@ -191,8 +168,6 @@ def _cmd_verify(ns: dict) -> int:
 # -------------------------------------------------------------------- bound
 
 def _cmd_bound(ns: dict) -> int:
-    if not 1 <= ns["n"] <= 3:
-        raise UsageError("bound supports n in {1, 2, 3}")
     if ns["steps"] < 1 or ns["rmax"] < ns["rmin"]:
         raise UsageError("bad radius range")
     radii = np.linspace(ns["rmin"], ns["rmax"], ns["steps"])
@@ -332,8 +307,6 @@ def _cmd_measure(ns: dict) -> int:
         spec = None
         if ns["method"] == "monte_carlo":
             spec = measure.QuadratureSpec(method="monte_carlo", samples=ns["samples"], seed=ns["seed"])
-        elif not 1 <= n <= 3:
-            raise UsageError(f"sphere quadrature supports n in {{1, 2, 3}}, got {n}")
         payload["value"] = measure.weighted_sphere_area(
             horizontal_gaussian(n), n, R, upper_half=quantity == "hemisphere", quad=spec
         )

@@ -133,7 +133,11 @@ def as_points(x, dimension: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Density:
-    """Weight e^{-F} on R^dimension, given by log-weight F and its gradient."""
+    """Weight e^{-F} on R^dimension, given by log-weight F and its gradient.
+
+    Every constructor's weight is invariant under rotations of the first
+    dimension - 1 coordinates; ``measure.sphere_quadrature`` relies on this.
+    """
 
     dimension: int
     kind: str  # "gaussian" | "radial" | "product"

@@ -374,8 +374,6 @@ def horizontal_plane_roots(h: Profile, interval: tuple[float, float]) -> RootSca
     Each returned root z has |h'(z)| at the bisection noise floor; simple
     roots only (the presets have no tangential zeros).
     """
-    from scipy import optimize  # deferred: only this scan needs it, and it is slow to import
-
     lo, hi = float(interval[0]), float(interval[1])
     if not (hi > lo):
         raise ValueError("empty interval")
@@ -387,11 +385,20 @@ def horizontal_plane_roots(h: Profile, interval: tuple[float, float]) -> RootSca
     vals = h.slope(grid)
     if float(np.max(np.abs(vals))) < 1e-12:
         return RootScan(roots=(), identically_zero=True)
-    # exact zeros on the grid, then one bisection per sign change
-    roots = [float(z) for z in grid[vals == 0.0]] + [
-        float(optimize.bisect(lambda z: float(h.slope(z)), grid[i], grid[i + 1], xtol=ROOT_XTOL))
-        for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
-    ]
+    # exact zeros on the grid, then every sign change bisected at once with
+    # scipy.optimize.bisect's arithmetic: rtol 4 eps, and the left value
+    # stays the one at the bracket's original left end
+    left = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+    xa, fa, dm = grid[left], vals[left], grid[left + 1] - grid[left]
+    roots = [float(z) for z in grid[vals == 0.0]]
+    while xa.size:
+        dm = dm * 0.5
+        xm = xa + dm
+        fm = h.slope(xm)
+        xa = np.where(fm * fa >= 0.0, xm, xa)
+        done = (fm == 0.0) | (np.abs(dm) < ROOT_XTOL + 4.0 * np.finfo(float).eps * np.abs(xm))
+        roots += [float(z) for z in xm[done]]
+        xa, fa, dm = xa[~done], fa[~done], dm[~done]
     merged: list[float] = []
     for r in sorted(roots):
         if not merged or r - merged[-1] > 1e-9:

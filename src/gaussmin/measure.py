@@ -4,8 +4,9 @@ Gaussian ball mass, weighted sphere and hemisphere areas, weighted areas of
 graph caps inside ambient balls, and the volume-growth report that compares
 a cap against the ball mass plus the lateral cylinder tail.
 
-Every integral runs on ``gaussian_mc_mean``, ``ball_quadrature`` or
-``sphere_quadrature``; the two rules share their angular nodes.
+Every integral runs on ``gaussian_mc_mean``, ``ball_quadrature``,
+``sphere_quadrature`` or a radial rule.  The last two are 1-D for every n,
+since every ``Density`` weight is invariant under horizontal rotations.
 
 Two tail terms are computed side by side:
 
@@ -27,21 +28,22 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .density import Density
-from .graph import GraphFunction, graph_slope
+from .graph import graph_slope
 from .rng import DEFAULT_SEED, substream
 
 _MC_CHUNK = 1 << 18
 QUAD_ORDER = 64  # Gauss-Legendre nodes in the radius or the polar angle
 QUAD_ANGULAR_ORDER = 64  # nodes per angular coordinate of the direction rule
-GAUSSIAN_MASS_RADIUS = 10.0  # the Gaussian in R^n, n <= 3, has mass < 1e-20 beyond it
+GAUSSIAN_MASS_MARGIN = 10.0  # P(|X| >= sqrt(n) + t) <= e^{-t^2/2} < 2e-22 at t = 10
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """How to evaluate an integral.
 
-    ``spherical_product`` uses Gauss-Legendre radially (``QUAD_ORDER`` nodes)
-    and a uniform periodic rule in the angles (``QUAD_ANGULAR_ORDER`` nodes);
+    ``spherical_product`` is 1-D Gauss-Legendre (``QUAD_ORDER`` nodes) in the
+    radius or the polar angle, times, for ball integrals over R^2 and R^3, a
+    rule in the horizontal direction (``QUAD_ANGULAR_ORDER`` nodes per angle);
     ``monte_carlo`` draws ``samples`` points from counter-keyed streams, so a
     fixed seed gives bit-reproducible results.
     """
@@ -59,22 +61,27 @@ class QuadratureSpec:
 
 # ----------------------------------------------------------------- closed forms
 
-def unit_ball_volume(n: int) -> float:
-    """C_n = pi^{n/2} / Gamma(n/2 + 1)."""
-    from scipy import special  # deferred, like scipy.optimize: slow to import
+def _gamma_half(n: int, shift: float) -> float:
+    """Gamma(n/2 + shift) for a dimension n; raises where it overflows (past
+    n = 341 for shift 1), which would turn C_n and |S^{n-1}| into zeros."""
+    from scipy import special  # deferred: slow to import
 
     if n < 1:
         raise ValueError("dimension must be positive")
-    return float(math.pi ** (n / 2.0) / special.gamma(n / 2.0 + 1.0))
+    g = float(special.gamma(n / 2.0 + shift))
+    if not math.isfinite(g):
+        raise OverflowError(f"Gamma({n / 2.0 + shift:g}) overflows: dimension too large")
+    return g
+
+
+def unit_ball_volume(n: int) -> float:
+    """C_n = pi^{n/2} / Gamma(n/2 + 1)."""
+    return math.pi ** (n / 2.0) / _gamma_half(n, 1.0)
 
 
 def unit_sphere_area(n: int) -> float:
     """Area of the unit (n-1)-sphere in R^n; equals n * C_n (2 for n = 1)."""
-    from scipy import special
-
-    if n < 1:
-        raise ValueError("dimension must be positive")
-    return float(2.0 * math.pi ** (n / 2.0) / special.gamma(n / 2.0))
+    return 2.0 * math.pi ** (n / 2.0) / _gamma_half(n, 0.0)
 
 
 def gaussian_ball_volume(n: int, R: float) -> float:
@@ -159,9 +166,7 @@ def _leggauss(order: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _horizontal_directions(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights for the unit (n-1)-sphere in R^n, n in {1,2,3}."""
-    if n == 1:
-        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
+    """Nodes and weights for the unit (n-1)-sphere in R^n, n in {2, 3}."""
     if n == 2:
         phi = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
         return (
@@ -181,15 +186,15 @@ def _horizontal_directions(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
             axis=-1,
         )
         return dirs, np.repeat(wmu, phi.size) * (2.0 * math.pi / phi.size)
-    raise ValueError("ball and sphere quadratures support n in {1, 2, 3}")
+    raise ValueError("ball quadrature supports n in {1, 2, 3}")
 
 
 def ball_quadrature(n: int, R: float) -> tuple[np.ndarray, np.ndarray]:
     """Polar-product nodes and weights for the ball B^n(0, R), n in {1,2,3}.
 
-    The radial factor is Gauss-Legendre with the r^{n-1} Jacobian, the
-    directions are those of the sphere rule; n = 1 is plain Gauss-Legendre
-    on [-R, R].  The integrand is assumed smooth on the closed ball.
+    The radial factor is Gauss-Legendre with the r^{n-1} Jacobian, times
+    ``_horizontal_directions``; n = 1 is plain Gauss-Legendre on [-R, R].
+    The integrand is assumed smooth on the closed ball.
     """
     if n == 1:
         x, w = _leggauss(QUAD_ORDER, -R, R)
@@ -204,25 +209,21 @@ def ball_quadrature(n: int, R: float) -> tuple[np.ndarray, np.ndarray]:
 def sphere_quadrature(
     n: int, R: float, upper_half: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights for the centered n-sphere S^n(0, R) in R^{n+1}.
+    """Polar-angle nodes and weights for the centered n-sphere S^n(0, R) in
+    R^{n+1}, for weights invariant under rotations of the first n coordinates.
 
-    Points are (R sin(t) w, R cos(t)) with t the polar angle from the north
-    pole and w a horizontal unit direction; the area element is
-    R^n sin^{n-1}(t) dt dsigma(w).
+    Points are (R sin(t), 0, ..., 0, R cos(t)), t the polar angle; weights
+    are |S^{n-1}| R^n sin^{n-1}(t) dt.  ``QUAD_ORDER`` nodes cover [0, pi/2];
+    the full sphere adds their mirror images on [pi/2, pi].
     """
-    t, wt = _leggauss(QUAD_ORDER, 0.0, math.pi / 2.0 if upper_half else math.pi)
-    dirs, dw = _horizontal_directions(n, QUAD_ANGULAR_ORDER)
-    horiz = (R * np.sin(t))[:, None, None] * dirs[None, :, :]
-    vert = R * np.cos(t)
-    pts = np.concatenate(
-        [
-            horiz.reshape(-1, n),
-            np.repeat(vert, dirs.shape[0])[:, None],
-        ],
-        axis=-1,
-    )
-    wts = (R**n * np.sin(t) ** (n - 1) * wt)[:, None] * dw[None, :]
-    return pts, wts.ravel()
+    area = unit_sphere_area(n) * R**n  # first: an overflowing area fails before any array
+    t, wt = _leggauss(QUAD_ORDER, 0.0, math.pi / 2.0)
+    pts = np.column_stack([R * np.sin(t), np.zeros((t.size, n - 1)), R * np.cos(t)])
+    wts = area * np.sin(t) ** (n - 1) * wt
+    if upper_half:
+        return pts, wts
+    # mirrored, since one rule on [0, pi] is too coarse near the poles at large R
+    return np.concatenate([pts, pts * np.append(np.ones(n), -1.0)]), np.concatenate([wts, wts])
 
 
 # --------------------------------------------------------------- weighted areas
@@ -286,7 +287,7 @@ def gaussian_ball_integral(
     """
     if spec.method == "monte_carlo":
         return gaussian_mc_mean(fn, n, spec.samples, spec.seed)[0]
-    pts, wts = ball_quadrature(n, min(R, GAUSSIAN_MASS_RADIUS))
+    pts, wts = ball_quadrature(n, min(R, math.sqrt(n) + GAUSSIAN_MASS_MARGIN))
     weight = (2.0 * math.pi) ** (-n / 2.0) * np.exp(-0.5 * np.sum(pts * pts, axis=-1))
     return float(np.sum(wts * weight * fn(pts)))
 
@@ -320,9 +321,7 @@ class VolumeBoundReport:
     """One radius of the volume-growth comparison: the weighted cap area
     ``lhs`` against the Gaussian ball mass plus a lateral tail.
 
-    ``chain_ok`` gates on the exact lateral tail.  The intermediate
-    comparison surface, the weighted upper hemisphere, comes from
-    ``weighted_sphere_area``.
+    ``chain_ok`` gates on the exact lateral tail.
     """
 
     n: int
@@ -343,21 +342,20 @@ class VolumeBoundReport:
         )
 
 
-def volume_bound_report(u, R: float) -> VolumeBoundReport:
-    """Compare the weighted cap area of a (weighted minimal) graph over R^n,
-    n = ``u.dimension``, against the Gaussian ball mass plus the lateral
-    tail; the cap area comes from the spherical_product rule.
-
-    The caller asserts weighted minimality of ``u``; the constant presets
-    are the known entire examples.
+def volume_bound_report(n: int, R: float) -> VolumeBoundReport:
+    """Compare the weighted cap area of the constant graph over R^n, an
+    entire weighted minimal graph, against the Gaussian ball mass plus the
+    lateral tail.  The cap is the flat ball, so ``lhs`` is a radial rule:
+    |S^{n-1}| sum_k w_k r_k^{n-1} (2 pi)^{-n/2} e^{-r_k^2/2}.
     """
-    n = u.dimension
     # the closed forms first, so a radius whose tail overflows fails before
     # the quadrature meets it
     ball = gaussian_ball_volume(n, R)
     exact = exact_lateral_tail(n, R)
     nominal = nominal_lateral_tail(n, R)
-    lhs = graph_cap_weighted_area(u, R, QuadratureSpec())
+    r, wr = _leggauss(QUAD_ORDER, 0.0, min(R, math.sqrt(n) + GAUSSIAN_MASS_MARGIN))
+    density = (2.0 * math.pi) ** (-n / 2.0) * np.exp(-0.5 * r * r)
+    lhs = unit_sphere_area(n) * float(np.sum(wr * r ** (n - 1) * density))
     return VolumeBoundReport(
         n=n,
         R=float(R),
@@ -372,5 +370,4 @@ def volume_bound_report(u, R: float) -> VolumeBoundReport:
 def bound_sweep(n: int, radii: Sequence[float]) -> list[VolumeBoundReport]:
     """Volume-growth reports over a radius grid for the constant graph over
     R^n (the flat entire example)."""
-    u = GraphFunction.constant(n, 0.0)
-    return [volume_bound_report(u, float(R)) for R in radii]
+    return [volume_bound_report(n, float(R)) for R in radii]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate, special, stats
 
-from gaussmin.density import horizontal_gaussian
+from gaussmin.density import density_from_name, horizontal_gaussian
 from gaussmin.graph import GraphFunction
 from gaussmin.measure import (
     QuadratureSpec,
@@ -47,6 +47,18 @@ def test_unit_ball_volume_monte_carlo_cross_check():
 def test_unit_sphere_area_equals_n_times_ball_volume():
     for n in (1, 2, 3, 4):
         assert unit_sphere_area(n) == pytest.approx(n * unit_ball_volume(n), rel=1e-13)
+
+
+def test_closed_forms_raise_where_gamma_overflows():
+    # C_341 ~ 1e-219 and |S^342| are floats; past them Gamma(n/2 [+ 1]) is inf
+    assert unit_ball_volume(341) == pytest.approx(
+        math.exp(170.5 * math.log(math.pi) - math.lgamma(171.5)), rel=1e-12
+    )
+    assert unit_sphere_area(343) > 0.0
+    with pytest.raises(OverflowError):
+        unit_ball_volume(342)
+    with pytest.raises(OverflowError):
+        unit_sphere_area(344)
 
 
 def test_gaussian_ball_volume_values():
@@ -121,10 +133,47 @@ def test_sphere_area_zero_radius_and_doubling():
 
 
 def test_sphere_area_quadrature_vs_monte_carlo():
-    hg2 = horizontal_gaussian(2)
-    exact = weighted_sphere_area(hg2, 2, 1.0)
-    est, se = weighted_sphere_area_mc(hg2, 2, 1.0, True, samples=200_000, seed=13)
-    assert abs(est - exact) <= 3.0 * se
+    # the polar-angle rule assumes rotation invariance in the horizontal
+    # coordinates; sampling the whole sphere does not
+    cases = [(2, horizontal_gaussian(2))] + [
+        (n, density_from_name(preset, n + 1))
+        for preset in ("gaussian", "radial:quadratic", "product:gaussian+quadratic")
+        for n in (1, 3, 5)
+    ]
+    for n, dens in cases:
+        exact = weighted_sphere_area(dens, n, 1.0)
+        est, se = weighted_sphere_area_mc(dens, n, 1.0, True, samples=200_000, seed=13)
+        assert abs(est - exact) <= 3.0 * se
+
+
+def gaussian_sphere_area_oracle(n: int, R: float) -> float:
+    # full sphere under horizontal_gaussian(n), integrated in the polar angle:
+    # |S^{n-1}| R^n (2 pi)^{-n/2} B(n/2, 1/2) 1F1(n/2; (n+1)/2; -R^2/2)
+    return float(
+        unit_sphere_area(n) * R**n * (2.0 * math.pi) ** (-n / 2.0)
+        * special.beta(n / 2.0, 0.5) * special.hyp1f1(n / 2.0, (n + 1) / 2.0, -R * R / 2.0)
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 12])
+def test_sphere_and_hemisphere_match_closed_form(n):
+    hg = horizontal_gaussian(n)
+    for R in (0.1, 0.7, 2.0, 5.0, 20.0):
+        full = gaussian_sphere_area_oracle(n, R)
+        assert weighted_sphere_area(hg, n, R, upper_half=False) == pytest.approx(full, rel=1e-12)
+        assert weighted_sphere_area(hg, n, R) == pytest.approx(full / 2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_hemisphere_excess_over_ball_decays_like_n_over_2r2(n):
+    # (hemisphere - ball mass) * 2 R^2 / n -> 1 from above
+    hg = horizontal_gaussian(n)
+    scaled = [
+        (weighted_sphere_area(hg, n, R) - gaussian_ball_volume(n, R)) * 2.0 * R * R / n
+        for R in (10.0, 20.0, 40.0)
+    ]
+    assert scaled[0] > scaled[1] > scaled[2] > 1.0
+    assert scaled[2] < 1.01
 
 
 @given(
@@ -202,7 +251,7 @@ def test_tails_decrease_to_zero_beyond_two():
 
 
 def test_volume_bound_report_constant_graph():
-    rep = volume_bound_report(GraphFunction.constant(2, 0.0), 2.0)
+    rep = volume_bound_report(2, 2.0)
     assert rep.lhs == pytest.approx(1.0 - math.exp(-2.0), abs=1e-10)
     assert rep.ball_term == pytest.approx(1.0 - math.exp(-2.0), abs=1e-14)
     assert rep.nominal_tail > 0.0 and rep.exact_tail > 0.0
@@ -219,8 +268,15 @@ def test_bound_sweep_all_chains_ok():
     assert all(r.lhs <= weighted_sphere_area(hg2, 2, float(R)) + 1e-9 for r, R in zip(rows, radii))
 
 
+@pytest.mark.parametrize("n", [*range(1, 11), 32])
+def test_bound_rows_match_ball_mass(n):
+    radii = [0.25, 1.0, 3.0, 6.0, 10.0, 20.0, 1000.0]
+    for row in bound_sweep(n, radii):
+        assert abs(row.lhs - special.gammainc(n / 2.0, row.R * row.R / 2.0)) <= 1e-13
+
+
 def test_csv_row_shape():
-    rep = volume_bound_report(GraphFunction.constant(1, 0.0), 1.0)
+    rep = volume_bound_report(1, 1.0)
     header_cols = VolumeBoundReport.CSV_HEADER.split(",")
     row_cols = rep.csv_row().split(",")
     assert header_cols == ["n", "R", "lhs", "ball_term", "nominal_tail", "exact_tail", "chain_ok"]
