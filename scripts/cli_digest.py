@@ -92,6 +92,15 @@ def cases() -> list[list[str]]:
         for method in ("quadrature", "monte_carlo"):
             out.append(["measure", "--quantity", "cap", "--init", preset, "--method", method,
                         "--n", "2", *MEASURE_ARGS])
+    for preset in ("sinusoid", "random_bump"):
+        for n in ("1", "3"):
+            out.append(["measure", "--quantity", "cap", "--init", preset, "--method",
+                        "monte_carlo", "--n", n, *MEASURE_ARGS])
+    # 9 ambient columns: the squared norms take np.sum's pairwise path
+    for quantity in ("sphere", "hemisphere"):
+        for method in ("quadrature", "monte_carlo"):
+            out.append(["measure", "--quantity", quantity, "--method", method,
+                        "--n", "8", *MEASURE_ARGS])
     return out + ERROR_CASES
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import Density, as_points
+from .density import Density, as_points, sq_norm
 from .graph import GraphFunction, graph_curvature_samples
 from .rng import DEFAULT_SEED, substream
 
@@ -43,7 +43,7 @@ class ExtendedNormalField:
         x = np.asarray(x, dtype=float)
         base = x[..., :-1]
         g = self.graph.gradient(base)
-        w = np.sqrt(1.0 + np.sum(g * g, axis=-1))
+        w = np.sqrt(1.0 + sq_norm(g))
         return np.concatenate([-g, np.ones(g.shape[:-1] + (1,))], axis=-1) / w[..., None]
 
 

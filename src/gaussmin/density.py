@@ -7,6 +7,12 @@ exactly 1.
 
 All evaluation callables are vectorized over leading axes: points have
 shape (..., dimension).
+
+Column-order contract: a short last axis (a squared norm, a sum over bumps,
+a product over coordinates) is reduced by Python's ``sum`` or ``math.prod``
+over its columns.  numpy reduces an axis shorter than 8 in that same order,
+from 0 (or 1), so the bits are ``np.sum``'s while whole columns run at array
+speed; from 8 columns on numpy sums pairwise, and ``sq_norm`` calls ``np.sum``.
 """
 
 from __future__ import annotations
@@ -123,6 +129,13 @@ def profile_from_name(spec: str) -> Profile:
 
 # --------------------------------------------------------------------------- densities
 
+def sq_norm(x: np.ndarray) -> np.ndarray:
+    """|x|^2 over the last axis, bit for bit ``np.sum(x * x, axis=-1)``."""
+    if x.shape[-1] >= 8:  # numpy sums pairwise here; only np.sum matches it
+        return np.sum(x * x, axis=-1)
+    return sum(x[..., i] * x[..., i] for i in range(x.shape[-1]))
+
+
 def as_points(x, dimension: int) -> np.ndarray:
     """x as a float array of points of shape (..., dimension)."""
     x = np.asarray(x, dtype=float)
@@ -166,7 +179,7 @@ class Density:
         return Density(
             dimension=n,
             kind="gaussian",
-            _log_weight=lambda x: 0.5 * np.sum(x * x, axis=-1) + log_norm,
+            _log_weight=lambda x: 0.5 * sq_norm(x) + log_norm,
             _grad=lambda x: x.copy(),
         )
 
@@ -181,14 +194,14 @@ class Density:
             raise ValueError("dimension must be positive")
 
         def grad(x):
-            r = np.linalg.norm(x, axis=-1, keepdims=True)
+            r = np.sqrt(sq_norm(x))[..., None]
             safe = np.where(r > 0.0, r, 1.0)
             return np.where(r > 0.0, profile.slope(r) * x / safe, 0.0)
 
         return Density(
             dimension=n,
             kind="radial",
-            _log_weight=lambda x: profile(np.linalg.norm(x, axis=-1)),
+            _log_weight=lambda x: profile(np.sqrt(sq_norm(x))),
             _grad=grad,
         )
 

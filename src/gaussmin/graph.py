@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .density import Density, DomainError, Profile, as_points, fd_gradient
+from .density import Density, DomainError, Profile, as_points, fd_gradient, sq_norm
 from .rng import DEFAULT_SEED, substream
 from .surface import CurvatureReport, ParametricSurface, tangent_plane_distance
 
@@ -107,33 +107,34 @@ class GraphFunction:
         """u(x) = SINUSOID_AMPLITUDE * prod_i sin(pi x_i / half_width)."""
         k = math.pi / half_width
 
+        def sines(x):
+            return [np.sin(k * x[..., i]) for i in range(n)]
+
         def u(x):
-            return SINUSOID_AMPLITUDE * np.prod(np.sin(k * x), axis=-1)
+            return SINUSOID_AMPLITUDE * math.prod(sines(x))
 
         def grad(x):
-            s = np.sin(k * x)
-            c = np.cos(k * x)
+            s = sines(x)
             g = np.empty_like(x)
             for i in range(n):
-                others = np.prod(np.delete(s, i, axis=-1), axis=-1) if n > 1 else 1.0
-                g[..., i] = SINUSOID_AMPLITUDE * k * c[..., i] * others
+                others = math.prod(s[:i] + s[i + 1:])
+                g[..., i] = SINUSOID_AMPLITUDE * k * np.cos(k * x[..., i]) * others
             return g
 
         def hess(x):
-            s = np.sin(k * x)
-            c = np.cos(k * x)
+            s = sines(x)
+            c = [np.cos(k * x[..., i]) for i in range(n)]
             h = np.empty(x.shape + (n,))
-            for i in range(n):
-                for j in range(n):
-                    fac = np.ones(x.shape[:-1])
-                    for l in range(n):
-                        if l == i == j:
-                            fac = fac * (-(k**2) * s[..., l])
-                        elif l in (i, j):
-                            fac = fac * k * c[..., l]
-                        else:
-                            fac = fac * s[..., l]
-                    h[..., i, j] = SINUSOID_AMPLITUDE * fac
+            for i, j in np.ndindex(n, n):
+                fac = np.ones(x.shape[:-1])
+                for l in range(n):
+                    if l == i == j:
+                        fac = fac * (-(k**2) * s[l])
+                    elif l in (i, j):
+                        fac = fac * k * c[l]
+                    else:
+                        fac = fac * s[l]
+                h[..., i, j] = SINUSOID_AMPLITUDE * fac
             return h
 
         return GraphFunction(dimension=n, u=u, grad_u=grad, hess_u=hess, name="sinusoid")
@@ -169,34 +170,36 @@ class GraphFunction:
         centers = rng.uniform(-2.0, 2.0, size=(BUMP_COUNT, n))
         widths = rng.uniform(0.8, 1.6, size=BUMP_COUNT)
         heights = rng.uniform(-1.0, 1.0, size=BUMP_COUNT)
-
         h2 = widths**2
 
-        def bumps_at(x):
-            """Offsets x - c_k, shape (..., bumps, n), and bump values (..., bumps)."""
-            diff = x[..., None, :] - centers
-            return diff, heights * np.exp(-np.sum(diff**2, axis=-1) / (2.0 * h2))
+        def bumps(cols):
+            """Per bump k in order: the offset columns d_i = x_i - c_ki,
+            b_k = heights_k exp(-sum_i d_i^2 / (2 h_k^2)) and h_k^2."""
+            for c, height, h2k in zip(centers, heights, h2):
+                d = [col - ci for col, ci in zip(cols, c)]
+                b = height * np.exp(-sum(di * di for di in d) / (2.0 * h2k))
+                yield d, b, h2k
 
-        probe = np.stack(
-            np.meshgrid(*([np.linspace(-4.0, 4.0, 161)] * n), indexing="ij"), axis=-1
-        )
-        scale = amplitude / np.max(np.abs(np.sum(bumps_at(probe)[1], axis=-1)))
+        # the 161^n probe as broadcasting axes: the same sums, no (161^n, n) array
+        probe = np.meshgrid(*([np.linspace(-4.0, 4.0, 161)] * n), indexing="ij", sparse=True)
+        scale = amplitude / np.max(np.abs(sum(b for _, b, _ in bumps(probe))))
 
         def u(x):
-            return scale * np.sum(bumps_at(x)[1], axis=-1)
+            return scale * sum(b for _, b, _ in bumps(np.moveaxis(x, -1, 0)))
 
         def grad(x):
-            diff, bump = bumps_at(x)
-            return scale * np.sum(-bump[..., None] * diff / h2[:, None], axis=-2)
+            g = np.zeros_like(x)  # sums start at +0.0, as numpy's and Python's do
+            for d, b, h2k in bumps(np.moveaxis(x, -1, 0)):
+                for i in range(n):
+                    g[..., i] += -b * d[i] / h2k
+            return scale * g
 
         def hess(x):
-            diff, bump = bumps_at(x)
-            outer = diff[..., :, None] * diff[..., None, :]
-            eye = np.eye(n)
-            terms = bump[..., None, None] * (
-                outer / h2[:, None, None] ** 2 - eye / h2[:, None, None]
-            )
-            return scale * np.sum(terms, axis=-3)
+            h = np.zeros(x.shape + (n,))
+            for d, b, h2k in bumps(np.moveaxis(x, -1, 0)):
+                for i, j in np.ndindex(n, n):
+                    h[..., i, j] += b * (d[i] * d[j] / (h2k * h2k) - (i == j) / h2k)
+            return scale * h
 
         return GraphFunction(
             dimension=n, u=u, grad_u=grad, hess_u=hess, name=f"random_bump({seed})"
@@ -227,13 +230,13 @@ def graph_presets(n: int, seed: int = DEFAULT_SEED) -> dict[str, GraphFunction]:
 def graph_slope(u: GraphFunction, x):
     """Area element W = sqrt(1 + |grad u|^2) >= 1."""
     g = u.gradient(x)
-    return np.sqrt(1.0 + np.sum(g * g, axis=-1))
+    return np.sqrt(1.0 + sq_norm(g))
 
 
 def _divergence_form(g, hess):
     """div(grad u / W) from the gradient and Hessian of u, expanded as
     (W^2 tr(D2u) - grad^T D2u grad)/W^3; returns it with W."""
-    w2 = 1.0 + np.sum(g * g, axis=-1)
+    w2 = 1.0 + sq_norm(g)
     trace = np.trace(hess, axis1=-2, axis2=-1)
     quad = np.einsum("...i,...ij,...j->...", g, hess, g)
     return (w2 * trace - quad) / w2**1.5, np.sqrt(w2)
@@ -474,7 +477,7 @@ def bernstein_functional(u: GraphFunction, truncation: float = 8.0, quad=None) -
     R2 = truncation * truncation
 
     def slope_inside(x):
-        return graph_slope(u, x) * (np.sum(x * x, axis=-1) <= R2)
+        return graph_slope(u, x) * (sq_norm(x) <= R2)
 
     return measure.gaussian_ball_integral(
         slope_inside, u.dimension, truncation, quad or measure.QuadratureSpec()

@@ -7,6 +7,8 @@ a cap against the ball mass plus the lateral cylinder tail.
 Every integral runs on ``gaussian_mc_mean``, ``ball_quadrature``,
 ``sphere_quadrature`` or a radial rule.  The last two are 1-D for every n,
 since every ``Density`` weight is invariant under horizontal rotations.
+Integrands keep ``density``'s column-order contract, bit for bit: ``sq_norm``
+sums fewer than 8 columns one by one, numpy's order; from 8 on, ``np.sum``.
 
 Two tail terms are computed side by side:
 
@@ -27,7 +29,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .density import Density
+from .density import Density, sq_norm
 from .graph import graph_slope
 from .rng import DEFAULT_SEED, substream
 
@@ -153,7 +155,7 @@ def gaussian_ball_volume_mc(
     """Monte Carlo estimate (value, standard error) of the Gaussian ball mass."""
     R2 = R * R
     return gaussian_mc_mean(
-        lambda x: (np.sum(x * x, axis=-1) <= R2).astype(float), n, samples, seed
+        lambda x: (sq_norm(x) <= R2).astype(float), n, samples, seed
     )
 
 
@@ -247,7 +249,7 @@ def weighted_sphere_area_mc(
     area = unit_sphere_area(n + 1) * R**n
 
     def on_sphere(g):
-        p = R * g / np.linalg.norm(g, axis=1, keepdims=True)
+        p = R * g / np.sqrt(sq_norm(g))[:, None]
         v = dens.weight(p)
         if upper_half:
             v = v * (p[:, -1] > 0.0)
@@ -288,7 +290,7 @@ def gaussian_ball_integral(
     if spec.method == "monte_carlo":
         return gaussian_mc_mean(fn, n, spec.samples, spec.seed)[0]
     pts, wts = ball_quadrature(n, min(R, math.sqrt(n) + GAUSSIAN_MASS_MARGIN))
-    weight = (2.0 * math.pi) ** (-n / 2.0) * np.exp(-0.5 * np.sum(pts * pts, axis=-1))
+    weight = (2.0 * math.pi) ** (-n / 2.0) * np.exp(-0.5 * sq_norm(pts))
     return float(np.sum(wts * weight * fn(pts)))
 
 
@@ -307,7 +309,7 @@ def graph_cap_weighted_area(u, R: float, quad: Optional[QuadratureSpec] = None) 
 
     def slope_inside(x):
         du = np.asarray(u.value(x), dtype=float) - u0
-        return graph_slope(u, x) * (np.sum(x * x, axis=-1) + du * du <= R2)
+        return graph_slope(u, x) * (sq_norm(x) + du * du <= R2)
 
     return gaussian_ball_integral(
         slope_inside, n, R, quad or QuadratureSpec(method="monte_carlo")

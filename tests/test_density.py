@@ -12,6 +12,7 @@ from gaussmin.density import (
     fd_gradient,
     horizontal_gaussian,
     profile_from_name,
+    sq_norm,
 )
 from gaussmin.rng import substream
 
@@ -145,3 +146,13 @@ def test_density_presets_by_name():
         density_from_name("product:lorentz+quad_log", 3)
     with pytest.raises(ValueError):
         density_from_name("nope", 2)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_sq_norm_is_np_sum_and_linalg_norm_bit_for_bit(n):
+    # columns one by one below 8, np.sum's pairwise sum from 8 on
+    rng = substream(41, n)
+    for shape in [(n,), (1000, n), (6, 7, n)]:
+        x = rng.standard_normal(shape) * np.exp(rng.uniform(-6.0, 6.0, shape))
+        assert np.array_equal(sq_norm(x), np.sum(x * x, axis=-1))
+        assert np.array_equal(np.sqrt(sq_norm(x)), np.linalg.norm(x, axis=-1))

@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 
 from gaussmin.density import Density, DomainError, Profile, horizontal_gaussian
 from gaussmin.graph import (
+    BUMP_COUNT,
+    SINUSOID_AMPLITUDE,
     GraphFunction,
     MINIMAL_HORIZONTAL,
     MINIMAL_TILTED,
@@ -147,6 +149,121 @@ def test_fd_fallbacks_match_analytic_providers():
     for p in ([0.3, -1.2], [1.7, 0.4]):
         assert np.max(np.abs(exact.gradient(p) - bare.gradient(p))) <= 1e-6
         assert np.max(np.abs(exact.hessian(p) - bare.hessian(p))) <= 1e-4
+
+
+# ------------------------------------------- column kernels vs broadcast formulas
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def broadcast_random_bump(n: int, seed: int, amplitude: float = 0.3):
+    """(value, gradient, Hessian) of random_bump from (..., bumps, n) arrays,
+    each reduced by np.sum over its bump axis."""
+    rng = substream(seed, 0)
+    centers = rng.uniform(-2.0, 2.0, size=(BUMP_COUNT, n))
+    widths = rng.uniform(0.8, 1.6, size=BUMP_COUNT)
+    heights = rng.uniform(-1.0, 1.0, size=BUMP_COUNT)
+    h2 = widths**2
+
+    def bumps_at(x):
+        diff = x[..., None, :] - centers
+        return diff, heights * np.exp(-np.sum(diff**2, axis=-1) / (2.0 * h2))
+
+    axis = np.linspace(-4.0, 4.0, 161)
+
+    def probe_max(a):  # one first-coordinate slice of the 161^n probe; max is exact
+        pts = np.stack(np.meshgrid([a], *([axis] * (n - 1)), indexing="ij"), axis=-1)
+        return np.max(np.abs(np.sum(bumps_at(pts)[1], axis=-1)))
+
+    scale = amplitude / max(probe_max(a) for a in axis)
+
+    def value(x):
+        return scale * np.sum(bumps_at(x)[1], axis=-1)
+
+    def grad(x):
+        diff, bump = bumps_at(x)
+        return scale * np.sum(-bump[..., None] * diff / h2[:, None], axis=-2)
+
+    def hess(x):
+        diff, bump = bumps_at(x)
+        outer = diff[..., :, None] * diff[..., None, :]
+        terms = bump[..., None, None] * (
+            outer / h2[:, None, None] ** 2 - np.eye(n) / h2[:, None, None]
+        )
+        return scale * np.sum(terms, axis=-3)
+
+    return value, grad, hess
+
+
+def broadcast_sinusoid(n: int, half_width: float = 4.0):
+    """(value, gradient, Hessian) of the sinusoid from np.sin and np.cos of
+    whole (..., n) arrays, with np.prod and np.delete over coordinates."""
+    k = math.pi / half_width
+
+    def value(x):
+        return SINUSOID_AMPLITUDE * np.prod(np.sin(k * x), axis=-1)
+
+    def grad(x):
+        s, c = np.sin(k * x), np.cos(k * x)
+        g = np.empty_like(x)
+        for i in range(n):
+            others = np.prod(np.delete(s, i, axis=-1), axis=-1) if n > 1 else 1.0
+            g[..., i] = SINUSOID_AMPLITUDE * k * c[..., i] * others
+        return g
+
+    def hess(x):
+        s, c = np.sin(k * x), np.cos(k * x)
+        h = np.empty(x.shape + (n,))
+        for i in range(n):
+            for j in range(n):
+                fac = np.ones(x.shape[:-1])
+                for l in range(n):
+                    if l == i == j:
+                        fac = fac * (-(k**2) * s[..., l])
+                    elif l in (i, j):
+                        fac = fac * k * c[..., l]
+                    else:
+                        fac = fac * s[..., l]
+                h[..., i, j] = SINUSOID_AMPLITUDE * fac
+        return h
+
+    return value, grad, hess
+
+
+def kernel_sample_points(n: int, seed: int):
+    """Points of shape (n,), (k, n) and (a, b, n); the far ones make bumps
+    underflow, where only the summation order fixes the signs of zeros."""
+    rng = substream(seed, 77)
+    shapes = [(n,), (3000, n), (5, 6, n)]
+    return [rng.uniform(-4.0, 4.0, shape) for shape in shapes] + [
+        np.zeros(n), rng.uniform(-90.0, 90.0, (500, n))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 5, 7387])
+def test_random_bump_columns_match_broadcast_formulas(n, seed):
+    u = GraphFunction.random_bump(n, seed=seed)
+    value, grad, hess = broadcast_random_bump(n, seed)
+    for x in kernel_sample_points(n, seed):
+        assert np.array_equal(u.value(x), value(x))
+        assert np.array_equal(u.gradient(x), grad(x))
+        assert np.array_equal(u.hessian(x), hess(x))
+        # stricter than array_equal: the signs of zeros agree too
+        assert same_bits(u.value(x), value(x)) and same_bits(u.gradient(x), grad(x))
+        assert same_bits(u.hessian(x), hess(x))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])  # from n = 4 on, product order shows in the bits
+def test_sinusoid_columns_match_broadcast_formulas(n):
+    u = GraphFunction.sinusoid(n)
+    value, grad, hess = broadcast_sinusoid(n)
+    for x in kernel_sample_points(n, 11):
+        assert np.array_equal(u.value(x), value(x))
+        assert np.array_equal(u.gradient(x), grad(x))
+        assert np.array_equal(u.hessian(x), hess(x))
+        assert same_bits(u.value(x), value(x)) and same_bits(u.gradient(x), grad(x))
 
 
 # ----------------------------------------------------------- hyperplane classes

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from scipy import integrate, special, stats
 
 from gaussmin.density import density_from_name, horizontal_gaussian
-from gaussmin.graph import GraphFunction
+from gaussmin.graph import GraphFunction, graph_preset
 from gaussmin.measure import (
     QuadratureSpec,
     VolumeBoundReport,
@@ -229,6 +229,37 @@ def test_cap_of_tilted_plane_matches_ellipse_oracle():
     )
     se = math.sqrt(2.0) / math.sqrt(400_000.0)  # std(W * indicator) <= sqrt(2)
     assert abs(est - oracle()) <= 3.0 * se
+
+
+@pytest.mark.parametrize("name", ["constant", "linear", "parabola", "sinusoid", "random_bump"])
+def test_monte_carlo_cap_is_the_broadcast_integrand_bit_for_bit(name):
+    # 300,000 samples: a full 2^18-sample chunk and a partial one
+    u, R, samples, seed = graph_preset(name, 2, 7387), 1.9, 300_000, 23
+    u0 = float(u.value(np.zeros(2)))
+
+    def integrand(x):
+        g, du = u.gradient(x), u.value(x) - u0
+        inside = np.sum(x * x, axis=-1) + du * du <= R * R
+        return np.sqrt(1.0 + np.sum(g * g, axis=-1)) * inside
+
+    spec = QuadratureSpec(method="monte_carlo", samples=samples, seed=seed)
+    expected = gaussian_mc_mean(integrand, 2, samples, seed)[0]
+    assert graph_cap_weighted_area(u, R, spec) == expected
+
+
+@pytest.mark.parametrize("n", [2, 8])
+def test_monte_carlo_hemisphere_is_the_linalg_norm_integrand_bit_for_bit(n):
+    # at n = 8 the 9 ambient columns take sq_norm's np.sum path
+    dens, R = horizontal_gaussian(n), 1.7
+
+    def on_sphere(g):
+        p = R * g / np.linalg.norm(g, axis=1, keepdims=True)
+        log_weight = 0.5 * np.sum(p[:, :n] ** 2, axis=-1) + 0.5 * n * math.log(2.0 * math.pi)
+        return np.exp(-log_weight) * (p[:, -1] > 0.0)
+
+    mean, stderr = gaussian_mc_mean(on_sphere, n + 1, 20_000, 5)
+    area = unit_sphere_area(n + 1) * R**n
+    assert weighted_sphere_area_mc(dens, n, R, True, 20_000, 5) == (area * mean, area * stderr)
 
 
 # ------------------------------------------------------------------ bound report
