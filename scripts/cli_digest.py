@@ -70,6 +70,8 @@ def cases() -> list[list[str]]:
         ["flow", "--n", "1", "--grid", "65"],
         ["flow", "--n", "2", "--grid", "33", "--init", "random_bump", "--seed", "5"],
         ["flow", "--n", "2", "--grid", "65"],
+        ["flow", "--n", "3", "--grid", "33"],
+        ["flow", "--n", "3", "--grid", "33", "--init", "random_bump", "--seed", "5"],
         ["curvature", "--surface", "cylinder", "--params", "r=2", "--at", "0.3,-0.7"],
         ["curvature", "--surface", "plane", "--params", "offset=0.75", "--at", "0.4,1.1"],
         ["curvature", "--surface", "horizontal_plane", "--params", "a=0.39",

@@ -9,7 +9,7 @@ from gaussmin.flow import flow_run, initial_field, initial_state
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n", type=int, default=1, choices=(1, 2))
+    ap.add_argument("--n", type=int, default=1, choices=(1, 2, 3))
     ap.add_argument("--grid", type=int, default=129)
     ap.add_argument("--tmax", type=float, default=50.0)
     ap.add_argument("--osc-tol", type=float, default=0.005)

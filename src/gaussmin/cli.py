@@ -182,8 +182,8 @@ def _cmd_bound(ns: dict) -> int:
 
 def _cmd_flow(ns: dict) -> int:
     n = ns["n"]
-    if n not in (1, 2):
-        raise UsageError("flow supports n in {1, 2}")
+    if n not in (1, 2, 3):
+        raise UsageError("flow supports n in {1, 2, 3}")
     fld = _checked("--init", flow.initial_field, n, ns["L"], ns["grid"], ns["init"], ns["seed"])
     state = flow.initial_state(fld)
     result = flow.flow_run(state, ns["tmax"], ns["osc_tol"], ns["hf_tol"])
@@ -197,8 +197,9 @@ def _cmd_flow(ns: dict) -> int:
         field_text = "x,u\n" + "".join(
             f"{x:.17g},{v:.17g}\n" for x, v in zip(result.state.field.axis(), values)
         )
-    else:
-        field_text = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in values)
+    else:  # one line per row along the last axis, in C order
+        rows = values.reshape(-1, values.shape[-1])
+        field_text = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
     _write(field_text, ns["field_out"])
     if result.verdict == flow.VERDICT_CONVERGED:
         print(f"verdict: {result.verdict} (constant {result.limit_constant:.6g}, t = {result.state.time:.6g})")

@@ -13,10 +13,15 @@ one pass over a field gives H_F and the weighted area.  Derivatives are
 second-order central differences; homogeneous Neumann boundary conditions
 are imposed by ghost-node reflection.
 
-Steps are semi-implicit (Smereka, J. Sci. Comput. 19, 2003): u <- u +
-(I - dt L_OU)^{-1} (dt H_F(u)), L_OU = sum_i (d_ii - x_i d_i) being H_F's linear
-part at a constant, so every grid steps with FLOW_DT; a step that raises the
-weighted area beyond roundoff (or is non-finite) is retried at half the dt.
+Steps are semi-implicit (Smereka, J. Sci. Comput. 19, 2003) in increment
+form, u <- u + P (dt H_F(u)).  With L_OU = sum_i L_i, L_i = d_ii - x_i d_i,
+H_F's linear part at a constant, P = prod_i (I - dt L_i)^{-1} is the
+approximate factorization (Douglas & Gunn, Numer. Math. 6, 1964) of
+(I - dt L_OU)^{-1}: one 1-D inverse applied along every axis.  P^{-1} exceeds
+I - dt L_OU only by the dt^2 products of the L_i, so the step stays first-order
+consistent, H_F = 0 leaves u unchanged and every grid steps with FLOW_DT; a
+step that raises the weighted area beyond roundoff (or is non-finite) is
+retried at half the dt.
 """
 
 from __future__ import annotations
@@ -47,15 +52,15 @@ class FlowStepError(RuntimeError):
 
 @dataclass(frozen=True)
 class GridField:
-    """Samples of u on the uniform grid of [-L, L]^n, n in {1, 2}."""
+    """Samples of u on the uniform grid of [-L, L]^n, n in {1, 2, 3}."""
 
     half_width: float
     values: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.ndim not in (1, 2):
-            raise ValueError("grid fields support n in {1, 2}")
+        if v.ndim not in (1, 2, 3):
+            raise ValueError("grid fields support n in {1, 2, 3}")
         if min(v.shape) < 3:
             raise ValueError("need at least 3 nodes per axis")
         if not np.all(np.isfinite(v)):
@@ -103,6 +108,19 @@ def _grid_weight(half_width: float, resolution: int, n: int) -> np.ndarray:
     return weight
 
 
+def _reflect_pad(a: np.ndarray) -> np.ndarray:
+    """``np.pad(a, 1, mode="reflect")`` by copies: on every axis in turn, ghost
+    node -1 takes node 1 and ghost node m takes node m - 2; each copy spans
+    the whole slab, so corners take the earlier axes' ghosts."""
+    p = np.empty(tuple(s + 2 for s in a.shape))
+    p[(slice(1, -1),) * a.ndim] = a
+    for axis in range(a.ndim):
+        lead = (slice(None),) * axis
+        p[lead + (0,)] = p[lead + (2,)]
+        p[lead + (-1,)] = p[lead + (-3,)]
+    return p
+
+
 def _d1(p: np.ndarray, axis: int, dx: float) -> np.ndarray:
     sl = [slice(1, -1)] * p.ndim
     hi, lo = sl.copy(), sl.copy()
@@ -121,12 +139,12 @@ def _field_geometry(fld: GridField) -> tuple[float, np.ndarray]:
     """Trapezoid weighted area and H_F at every node from one set of slopes;
     reflected ghost nodes enforce the Neumann condition."""
     n, dx = fld.dimension, fld.dx
-    p = np.pad(fld.values, 1, mode="reflect")
+    p = _reflect_pad(fld.values)
     grads = [_d1(p, i, dx) for i in range(n)]
     sq = [g * g for g in grads]
     w2 = sum(sq, 1.0)
     diag = [(1.0 + sum(sq[:i] + sq[i + 1:])) * _d2(p, i, dx) for i in range(n)]
-    mixed = sum(grads[i] * grads[j] * _d1(np.pad(grads[i], 1, mode="reflect"), j, dx)
+    mixed = sum(grads[i] * grads[j] * _d1(_reflect_pad(grads[i]), j, dx)
                 for i in range(n) for j in range(i + 1, n))
     h = (sum(diag[1:], diag[0]) - 2.0 * mixed) / w2**1.5
     w = np.sqrt(w2)
@@ -141,34 +159,28 @@ def _field_geometry(fld: GridField) -> tuple[float, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=8)
-def _ou_resolvent(half_width: float, resolution: int, n: int, dt: float) -> tuple:
-    """(I - dt L_OU)^{-1} on the grid: the matrix for n = 1; for n = 2 the
-    B_k^{-1} of the Newton sign iteration (Roberts, 1980) for B W + W B^T = R,
-    B = I/2 - dt L_OU: B_k -> I and R <- (R + B_k^{-1} R B_k^{-T})/2 -> 2W.
-    L_OU's eigenvectors (cond ~ e^{L^2/4}) would lose every digit at L = 10."""
+def _ou_resolvent(half_width: float, resolution: int, dt: float) -> np.ndarray:
+    """(I - dt L_1)^{-1} for the 1-D L_1 = d_xx - x d_x on the grid, the factor
+    that ``_ou_solve`` applies along every axis; one dense inverse per
+    (L, grid, dt) whatever n is."""
     x, dx = np.linspace(-half_width, half_width, resolution, retstep=True)
     eye = np.eye(resolution)
-    p = np.pad(eye, 1, mode="reflect")  # L_OU is the stencils applied to I
+    p = _reflect_pad(eye)  # L_1 is the stencils applied to I
     ou = _d2(p, 0, dx) - x[:, None] * _d1(p, 0, dx)
-    if n == 1:
-        return (np.linalg.inv(eye - dt * ou),)
-    b, factors = 0.5 * eye - dt * ou, []
-    for _ in range(64):
-        factors.append(np.linalg.inv(b))
-        if np.linalg.norm(b - eye, np.inf) <= 1e-8:  # then |B_{k+1} - I| ~ 1e-16
-            return tuple(factors)
-        b = 0.5 * (b + factors[-1])
-    raise ValueError(f"I - dt L_OU is not positive stable at dt = {dt:g}")
+    return np.linalg.inv(eye - dt * ou)
 
 
 def _ou_solve(half_width: float, rhs: np.ndarray, dt: float) -> np.ndarray:
-    """(I - dt L_OU)^{-1} rhs on the grid of ``rhs``."""
-    mats = _ou_resolvent(half_width, rhs.shape[0], rhs.ndim, dt)
-    if rhs.ndim == 1:
-        return mats[0] @ rhs
-    for b_inv in mats:
-        rhs = 0.5 * (rhs + b_inv @ rhs @ b_inv.T)
-    return 0.5 * rhs
+    """P rhs, P = (I - dt L_1)^{-1} along every axis of the grid of ``rhs``."""
+    inv = _ou_resolvent(half_width, rhs.shape[0], dt)
+    # matmul broadcasts over leading axes: ``inv @`` acts on axis 0 for n <= 2
+    # and on axis 1 for n = 3, ``@ inv.T`` on the last axis
+    out = inv @ rhs
+    if rhs.ndim > 1:
+        out = out @ inv.T
+    if rhs.ndim > 2:
+        out = (inv @ out.reshape(rhs.shape[0], -1)).reshape(rhs.shape)
+    return out
 
 
 def grid_weighted_mean_curvature(fld: GridField) -> np.ndarray:
@@ -244,7 +256,7 @@ def _accepted(
 
 
 def flow_step(state: FlowState) -> FlowState:
-    """One accepted semi-implicit step u <- u + (I - dt L_OU)^{-1} (dt H_F(u)).
+    """One accepted semi-implicit step u <- u + P (dt H_F(u)).
 
     Rejects (halving dt, up to MAX_REJECTIONS times) any step that increases
     the weighted area by more than AREA_SLACK or produces non-finite values.

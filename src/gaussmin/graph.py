@@ -180,9 +180,15 @@ class GraphFunction:
                 b = height * np.exp(-sum(di * di for di in d) / (2.0 * h2k))
                 yield d, b, h2k
 
-        # the 161^n probe as broadcasting axes: the same sums, no (161^n, n) array
+        # the 161^n probe as broadcasting axes, in slabs of 161^(3-n) first
+        # coordinates (at most 161^2 points each): the same sums, no (161^n, n)
+        # array, and the max over slabs is exact
         probe = np.meshgrid(*([np.linspace(-4.0, 4.0, 161)] * n), indexing="ij", sparse=True)
-        scale = amplitude / np.max(np.abs(sum(b for _, b, _ in bumps(probe))))
+        rows = 161 ** (3 - n)
+        scale = amplitude / max(
+            np.max(np.abs(sum(b for _, b, _ in bumps([probe[0][k:k + rows], *probe[1:]]))))
+            for k in range(0, 161, rows)
+        )
 
         def u(x):
             return scale * sum(b for _, b, _ in bumps(np.moveaxis(x, -1, 0)))

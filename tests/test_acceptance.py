@@ -267,3 +267,22 @@ def test_flow_flattening_and_refinement():
         f"constant fixed point, refinement order {order:.2f}",
         ok,
     )
+
+
+@pytest.mark.parametrize("init", ["sinusoid", "random_bump"])
+def test_flow_flattens_in_three_dimensions(init):
+    # the 2-D gates on G^3 x R: converged, monotone area, constant fixed point
+    state = initial_state(initial_field(3, 4.0, 33, init, seed=5))
+    result = flow_run(state, t_max=50.0, osc_tol=0.005, hf_tol=0.005)
+    areas = np.array([rec[1] for rec in result.state.history])
+    monotone = float(np.max(np.diff(areas))) <= AREA_SLACK
+    converged = result.verdict == VERDICT_CONVERGED and result.state.time < 50.0
+    const_state = initial_state(initial_field(3, 4.0, 33, "constant:0.25"))
+    const_fixed = np.array_equal(
+        flow_step(const_state).field.values, const_state.field.values
+    )
+    assert _line(
+        f"3-D flow ({init}): monotone area, converged in "
+        f"{len(areas) - 1} steps, constant fixed point",
+        monotone and converged and const_fixed,
+    )

@@ -9,7 +9,7 @@ import pytest
 
 import gaussmin
 from gaussmin.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
-from gaussmin.flow import AREA_SLACK
+from gaussmin.flow import AREA_SLACK, flow_run, initial_field, initial_state
 from gaussmin.graph import GraphFunction
 from gaussmin.density import horizontal_gaussian
 from gaussmin.measure import gaussian_ball_volume, weighted_sphere_area
@@ -140,7 +140,18 @@ def test_flow_2d_grid_65_converges_in_few_monotone_steps(tmp_path, capsys, init)
 
 
 def test_flow_rejects_bad_dimension(capsys):
-    assert run(["flow", "--n", "3"]) == EXIT_USAGE
+    assert run(["flow", "--n", "4"]) == EXIT_USAGE
+    assert "flow supports n in {1, 2, 3}" in capsys.readouterr().err
+
+
+def test_flow_3d_field_out_has_one_line_per_last_axis_row(tmp_path):
+    fout = tmp_path / "field.csv"
+    args = ["flow", "--n", "3", "--grid", "5", "--init", "sinusoid", "--tmax", "0.05",
+            "--out", str(tmp_path / "series.csv"), "--field-out", str(fout)]
+    assert run(args) == EXIT_OK
+    result = flow_run(initial_state(initial_field(3, 4.0, 5, "sinusoid")), 0.05)
+    rows = [[float(v) for v in line.split(",")] for line in fout.read_text().splitlines()]
+    assert rows == result.state.field.values.reshape(25, 5).tolist()
 
 
 def test_curvature_cylinder(tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -23,8 +24,6 @@ from gaussmin.flow import (
 )
 from gaussmin.graph import GraphFunction, graph_weighted_mean_curvature
 
-HG2 = horizontal_gaussian(2)
-
 
 def test_grid_field_validation():
     with pytest.raises(ValueError):
@@ -32,7 +31,8 @@ def test_grid_field_validation():
     with pytest.raises(ValueError):
         GridField(4.0, np.array([0.0, np.inf, 0.0]))
     with pytest.raises(ValueError):
-        GridField(4.0, np.zeros((3, 3, 3)))
+        GridField(4.0, np.zeros((3, 3, 3, 3)))
+    assert GridField(4.0, np.zeros((3, 3, 3))).dimension == 3
     fld = GridField(4.0, np.zeros(257))
     assert fld.dx == pytest.approx(8.0 / 256.0)
 
@@ -75,22 +75,35 @@ def test_two_dimensional_operator_reduces_to_one_dimensional_columns():
     hf1 = grid_weighted_mean_curvature(f1)
     hf2 = grid_weighted_mean_curvature(f2)
     assert np.array_equal(hf2, np.repeat(hf1[:, None], 65, axis=1))
+    # likewise a 3-D field constant along one axis gives the 2-D H_F on every
+    # slice across it; each axis leaves one of the three mixed pairs alone
+    f2 = initial_field(2, 4.0, 33, "random_bump", seed=5)
+    hf2 = grid_weighted_mean_curvature(f2)
+    for axis in range(3):
+        f3 = GridField(4.0, np.repeat(np.expand_dims(f2.values, axis), 33, axis=axis))
+        hf3 = grid_weighted_mean_curvature(f3)
+        assert np.array_equal(hf3, np.repeat(np.expand_dims(hf2, axis), 33, axis=axis))
 
 
 def test_two_dimensional_operator_is_second_order_on_interior():
     # the closed-form graph kernel is the reference, including the mixed
-    # derivative term; the errors are taken on the coarse interior nodes
-    u = GraphFunction.random_bump(2, seed=5)
-    errors = []
-    for m in (33, 65, 129):
-        fld = initial_field(2, 4.0, m, "random_bump", seed=5)
-        exact = graph_weighted_mean_curvature(u, HG2, fld.nodes()).weighted_mean_curvature
-        stride = (m - 1) // 32
-        common = (slice(stride, -stride, stride),) * 2
-        hf = grid_weighted_mean_curvature(fld)
-        errors.append(float(np.max(np.abs(hf[common] - exact[common]))))
-    assert errors[0] / errors[1] >= 3.5
-    assert errors[1] / errors[2] >= 3.5
+    # derivative terms; the errors are taken on the coarse interior nodes.
+    # n = 3 takes amplitude 1: at 0.3 a dropped mixed pair's u_i u_j u_ij stays
+    # below the grid-17 truncation error, at 1 it stalls the grid-65 errors
+    for n, amplitude, grids in ((2, 0.3, (33, 65, 129)), (3, 1.0, (17, 33, 65))):
+        u = GraphFunction.random_bump(n, seed=5, amplitude=amplitude)
+        errors = []
+        for m in grids:
+            fld = initial_field(n, 4.0, m, f"random_bump:{amplitude}", seed=5)
+            exact = graph_weighted_mean_curvature(
+                u, horizontal_gaussian(n), fld.nodes()
+            ).weighted_mean_curvature
+            stride = (m - 1) // (grids[0] - 1)
+            common = (slice(stride, -stride, stride),) * n
+            hf = grid_weighted_mean_curvature(fld)
+            errors.append(float(np.max(np.abs(hf[common] - exact[common]))))
+        assert errors[0] / errors[1] >= 3.5, n
+        assert errors[1] / errors[2] >= 3.5, n
 
 
 def test_constant_is_exact_fixed_point():
@@ -188,25 +201,53 @@ def _ou_matrix(L, m):
     return np.stack(cols, axis=1)
 
 
-def _ou_dense(n, m, L):
-    ou = _ou_matrix(L, m)
-    eye = np.eye(m)
-    return ou if n == 1 else np.kron(ou, eye) + np.kron(eye, ou)
+def _factored_system(n, m, L, dt):
+    # the Kronecker product of the n per-axis factors I - dt L_1: it differs
+    # from I - dt L_OU by the dt^2 L_i L_j products (approximate factorization)
+    factor = np.eye(m) - dt * _ou_matrix(L, m)
+    return functools.reduce(np.kron, [factor] * n)
 
 
 @pytest.mark.parametrize("L", [4.0, 10.0])
-@pytest.mark.parametrize("m", [3, 5, 9, 65])
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n, m", [(n, m) for n in (1, 2, 3) for m in (3, 5, 9, 65)
+                                  if n < 3 or m < 65])
 def test_ou_solve_matches_dense_solve(n, m, L):
     # the coarse grids (5 and 9 at L = 4, all but 3 at L = 10) give L_OU
     # complex eigenpairs; at L = 10 its eigenvectors are conditioned ~1e12
     rhs = np.random.default_rng(m).standard_normal((m,) * n)
     # a 4,225-unknown dense solve takes seconds: the 2-D grid 65 checks FLOW_DT only
     for dt in (FLOW_DT,) if m**n > 1000 else (FLOW_DT, FLOW_DT / 2, 1.0):
-        system = np.eye(m**n) - dt * _ou_dense(n, m, L)
+        system = _factored_system(n, m, L, dt)
         dense = np.linalg.solve(system, rhs.ravel()).reshape(rhs.shape)
         fast = flow._ou_solve(L, rhs, dt)
         assert np.linalg.norm(fast - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
+@pytest.mark.parametrize("L", [4.0, 10.0])
+@pytest.mark.parametrize("n, m", [(n, m) for n in (1, 2, 3) for m in (3, 4, 9, 65)
+                                  if n < 3 or m < 65])
+def test_field_geometry_matches_np_pad_reference_bit_for_bit(monkeypatch, n, m, L):
+    # ghost nodes are copies, so the area and H_F built on them must equal,
+    # bit for bit, those built on np.pad's reflected arrays
+    values = 0.5 * np.random.default_rng(10 * m + n).standard_normal((m,) * n)
+    assert flow._reflect_pad(values).tobytes() == np.pad(values, 1, mode="reflect").tobytes()
+    fld = GridField(L, values)
+    area, hf = flow._field_geometry(fld)
+    monkeypatch.setattr(flow, "_reflect_pad", lambda a: np.pad(a, 1, mode="reflect"))
+    ref_area, ref_hf = flow._field_geometry(fld)
+    assert np.float64(area).tobytes() == np.float64(ref_area).tobytes()
+    assert hf.tobytes() == ref_hf.tobytes()
+
+
+def test_even_coarse_grid_step_at_large_dt_is_accepted():
+    # on even grids L_1 has a positive eigenvalue, so I - dt L_OU at dt = 5 is
+    # not positive stable; the per-axis factors need no sign iteration, and an
+    # oversized increment (as from a factor near singular) raises the area, so
+    # the guard halves dt until the area does not rise
+    state = initial_state(initial_field(2, 10.0, 4, "random_bump", seed=5), dt=5.0)
+    stepped = flow_step(state)
+    assert len(stepped.history) == 2
+    assert stepped.history[-1][1] <= state.history[0][1] + AREA_SLACK
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -268,7 +309,7 @@ def test_flow_step_evaluates_no_density(monkeypatch):
     assert calls["grad_log_weight"] == 0
 
 
-@pytest.mark.parametrize("n, m", [(1, 65), (2, 33), (2, 65)])
+@pytest.mark.parametrize("n, m", [(1, 65), (2, 33), (2, 65), (3, 33), (3, 65)])
 def test_weighted_area_of_constant_is_gaussian_trapezoid_mass(n, m):
     # W = 1 for a constant, so the area is the tensor trapezoid rule applied
     # to the Gaussian: the n-th power of the 1-D trapezoid mass.
