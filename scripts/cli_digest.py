@@ -80,8 +80,11 @@ def cases() -> list[list[str]]:
          "--at", "0.3,0.5"],
         ["curvature", "--surface", "graph", "--params", "preset=random_bump",
          "--params", "seed=5", "--at", "0.4,-0.2"],
+        ["curvature", "--surface", "graph", "--params", "preset=sinusoid", "--at", "0.3,-1.2"],
         ["curvature", "--surface", "graph", "--params", "preset=parabola",
          "--density", "product:gaussian+quad_log", "--at", "0.5,0.3"],
+        ["measure", "--quantity", "cap", "--method", "quadrature", "--n", "3",
+         "--init", "random_bump"],
         ["planes", "--profile", "quad_log"],
         ["planes", "--profile", "quadratic:0.3", "--lo", "-1", "--hi", "1"],
     ]

@@ -144,7 +144,8 @@ def _field_geometry(fld: GridField) -> tuple[float, np.ndarray]:
     sq = [g * g for g in grads]
     w2 = sum(sq, 1.0)
     diag = [(1.0 + sum(sq[:i] + sq[i + 1:])) * _d2(p, i, dx) for i in range(n)]
-    mixed = sum(grads[i] * grads[j] * _d1(_reflect_pad(grads[i]), j, dx)
+    padded = [_reflect_pad(g) for g in grads[:-1]]  # the last slope pairs with no later axis
+    mixed = sum(grads[i] * grads[j] * _d1(padded[i], j, dx)
                 for i in range(n) for j in range(i + 1, n))
     h = (sum(diag[1:], diag[0]) - 2.0 * mixed) / w2**1.5
     w = np.sqrt(w2)

@@ -11,50 +11,40 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .density import Density, DomainError, Profile, as_points, fd_gradient, sq_norm
+from .density import Density, DomainError, Profile, as_points, sq_norm
 from .rng import DEFAULT_SEED, substream
 from .surface import CurvatureReport, ParametricSurface, tangent_plane_distance
 
-FD_STEP = 1e-6
-FD_STEP_HESS = 1e-4
 SINUSOID_AMPLITUDE = 0.5
 BUMP_COUNT = 4  # Gaussian bumps in a random_bump graph
 
 
 @dataclass(frozen=True)
 class GraphFunction:
-    """Scalar function u on R^n with gradient and optional Hessian.
+    """Scalar function u on R^n given by its jet.
 
-    Callables are vectorized: ``u`` maps (..., n) -> (...), ``grad_u`` maps
-    (..., n) -> (..., n) and ``hess_u`` maps (..., n) -> (..., n, n).
-    Missing derivative providers fall back to central finite differences.
+    ``jet(x, order)`` takes points (..., n) and returns (value,) for order 0,
+    (value, gradient) for order 1 and (value, gradient, Hessian) for order 2,
+    of shapes (...), (..., n) and (..., n, n); every order builds the
+    graph's terms once and shares them.
     """
 
     dimension: int
-    u: Callable[[np.ndarray], np.ndarray]
-    grad_u: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    hess_u: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    jet: Callable[[np.ndarray, int], tuple]
     name: str = ""
 
     def value(self, x):
-        return self.u(as_points(x, self.dimension))
+        return self.jet(as_points(x, self.dimension), 0)[0]
 
     def gradient(self, x):
-        x = as_points(x, self.dimension)
-        if self.grad_u is not None:
-            return np.asarray(self.grad_u(x), dtype=float)
-        return fd_gradient(self.u, x, FD_STEP)
+        return self.jet(as_points(x, self.dimension), 1)[1]
 
     def hessian(self, x):
-        x = as_points(x, self.dimension)
-        if self.hess_u is not None:
-            return np.asarray(self.hess_u(x), dtype=float)
-        hess = fd_gradient(self.gradient, x, FD_STEP_HESS)
-        return 0.5 * (hess + np.swapaxes(hess, -1, -2))
+        return self.jet(as_points(x, self.dimension), 2)[2]
 
     # ------------------------------------------------------------------ presets
 
@@ -62,9 +52,11 @@ class GraphFunction:
     def constant(n: int, level: float = 0.0) -> "GraphFunction":
         return GraphFunction(
             dimension=n,
-            u=lambda x: np.full(x.shape[:-1], float(level)),
-            grad_u=lambda x: np.zeros_like(x),
-            hess_u=lambda x: np.zeros(x.shape + (n,)),
+            jet=_separate_jet(
+                lambda x: np.full(x.shape[:-1], float(level)),
+                np.zeros_like,
+                lambda x: np.zeros(x.shape + (n,)),
+            ),
             name=f"constant({level})",
         )
 
@@ -74,9 +66,11 @@ class GraphFunction:
         n = a.size
         return GraphFunction(
             dimension=n,
-            u=lambda x: x @ a + intercept,
-            grad_u=lambda x: np.broadcast_to(a, x.shape).copy(),
-            hess_u=lambda x: np.zeros(x.shape + (n,)),
+            jet=_separate_jet(
+                lambda x: x @ a + intercept,
+                lambda x: np.broadcast_to(a, x.shape).copy(),
+                lambda x: np.zeros(x.shape + (n,)),
+            ),
             name=f"linear({tuple(map(float, a))})",
         )
 
@@ -96,9 +90,7 @@ class GraphFunction:
 
         return GraphFunction(
             dimension=n,
-            u=lambda x: x[..., 0] ** 2,
-            grad_u=grad,
-            hess_u=hess,
+            jet=_separate_jet(lambda x: x[..., 0] ** 2, grad, hess),
             name="parabola",
         )
 
@@ -107,37 +99,34 @@ class GraphFunction:
         """u(x) = SINUSOID_AMPLITUDE * prod_i sin(pi x_i / half_width)."""
         k = math.pi / half_width
 
-        def sines(x):
-            return [np.sin(k * x[..., i]) for i in range(n)]
+        def jet(x, order):
+            s = [np.sin(k * x[..., i]) for i in range(n)]
+            out = [SINUSOID_AMPLITUDE * math.prod(s)]
+            c = []  # the cosines, kept for the Hessian only
+            if order >= 1:
+                g = np.empty_like(x)
+                for i in range(n):
+                    ci = np.cos(k * x[..., i])
+                    g[..., i] = SINUSOID_AMPLITUDE * k * ci * math.prod(s[:i] + s[i + 1:])
+                    if order == 2:
+                        c.append(ci)
+                out.append(g)
+            if order == 2:
+                h = np.empty(x.shape + (n,))
+                for i, j in np.ndindex(n, n):
+                    fac = np.ones(x.shape[:-1])
+                    for l in range(n):
+                        if l == i == j:
+                            fac = fac * (-(k**2) * s[l])
+                        elif l in (i, j):
+                            fac = fac * k * c[l]
+                        else:
+                            fac = fac * s[l]
+                    h[..., i, j] = SINUSOID_AMPLITUDE * fac
+                out.append(h)
+            return tuple(out)
 
-        def u(x):
-            return SINUSOID_AMPLITUDE * math.prod(sines(x))
-
-        def grad(x):
-            s = sines(x)
-            g = np.empty_like(x)
-            for i in range(n):
-                others = math.prod(s[:i] + s[i + 1:])
-                g[..., i] = SINUSOID_AMPLITUDE * k * np.cos(k * x[..., i]) * others
-            return g
-
-        def hess(x):
-            s = sines(x)
-            c = [np.cos(k * x[..., i]) for i in range(n)]
-            h = np.empty(x.shape + (n,))
-            for i, j in np.ndindex(n, n):
-                fac = np.ones(x.shape[:-1])
-                for l in range(n):
-                    if l == i == j:
-                        fac = fac * (-(k**2) * s[l])
-                    elif l in (i, j):
-                        fac = fac * k * c[l]
-                    else:
-                        fac = fac * s[l]
-                h[..., i, j] = SINUSOID_AMPLITUDE * fac
-            return h
-
-        return GraphFunction(dimension=n, u=u, grad_u=grad, hess_u=hess, name="sinusoid")
+        return GraphFunction(dimension=n, jet=jet, name="sinusoid")
 
     @staticmethod
     def quadratic_form(intercept, linear, quadratic) -> "GraphFunction":
@@ -150,10 +139,12 @@ class GraphFunction:
 
         return GraphFunction(
             dimension=n,
-            u=lambda x: intercept + np.vecdot(x, a)
-            + 0.5 * np.einsum("...i,...ij,...j->...", x, q, x),
-            grad_u=lambda x: a + np.vecmat(x, q),
-            hess_u=lambda x: np.broadcast_to(q, np.broadcast_shapes(q.shape, x.shape + (n,))).copy(),
+            jet=_separate_jet(
+                lambda x: intercept + np.vecdot(x, a)
+                + 0.5 * np.einsum("...i,...ij,...j->...", x, q, x),
+                lambda x: a + np.vecmat(x, q),
+                lambda x: np.broadcast_to(q, np.broadcast_shapes(q.shape, x.shape + (n,))).copy(),
+            ),
             name="quadratic_form",
         )
 
@@ -190,26 +181,28 @@ class GraphFunction:
             for k in range(0, 161, rows)
         )
 
-        def u(x):
-            return scale * sum(b for _, b, _ in bumps(np.moveaxis(x, -1, 0)))
-
-        def grad(x):
-            g = np.zeros_like(x)  # sums start at +0.0, as numpy's and Python's do
+        def jet(x, order):
+            # one bump at a time; the sums start at 0 and +0.0, as Python's
+            # and numpy's do
+            value = 0
+            g = np.zeros_like(x) if order >= 1 else None
+            h = np.zeros(x.shape + (n,)) if order == 2 else None
             for d, b, h2k in bumps(np.moveaxis(x, -1, 0)):
-                for i in range(n):
-                    g[..., i] += -b * d[i] / h2k
-            return scale * g
+                value = value + b
+                if g is not None:
+                    for i in range(n):
+                        g[..., i] += -b * d[i] / h2k
+                if h is not None:
+                    for i, j in np.ndindex(n, n):
+                        h[..., i, j] += b * (d[i] * d[j] / (h2k * h2k) - (i == j) / h2k)
+            return tuple(scale * term for term in (value, g, h)[:order + 1])
 
-        def hess(x):
-            h = np.zeros(x.shape + (n,))
-            for d, b, h2k in bumps(np.moveaxis(x, -1, 0)):
-                for i, j in np.ndindex(n, n):
-                    h[..., i, j] += b * (d[i] * d[j] / (h2k * h2k) - (i == j) / h2k)
-            return scale * h
+        return GraphFunction(dimension=n, jet=jet, name=f"random_bump({seed})")
 
-        return GraphFunction(
-            dimension=n, u=u, grad_u=grad, hess_u=hess, name=f"random_bump({seed})"
-        )
+
+def _separate_jet(*terms):
+    """A jet from value, gradient and Hessian callables that share no terms."""
+    return lambda x, order: tuple(term(x) for term in terms[:order + 1])
 
 
 _PRESETS: dict[str, Callable[[int, int], GraphFunction]] = {
@@ -250,7 +243,7 @@ def _divergence_form(g, hess):
 
 def graph_mean_curvature(u: GraphFunction, x):
     """Mean curvature div(grad u / W) with the upward normal."""
-    return _divergence_form(u.gradient(x), u.hessian(x))[0]
+    return _divergence_form(*u.jet(as_points(x, u.dimension), 2)[1:])[0]
 
 
 def graph_weighted_mean_curvature(u: GraphFunction, dens: Density, x) -> CurvatureReport:
@@ -261,9 +254,9 @@ def graph_weighted_mean_curvature(u: GraphFunction, dens: Density, x) -> Curvatu
             f"density dimension {dens.dimension} != ambient {u.dimension + 1}"
         )
     x = as_points(x, u.dimension)
-    g = u.gradient(x)
-    h, w = _divergence_form(g, u.hessian(x))
-    ambient = np.concatenate([x, u.value(x)[..., None]], axis=-1)
+    value, g, hess = u.jet(x, 2)
+    h, w = _divergence_form(g, hess)
+    ambient = np.concatenate([x, value[..., None]], axis=-1)
     gf = dens.grad_log_weight(ambient)
     term = (gf[..., -1] - np.sum(gf[..., :-1] * g, axis=-1)) / w
     normal = np.concatenate([-g, np.ones_like(w)[..., None]], axis=-1) / w[..., None]

@@ -30,7 +30,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .density import Density, sq_norm
-from .graph import graph_slope
 from .rng import DEFAULT_SEED, substream
 
 _MC_CHUNK = 1 << 18
@@ -285,13 +284,17 @@ def gaussian_ball_integral(
     """int_{|x| <= R} (2 pi)^{-n/2} e^{-|x|^2/2} fn(x) dx.
 
     ``fn`` must vanish outside B^n(0, R): the Monte Carlo route averages it
-    over all of R^n, the spherical_product route only sees the ball.
+    over all of R^n, the spherical_product route only sees the ball.  Both
+    routes call it on at most ``_MC_CHUNK`` rows at once, so it acts row-wise.
     """
     if spec.method == "monte_carlo":
         return gaussian_mc_mean(fn, n, spec.samples, spec.seed)[0]
     pts, wts = ball_quadrature(n, min(R, math.sqrt(n) + GAUSSIAN_MASS_MARGIN))
     weight = (2.0 * math.pi) ** (-n / 2.0) * np.exp(-0.5 * sq_norm(pts))
-    return float(np.sum(wts * weight * fn(pts)))
+    values = np.empty(len(pts))
+    for k in range(0, len(pts), _MC_CHUNK):
+        values[k:k + _MC_CHUNK] = fn(pts[k:k + _MC_CHUNK])
+    return float(np.sum(wts * weight * values))
 
 
 def graph_cap_weighted_area(u, R: float, quad: Optional[QuadratureSpec] = None) -> float:
@@ -308,8 +311,9 @@ def graph_cap_weighted_area(u, R: float, quad: Optional[QuadratureSpec] = None) 
     R2 = R * R
 
     def slope_inside(x):
-        du = np.asarray(u.value(x), dtype=float) - u0
-        return graph_slope(u, x) * (sq_norm(x) + du * du <= R2)
+        value, grad = u.jet(x, 1)
+        du = value - u0
+        return np.sqrt(1.0 + sq_norm(grad)) * (sq_norm(x) + du * du <= R2)
 
     return gaussian_ball_integral(
         slope_inside, n, R, quad or QuadratureSpec(method="monte_carlo")

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from gaussmin.density import Density, DomainError, Profile, horizontal_gaussian
 from gaussmin.graph import (
+    _PRESETS,
     BUMP_COUNT,
     SINUSOID_AMPLITUDE,
     GraphFunction,
@@ -30,7 +31,7 @@ from gaussmin.graph import (
     random_quadratic_graph,
     tangent_distance_suite,
 )
-from gaussmin.measure import QuadratureSpec, gaussian_ball_volume
+from gaussmin.measure import QuadratureSpec, gaussian_ball_volume, graph_cap_weighted_area
 from gaussmin.rng import substream
 from gaussmin.surface import CurvatureReport, tangent_plane_distance, weighted_mean_curvature
 
@@ -143,12 +144,30 @@ def test_batched_graph_report_matches_pointwise_calls(name):
             assert np.max(diff) <= 1e-15, (field.name, idx)
 
 
-def test_fd_fallbacks_match_analytic_providers():
-    exact = GraphFunction.sinusoid(2)
-    bare = GraphFunction(dimension=2, u=exact.u)
+def central_difference(fn, x, step):
+    """O(step^2) central differences of fn at x; the partial along x[i]
+    sits at index i of the last axis."""
+    x = np.asarray(x, dtype=float)
+    steps = step * np.eye(x.shape[-1])
+    return np.stack([(fn(x + e) - fn(x - e)) / (2.0 * step) for e in steps], axis=-1)
+
+
+def difference_gradient_and_hessian(u, x):
+    """Gradient of u.value with step 1e-6, and the symmetrized Hessian as
+    step-1e-4 differences of that gradient."""
+    def grad(p):
+        return central_difference(u.value, p, 1e-6)
+
+    hess = central_difference(grad, x, 1e-4)
+    return grad(x), 0.5 * (hess + np.swapaxes(hess, -1, -2))
+
+
+def test_sinusoid_derivatives_match_central_differences():
+    u = GraphFunction.sinusoid(2)
     for p in ([0.3, -1.2], [1.7, 0.4]):
-        assert np.max(np.abs(exact.gradient(p) - bare.gradient(p))) <= 1e-6
-        assert np.max(np.abs(exact.hessian(p) - bare.hessian(p))) <= 1e-4
+        grad, hess = difference_gradient_and_hessian(u, p)
+        assert np.max(np.abs(u.gradient(p) - grad)) <= 1e-6
+        assert np.max(np.abs(u.hessian(p) - hess)) <= 1e-4
 
 
 # ------------------------------------------- column kernels vs broadcast formulas
@@ -264,6 +283,69 @@ def test_sinusoid_columns_match_broadcast_formulas(n):
         assert np.array_equal(u.gradient(x), grad(x))
         assert np.array_equal(u.hessian(x), hess(x))
         assert same_bits(u.value(x), value(x)) and same_bits(u.gradient(x), grad(x))
+
+
+# --------------------------------------------------------------------- the jet
+
+def assert_jet_matches_views(u, x):
+    views = (u.value(x), u.gradient(x), u.hessian(x))
+    for order in range(3):
+        terms = u.jet(x, order)
+        assert len(terms) == order + 1
+        for term, view in zip(terms, views):
+            assert same_bits(term, view), order
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("name", list(_PRESETS))
+def test_jet_of_every_order_matches_value_gradient_and_hessian(name, n):
+    u = graph_preset(name, n, seed=7387)
+    for x in kernel_sample_points(n, 3):
+        assert_jet_matches_views(u, x)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_jet_of_stacked_quadratic_family_matches_its_views(n):
+    rng = substream(41, n)
+    c, a, q = (rng.uniform(-1.0, 1.0, shape) for shape in [6, (6, n), (6, n, n)])
+    family = GraphFunction.quadratic_form(c, a, q)
+    x = kernel_sample_points(n, 3)[2]  # shape (5, 6, n): one point per member, five times
+    for pts in (x, x[0]):
+        assert_jet_matches_views(family, pts)
+
+
+def counted_jet(u):
+    """u with a jet that logs (points shape, order) per call."""
+    calls = []
+
+    def jet(x, order):
+        calls.append((x.shape, order))
+        return u.jet(x, order)
+
+    return dataclasses.replace(u, jet=jet), calls
+
+
+def test_cap_and_curvature_build_one_jet_per_chunk():
+    u = graph_preset("random_bump", 2, seed=7387)
+    counted, calls = counted_jet(u)
+    spec = QuadratureSpec(method="monte_carlo", samples=1_000_000, seed=3)
+    area = graph_cap_weighted_area(counted, 1.9, spec)
+    assert same_bits(area, graph_cap_weighted_area(u, 1.9, spec))
+    chunk = 1 << 18
+    # u(0) once, then one first-order jet per 2^18-sample chunk: 4 calls
+    assert calls == [((2,), 0)] + [((chunk, 2), 1)] * 3 + [((1_000_000 - 3 * chunk, 2), 1)]
+    x = substream(5, 0).uniform(-2.0, 2.0, size=(9, 7, 2))
+    calls.clear()
+    graph_weighted_mean_curvature(counted, HG2, x)
+    graph_mean_curvature(counted, x)
+    assert calls == [((9, 7, 2), 2)] * 2
+
+
+def test_graph_function_needs_a_jet():
+    with pytest.raises(TypeError):
+        GraphFunction(dimension=2, name="bare")
+    with pytest.raises(TypeError):
+        GraphFunction(dimension=2, u=lambda x: x[..., 0])
 
 
 # ----------------------------------------------------------- hyperplane classes
@@ -384,10 +466,10 @@ def test_bernstein_monte_carlo_route_agrees():
 
 def test_quadratic_form_derivatives_match_fd():
     u = GraphFunction.quadratic_form(0.3, [0.5, -0.2], [[0.4, 0.1], [0.1, -0.3]])
-    bare = GraphFunction(dimension=2, u=u.u)
     x = np.array([0.7, -1.1])
-    assert np.max(np.abs(u.gradient(x) - bare.gradient(x))) <= 1e-6
-    assert np.max(np.abs(u.hessian(x) - bare.hessian(x))) <= 1e-4
+    grad, hess = difference_gradient_and_hessian(u, x)
+    assert np.max(np.abs(u.gradient(x) - grad)) <= 1e-6
+    assert np.max(np.abs(u.hessian(x) - hess)) <= 1e-4
 
 
 def test_stacked_quadratic_form_matches_its_members():
