@@ -106,6 +106,11 @@ def cases() -> list[list[str]]:
         for method in ("quadrature", "monte_carlo"):
             out.append(["measure", "--quantity", quantity, "--method", method,
                         "--n", "8", *MEASURE_ARGS])
+    # 600,001 samples: two 2^18-sample chunk boundaries
+    out.append(["measure", "--quantity", "cap", "--init", "random_bump", "--method", "monte_carlo",
+                "--n", "3", "--R", "1.7", "--samples", "600001"])
+    out.append(["measure", "--quantity", "hemisphere", "--method", "monte_carlo", "--n", "8",
+                "--R", "1.7", "--samples", "600001"])
     return out + ERROR_CASES
 
 

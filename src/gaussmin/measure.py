@@ -32,7 +32,8 @@ import numpy as np
 from .density import Density, sq_norm
 from .rng import DEFAULT_SEED, substream
 
-_MC_CHUNK = 1 << 18
+_MC_CHUNK = 1 << 18  # samples per counter-keyed stream
+_ROW_BLOCK = 1 << 13  # rows per integrand call: its temporaries stay in cache
 QUAD_ORDER = 64  # Gauss-Legendre nodes in the radius or the polar angle
 QUAD_ANGULAR_ORDER = 64  # nodes per angular coordinate of the direction rule
 GAUSSIAN_MASS_MARGIN = 10.0  # P(|X| >= sqrt(n) + t) <= e^{-t^2/2} < 2e-22 at t = 10
@@ -128,17 +129,24 @@ def gaussian_mc_mean(
     """Mean and standard error of fn(X) for X ~ N(0, I_n).
 
     Expectations against the standard normal are exactly integrals against
-    the normalized Gaussian weight.  Sampling is chunked into counter-keyed
-    substreams, so the result does not depend on how chunks are scheduled.
+    the normalized Gaussian weight.  Each ``_MC_CHUNK`` samples form one
+    counter-keyed substream, so the result does not depend on how chunks are
+    scheduled.  Within a chunk, ``fn`` sees ``_ROW_BLOCK`` rows at a time,
+    drawn in order from the chunk's stream; blocks are only the evaluation
+    unit, so ``fn`` must act row-wise.
     """
+    if samples < 1:
+        raise ValueError("monte carlo needs at least one sample")
     total = 0.0
     total_sq = 0.0
     done = 0
     stream = 0
     while done < samples:
         take = min(_MC_CHUNK, samples - done)
-        x = substream(seed, stream).standard_normal((take, n))
-        v = np.asarray(fn(x), dtype=float)
+        rng = substream(seed, stream)
+        v = np.empty(take)
+        for k in range(0, take, _ROW_BLOCK):
+            v[k:k + _ROW_BLOCK] = fn(rng.standard_normal((min(_ROW_BLOCK, take - k), n)))
         total += float(np.sum(v))
         total_sq += float(np.sum(v * v))
         done += take
@@ -285,15 +293,15 @@ def gaussian_ball_integral(
 
     ``fn`` must vanish outside B^n(0, R): the Monte Carlo route averages it
     over all of R^n, the spherical_product route only sees the ball.  Both
-    routes call it on at most ``_MC_CHUNK`` rows at once, so it acts row-wise.
+    routes call it on at most ``_ROW_BLOCK`` rows at once, so it acts row-wise.
     """
     if spec.method == "monte_carlo":
         return gaussian_mc_mean(fn, n, spec.samples, spec.seed)[0]
     pts, wts = ball_quadrature(n, min(R, math.sqrt(n) + GAUSSIAN_MASS_MARGIN))
     weight = (2.0 * math.pi) ** (-n / 2.0) * np.exp(-0.5 * sq_norm(pts))
     values = np.empty(len(pts))
-    for k in range(0, len(pts), _MC_CHUNK):
-        values[k:k + _MC_CHUNK] = fn(pts[k:k + _MC_CHUNK])
+    for k in range(0, len(pts), _ROW_BLOCK):
+        values[k:k + _ROW_BLOCK] = fn(pts[k:k + _ROW_BLOCK])
     return float(np.sum(wts * weight * values))
 
 

@@ -325,15 +325,17 @@ def counted_jet(u):
     return dataclasses.replace(u, jet=jet), calls
 
 
-def test_cap_and_curvature_build_one_jet_per_chunk():
+def test_cap_and_curvature_build_one_jet_per_row_block():
     u = graph_preset("random_bump", 2, seed=7387)
     counted, calls = counted_jet(u)
     spec = QuadratureSpec(method="monte_carlo", samples=1_000_000, seed=3)
     area = graph_cap_weighted_area(counted, 1.9, spec)
     assert same_bits(area, graph_cap_weighted_area(u, 1.9, spec))
-    chunk = 1 << 18
-    # u(0) once, then one first-order jet per 2^18-sample chunk: 4 calls
-    assert calls == [((2,), 0)] + [((chunk, 2), 1)] * 3 + [((1_000_000 - 3 * chunk, 2), 1)]
+    block = 1 << 13
+    # u(0) once, then one first-order jet per 8,192-row block: 32 blocks in
+    # each of the three full 2^18-sample chunks, then the last chunk's 213,568
+    # samples as 26 full blocks and one of 576 rows (123 calls)
+    assert calls == [((2,), 0)] + [((block, 2), 1)] * (3 * 32 + 26) + [((576, 2), 1)]
     x = substream(5, 0).uniform(-2.0, 2.0, size=(9, 7, 2))
     calls.clear()
     graph_weighted_mean_curvature(counted, HG2, x)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate, special, stats
 
-from gaussmin.density import density_from_name, horizontal_gaussian
+from gaussmin.density import density_from_name, horizontal_gaussian, sq_norm
 from gaussmin.graph import GraphFunction, graph_preset
 from gaussmin.measure import (
     QuadratureSpec,
@@ -13,6 +13,7 @@ from gaussmin.measure import (
     ball_quadrature,
     bound_sweep,
     exact_lateral_tail,
+    gaussian_ball_integral,
     gaussian_ball_volume,
     gaussian_ball_volume_mc,
     gaussian_mc_mean,
@@ -94,6 +95,59 @@ def test_monte_carlo_is_bit_reproducible():
     est, _ = gaussian_mc_mean(lambda x: np.sum(x * x, axis=-1), 2, 150_000, 99)
     est2, _ = gaussian_mc_mean(lambda x: np.sum(x * x, axis=-1), 2, 150_000, 99)
     assert est == est2
+
+
+def whole_chunk_mc_mean(fn, n, samples, seed):
+    """gaussian_mc_mean as one fn call per 2^18-sample chunk of substream(seed, k)."""
+    chunk, total, total_sq = 1 << 18, 0.0, 0.0
+    for k, start in enumerate(range(0, samples, chunk)):
+        v = np.asarray(fn(substream(seed, k).standard_normal((min(chunk, samples - start), n))))
+        total += float(np.sum(v))
+        total_sq += float(np.sum(v * v))
+    mean = total / samples
+    return mean, math.sqrt(max(total_sq / samples - mean * mean, 0.0) / samples)
+
+
+@pytest.mark.parametrize("n", [1, 3, 9])
+def test_row_blocks_match_whole_chunk_evaluation_bit_for_bit(n):
+    # 600,001 samples: two chunk boundaries, and a last chunk that is not a
+    # whole number of row blocks; at n = 9 sq_norm takes its np.sum path
+    def fn(x):
+        r2 = sq_norm(x)
+        return np.sqrt(1.0 + r2) * np.exp(-0.25 * x[:, -1]) * (r2 <= 1.2 * n)
+
+    got = gaussian_mc_mean(fn, n, 600_001, 17)
+    assert np.array(got).tobytes() == np.array(whole_chunk_mc_mean(fn, n, 600_001, 17)).tobytes()
+
+
+def test_ball_quadrature_blocks_match_one_shot_evaluation_bit_for_bit():
+    # the n = 3 ball rule: 64 x 64^2 = 262,144 nodes, 32 row blocks
+    u, R = graph_preset("random_bump", 3, 7387), 1.7
+    u0 = float(u.value(np.zeros(3)))
+    rows = []
+
+    def fn(x):
+        rows.append(len(x))
+        value, grad = u.jet(x, 1)
+        return np.sqrt(1.0 + sq_norm(grad)) * (sq_norm(x) + (value - u0) ** 2 <= R * R)
+
+    got = gaussian_ball_integral(fn, 3, R, QuadratureSpec())
+    assert rows == [1 << 13] * 32
+    pts, wts = ball_quadrature(3, R)
+    weight = (2.0 * math.pi) ** -1.5 * np.exp(-0.5 * sq_norm(pts))
+    assert got == float(np.sum(wts * weight * fn(pts)))
+    assert got == graph_cap_weighted_area(u, R, QuadratureSpec())
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_monte_carlo_needs_at_least_one_sample(samples):
+    with pytest.raises(ValueError):
+        gaussian_mc_mean(lambda x: x[:, 0], 2, samples)
+    with pytest.raises(ValueError):
+        gaussian_ball_volume_mc(2, 1.0, samples)
+    with pytest.raises(ValueError):
+        weighted_sphere_area_mc(horizontal_gaussian(2), 2, 1.0, samples=samples)
+    assert gaussian_mc_mean(lambda x: x[:, 0], 2, 1)[1] == 0.0
 
 
 # ----------------------------------------------------------------- quadratures
