@@ -5,9 +5,10 @@ Every case runs in process through ``gaussmin.cli.main`` and prints one line
 
     case exit_code sha256(stdout) sha256(stderr) sha256(--out) sha256(--field-out)
 
-with ``-`` for a file the command does not write.  A case that raises is
-recorded as the interpreter would exit, with code 1, and its stderr as the
-exception's last line; warnings enter stderr as ``Category: message``
+with ``-`` for a file the command does not write.  A ``--config`` case
+names its config as compact JSON in place of the file.  A case that raises
+is recorded as the interpreter would exit, with code 1, and its stderr as
+the exception's last line; warnings enter stderr as ``Category: message``
 without the source path, so checkouts in different directories compare.
 Run it with each checkout's ``src`` on ``PYTHONPATH`` and diff the two
 listings to see which outputs, exit codes or error messages a change
@@ -25,6 +26,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -53,6 +55,27 @@ ERROR_CASES = [
     ["measure", "--quantity", "sphere", "--n", "3", "--R", "1e200"],
     ["measure", "--quantity", "hemisphere", "--n", "2", "--method", "monte_carlo",
      "--samples", "1000", "--R", "1e200"],
+    ["curvature", "--surface", "cylinder", "--params", "radius=2"],
+    ["flow", "--init", "sinusoid:3", "--grid", "9"],
+    ["flow", "--init", "linear:2", "--grid", "9"],
+    ["bound", "--steps", "0"],
+]
+
+# a dict stands for --config with a file holding it; every option of each
+# command is set to a value other than its default
+CONFIG_CASES = [
+    ["verify", {"tolerance": 1e-4, "only": "identity", "seed": 7387}],
+    ["bound", {"n": 3, "rmin": 1, "rmax": 2.5, "steps": 4}],
+    ["flow", {"n": 2, "L": 3.5, "grid": 17, "init": "random_bump", "tmax": 2,
+              "osc_tol": 0.01, "hf_tol": 0.01, "seed": 5}],
+    ["curvature", {"surface": "graph", "params": ["preset=random_bump", "seed=5"],
+                   "at": "0.4,-0.2", "density": "gaussian"}],
+    ["planes", {"profile": "quadratic:0.3", "lo": -1, "hi": 1}],
+    ["measure", {"quantity": "cap", "n": 2, "R": 1.7, "method": "monte_carlo",
+                 "samples": 200000, "seed": 5, "init": "random_bump"}],
+    # flags override the config, and --params flags replace its params list
+    ["curvature", {"surface": "graph", "params": ["preset=random_bump", "seed=5"],
+                   "at": "0.4,-0.2"}, "--params", "preset=sinusoid", "--at", "0.3,-1.2"],
 ]
 
 
@@ -111,7 +134,7 @@ def cases() -> list[list[str]]:
                 "--n", "3", "--R", "1.7", "--samples", "600001"])
     out.append(["measure", "--quantity", "hemisphere", "--method", "monte_carlo", "--n", "8",
                 "--R", "1.7", "--samples", "600001"])
-    return out + ERROR_CASES
+    return out + CONFIG_CASES + ERROR_CASES
 
 
 def _digest(path: str) -> str:
@@ -121,13 +144,22 @@ def _digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def run_case(args: list[str], workdir: str) -> str:
+def run_case(args: list, workdir: str) -> str:
     out_path = os.path.join(workdir, "out")
     field_path = os.path.join(workdir, "field")
+    config_path = os.path.join(workdir, "config.json")
     for path in (out_path, field_path):
         if os.path.exists(path):
             os.remove(path)
-    argv = [*args, "--out", out_path]
+    argv = []
+    for arg in args:
+        if isinstance(arg, dict):
+            with open(config_path, "w", encoding="utf-8") as fh:
+                json.dump(arg, fh)
+            argv += ["--config", config_path]
+        else:
+            argv.append(arg)
+    argv += ["--out", out_path]
     if args[0] == "flow":
         argv += ["--field-out", field_path]
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -145,7 +177,10 @@ def run_case(args: list[str], workdir: str) -> str:
         stderr.write(f"{w.category.__name__}: {w.message}\n")
     digests = [_text_digest(stdout.getvalue()), _text_digest(stderr.getvalue()),
                _digest(out_path), _digest(field_path)]
-    return " ".join(["_".join(args), str(code), *digests])
+    label = "_".join(
+        a if isinstance(a, str) else json.dumps(a, separators=(",", ":")) for a in args
+    )
+    return " ".join([label, str(code), *digests])
 
 
 def _text_digest(text: str) -> str:

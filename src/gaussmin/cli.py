@@ -168,7 +168,7 @@ def _cmd_verify(ns: dict) -> int:
 # -------------------------------------------------------------------- bound
 
 def _cmd_bound(ns: dict) -> int:
-    if ns["steps"] < 1 or ns["rmax"] < ns["rmin"]:
+    if ns["rmax"] < ns["rmin"]:
         raise UsageError("bad radius range")
     radii = np.linspace(ns["rmin"], ns["rmax"], ns["steps"])
     rows = measure.bound_sweep(ns["n"], radii)
@@ -219,10 +219,23 @@ def _chart_point(text: str, dim: int) -> np.ndarray:
     return at
 
 
+# surface -> the --params keys it takes
+_SURFACE_PARAMS = {
+    "cylinder": ["r"], "plane": ["normal", "offset"], "horizontal_plane": ["a", "profile"],
+    "associate": ["theta"], "graph": ["n", "preset", "seed"],
+}
+
+
 def _resolve_surface(ns: dict):
     """Returns (surface, density, chart point) for the curvature command."""
     params = _parse_params(ns["params"])
     name = ns["surface"]
+    if name not in _SURFACE_PARAMS:
+        raise UsageError(f"unknown surface '{name}'")
+    takes = _SURFACE_PARAMS[name]
+    unknown = sorted(set(params) - set(takes))
+    if unknown:
+        raise UsageError(f"unknown --params keys {unknown}: surface '{name}' takes {takes}")
 
     def number(key: str, default, kind=float):
         return _finite(params.get(key, default), f"--params {key}", kind)
@@ -243,12 +256,10 @@ def _resolve_surface(ns: dict):
     elif name == "associate":
         surf = catalog.make_associate_family(number("theta", 0.0))
         dens = horizontal_gaussian(2)
-    elif name == "graph":
+    else:  # "graph"
         n = number("n", 2, int)
         surf = _graph_preset(params.get("preset", "parabola"), n, number("seed", DEFAULT_SEED, int))
         dens = horizontal_gaussian(n)
-    else:
-        raise UsageError(f"unknown surface '{name}'")
     if ns.get("density"):
         dens = _checked("--density", density_from_name, ns["density"], dens.dimension)
     dim = surf.dimension if isinstance(surf, GraphFunction) else surf.chart_dim
@@ -326,7 +337,7 @@ def _cmd_measure(ns: dict) -> int:
 
 # option -> (test of its value, what the test asks), for whichever command has it
 _RANGES = {
-    "n": (lambda v: v >= 1, ">= 1"),
+    **dict.fromkeys(("n", "steps"), (lambda v: v >= 1, ">= 1")),
     "grid": (lambda v: v >= 3, ">= 3"),
     "samples": (lambda v: v >= 1_000, ">= 1000"),
     "L": (lambda v: 0.0 < v < math.inf, "finite and positive"),
@@ -345,108 +356,66 @@ def _check_ranges(ns: dict) -> None:
             raise UsageError(f"{key} must be {requirement}, got {ns[key]}")
 
 
-_DEFAULTS: dict[str, dict] = {
-    "verify": {"tolerance": 1e-5, "only": "all", "out": None, "seed": DEFAULT_SEED},
-    "bound": {"n": 2, "rmin": 0.5, "rmax": 6.0, "steps": 12, "out": None},
-    "flow": {
-        "n": 1,
-        "L": 4.0,
-        "grid": 257,
-        "init": "sinusoid",
-        "tmax": 50.0,
-        "osc_tol": 0.005,
-        "hf_tol": 0.005,
-        "seed": DEFAULT_SEED,
-        "out": None,
-        "field_out": None,
-    },
-    "curvature": {"surface": "cylinder", "params": [], "at": "", "density": None, "out": None},
-    "planes": {"profile": "quad_log", "lo": 0.0, "hi": 2.0, "out": None},
-    "measure": {
-        "quantity": "ball",
-        "n": 2,
-        "R": 1.0,
-        "method": "quadrature",
-        "samples": 1_000_000,
-        "seed": DEFAULT_SEED,
-        "init": "constant",
-        "out": None,
-    },
-}
+_SEED = (DEFAULT_SEED, lambda s: int(s, 0))  # any base: 7387 or 0x1cdb
 
-_HANDLERS = {
-    "verify": _cmd_verify,
-    "bound": _cmd_bound,
-    "flow": _cmd_flow,
-    "curvature": _cmd_curvature,
-    "planes": _cmd_planes,
-    "measure": _cmd_measure,
+# command -> (handler, help, {option: (default, type or list of choices)}).
+# An option's flag is --option with '-' for '_'; the type ``list`` makes a
+# repeatable flag.  Every command also takes --out (``_options``) and --config.
+_COMMANDS: dict[str, tuple] = {
+    "verify": (_cmd_verify, "run catalog, calibration and distance-identity checks", {
+        "tolerance": (1e-5, float),
+        "only": ("all", ["all", "catalog", "calibration", "identity"]),
+        "seed": _SEED,
+    }),
+    "bound": (_cmd_bound, "CSV sweep of the volume-growth report", {
+        "n": (2, int), "rmin": (0.5, float), "rmax": (6.0, float), "steps": (12, int),
+    }),
+    "flow": (_cmd_flow, "weighted mean-curvature flow run", {
+        "n": (1, int), "L": (4.0, float), "grid": (257, int), "init": ("sinusoid", str),
+        "tmax": (50.0, float), "osc_tol": (0.005, float), "hf_tol": (0.005, float),
+        "seed": _SEED, "field_out": (None, str),
+    }),
+    "curvature": (_cmd_curvature, "single-point weighted curvature report", {
+        "surface": ("cylinder", str), "params": ((), list), "at": ("", str), "density": (None, str),
+    }),
+    "planes": (_cmd_planes, "roots of the profile slope (stationary horizontal planes)", {
+        "profile": ("quad_log", str), "lo": (0.0, float), "hi": (2.0, float),
+    }),
+    "measure": (_cmd_measure, "Gaussian measure quantities", {
+        "quantity": ("ball", ["unit-ball", "ball", "sphere", "hemisphere", "cap"]),
+        "n": (2, int), "R": (1.0, float), "method": ("quadrature", ["quadrature", "monte_carlo"]),
+        "samples": (1_000_000, int), "seed": _SEED, "init": ("constant", str),
+    }),
 }
 
 
-def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+def _options(command: str) -> dict:
+    """The command's ``_COMMANDS`` options with --out; the config file keys."""
+    return {**_COMMANDS[command][2], "out": (None, str)}
+
+
+def _build_parser() -> _Parser:
     sup = argparse.SUPPRESS
     parser = _Parser(prog="gaussmin", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="run catalog, calibration and distance-identity checks")
-    p.add_argument("--tolerance", type=float, default=sup)
-    p.add_argument("--only", choices=["all", "catalog", "calibration", "identity"], default=sup)
-    p.add_argument("--out", default=sup)
-    p.add_argument("--seed", type=lambda s: int(s, 0), default=sup)
-
-    p = sub.add_parser("bound", help="CSV sweep of the volume-growth report")
-    p.add_argument("--n", type=int, default=sup)
-    p.add_argument("--rmin", type=float, default=sup)
-    p.add_argument("--rmax", type=float, default=sup)
-    p.add_argument("--steps", type=int, default=sup)
-    p.add_argument("--out", default=sup)
-
-    p = sub.add_parser("flow", help="weighted mean-curvature flow run")
-    p.add_argument("--n", type=int, default=sup)
-    p.add_argument("--L", type=float, default=sup)
-    p.add_argument("--grid", type=int, default=sup)
-    p.add_argument("--init", default=sup)
-    p.add_argument("--tmax", type=float, default=sup)
-    p.add_argument("--osc-tol", dest="osc_tol", type=float, default=sup)
-    p.add_argument("--hf-tol", dest="hf_tol", type=float, default=sup)
-    p.add_argument("--seed", type=lambda s: int(s, 0), default=sup)
-    p.add_argument("--out", default=sup)
-    p.add_argument("--field-out", dest="field_out", default=sup)
-
-    p = sub.add_parser("curvature", help="single-point weighted curvature report")
-    p.add_argument("--surface", default=sup)
-    p.add_argument("--params", action="append", default=sup)
-    p.add_argument("--at", default=sup)
-    p.add_argument("--density", default=sup)
-    p.add_argument("--out", default=sup)
-
-    p = sub.add_parser("planes", help="roots of the profile slope (stationary horizontal planes)")
-    p.add_argument("--profile", default=sup)
-    p.add_argument("--lo", type=float, default=sup)
-    p.add_argument("--hi", type=float, default=sup)
-    p.add_argument("--out", default=sup)
-
-    p = sub.add_parser("measure", help="Gaussian measure quantities")
-    p.add_argument(
-        "--quantity", choices=["unit-ball", "ball", "sphere", "hemisphere", "cap"], default=sup
-    )
-    p.add_argument("--n", type=int, default=sup)
-    p.add_argument("--R", type=float, default=sup)
-    p.add_argument("--method", choices=["quadrature", "monte_carlo"], default=sup)
-    p.add_argument("--samples", type=int, default=sup)
-    p.add_argument("--seed", type=lambda s: int(s, 0), default=sup)
-    p.add_argument("--init", default=sup)
-    p.add_argument("--out", default=sup)
-
-    for sp in sub.choices.values():
-        sp.add_argument("--config", default=sup, help="JSON config file; flags override")
-    return parser, sub.choices
+    for command, (_, help_text, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for key, (_, kind) in _options(command).items():
+            if kind is list:
+                how = {"action": "append"}
+            elif isinstance(kind, list):
+                how = {"choices": kind}
+            else:
+                how = {"type": kind}
+            flag = "--" + key.replace("_", "-")
+            p.add_argument(flag, dest=key, default=sup, **how)
+        p.add_argument("--config", default=sup, help="JSON config file; flags override")
+    return parser
 
 
-def _read_config(path: str, command: argparse.ArgumentParser, known: dict) -> dict:
-    """The config file's values, each converted and checked by the type and
-    choices of its flag, as its text would be on the command line."""
+def _read_config(path: str, options: dict) -> dict:
+    """The config file's values, each converted and checked by its option's
+    type or choices, as its text would be on the command line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
@@ -454,43 +423,44 @@ def _read_config(path: str, command: argparse.ArgumentParser, known: dict) -> di
         raise UsageError(f"cannot read config: {exc}") from None
     if not isinstance(loaded, dict):
         raise UsageError("config must be a JSON object")
-    unknown = set(loaded) - set(known)
+    unknown = set(loaded) - set(options)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    actions = {a.dest: a for a in command._actions}
     for key, value in loaded.items():
-        if key == "params":
+        kind = options[key][1]
+        if kind is list:
             if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-                raise UsageError("config params must be a list of strings")
+                raise UsageError(f"config {key} must be a list of strings")
             continue
         if isinstance(value, bool) or not isinstance(value, (str, int, float)):
             raise UsageError(f"config {key} must be a string or a number, got {json.dumps(value)}")
-        action = actions[key]
+        if isinstance(kind, list):
+            if str(value) not in kind:
+                raise UsageError(f"config {key} must be one of {kind}, got {json.dumps(value)}")
+            kind = str
         try:
-            loaded[key] = (action.type or str)(str(value))
+            loaded[key] = kind(str(value))
         except ValueError:
             raise UsageError(f"config {key}: invalid value {json.dumps(value)}") from None
-        if action.choices is not None and loaded[key] not in action.choices:
-            raise UsageError(f"config {key} must be one of {action.choices}, got {json.dumps(value)}")
     return loaded
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser, commands = _build_parser()
-    ns = vars(parser.parse_args(argv))
+    ns = vars(_build_parser().parse_args(argv))
     command = ns.pop("command")
     config_path = ns.pop("config", None)
-    merged = dict(_DEFAULTS[command])
+    options = _options(command)
+    merged = {key: default for key, (default, _) in options.items()}
     try:
         if config_path:
-            merged.update(_read_config(config_path, commands[command], merged))
-        merged.update(ns)
+            merged.update(_read_config(config_path, options))
+        merged.update(ns)  # a flag replaces its config value; --params too
         _check_ranges(merged)
-        return _HANDLERS[command](merged)
+        return _COMMANDS[command][0](merged)
     except UsageError as exc:
         print(f"gaussmin: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, ValueError, OverflowError) as exc:
+    except (OSError, ValueError, OverflowError, MemoryError) as exc:
         print(f"gaussmin: error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -224,9 +224,11 @@ def initial_field(
     """Build a named initial condition on the grid.
 
     ``init`` is one of ``constant[:a]``, ``sinusoid``, ``linear`` or
-    ``random_bump`` (seeded).
+    ``random_bump[:amplitude]`` (seeded).
     """
-    name, _, arg = init.partition(":")
+    name, sep, arg = init.partition(":")
+    if sep and name in ("sinusoid", "linear"):
+        raise ValueError(f"initial condition '{name}' takes no argument, got '{init}'")
     if name == "constant":
         g = GraphFunction.constant(n, float(arg) if arg else 0.0)
     elif name == "sinusoid":

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import gaussmin
+from gaussmin import measure
 from gaussmin.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from gaussmin.flow import AREA_SLACK, flow_run, initial_field, initial_state
 from gaussmin.graph import GraphFunction
@@ -260,6 +261,43 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
         ("bound", {"rmin": None}, None),
         ("curvature", {"params": "r=2"}, None),
         ("verify", {"seed": "7", "only": "identity"}, ["--seed", "7", "--only", "identity"]),
+        # every option of each command, none at its default
+        (
+            "verify",
+            {"tolerance": 1e-4, "only": "identity", "seed": 7387},
+            ["--tolerance", "1e-4", "--only", "identity", "--seed", "7387"],
+        ),
+        (
+            "bound",
+            {"n": 3, "rmin": 1, "rmax": 2.5, "steps": 4},
+            ["--n", "3", "--rmin", "1", "--rmax", "2.5", "--steps", "4"],
+        ),
+        (
+            "flow",
+            {"n": 2, "L": 3.5, "grid": 9, "init": "random_bump", "tmax": 0.5, "osc_tol": 0.01,
+             "hf_tol": 0.01, "seed": 5, "field_out": "-"},
+            ["--n", "2", "--L", "3.5", "--grid", "9", "--init", "random_bump", "--tmax", "0.5",
+             "--osc-tol", "0.01", "--hf-tol", "0.01", "--seed", "5", "--field-out", "-"],
+        ),
+        (
+            "curvature",
+            {"surface": "graph", "params": ["preset=random_bump", "seed=5"], "at": "0.4,-0.2",
+             "density": "gaussian"},
+            ["--surface", "graph", "--params", "preset=random_bump", "--params", "seed=5",
+             "--at", "0.4,-0.2", "--density", "gaussian"],
+        ),
+        (
+            "planes",
+            {"profile": "quadratic:0.3", "lo": -1, "hi": 1},
+            ["--profile", "quadratic:0.3", "--lo", "-1", "--hi", "1"],
+        ),
+        (
+            "measure",
+            {"quantity": "cap", "n": 2, "R": 1.7, "method": "monte_carlo", "samples": 2000,
+             "seed": 5, "init": "random_bump"},
+            ["--quantity", "cap", "--n", "2", "--R", "1.7", "--method", "monte_carlo",
+             "--samples", "2000", "--seed", "5", "--init", "random_bump"],
+        ),
     ],
 )
 def test_config_values_are_checked_like_flags(tmp_path, capsys, command, config, flags):
@@ -275,9 +313,25 @@ def test_config_values_are_checked_like_flags(tmp_path, capsys, command, config,
         assert not out.exists()
     else:
         assert code == EXIT_OK
+        by_config = capsys.readouterr()
         by_flags = tmp_path / "flags.out"
         assert run([command, *flags, "--out", str(by_flags)]) == EXIT_OK
         assert out.read_bytes() == by_flags.read_bytes()
+        assert capsys.readouterr() == by_config
+
+
+def test_params_flags_replace_the_config_params(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"surface": "graph", "params": ["preset=random_bump", "seed=5"]}))
+    outs = {name: tmp_path / name for name in ("config", "flags", "seed5")}
+    args = ["curvature", "--params", "preset=random_bump", "--at", "0.4,-0.2"]
+    assert run([*args, "--config", str(cfg), "--out", str(outs["config"])]) == EXIT_OK
+    # the config's seed=5 is dropped, not merged with the flags
+    args += ["--surface", "graph"]
+    assert run([*args, "--out", str(outs["flags"])]) == EXIT_OK
+    assert run([*args, "--params", "seed=5", "--out", str(outs["seed5"])]) == EXIT_OK
+    assert outs["config"].read_bytes() == outs["flags"].read_bytes()
+    assert outs["config"].read_bytes() != outs["seed5"].read_bytes()
 
 
 def test_usage_error_exit_code(capsys):
@@ -353,6 +407,12 @@ def test_bad_chart_point_is_usage_error(args, capsys):
         ["curvature", "--surface", "plane", "--params", "normal=0:0:0"],
         ["flow", "--init", "bogus", "--grid", "9"],
         ["flow", "--init", "constant:abc", "--grid", "9"],
+        ["flow", "--init", "sinusoid:3", "--grid", "9"],
+        ["flow", "--init", "linear:2", "--grid", "9"],
+        ["curvature", "--surface", "cylinder", "--params", "radius=2"],
+        ["curvature", "--surface", "graph", "--params", "preset=sinusoid", "--params", "r=1"],
+        ["curvature", "--surface", "plane", "--params", "theta=0.5"],
+        ["bound", "--steps", "0"],
     ],
 )
 def test_bad_numeric_option_is_usage_error(args, capsys):
@@ -360,6 +420,36 @@ def test_bad_numeric_option_is_usage_error(args, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "gaussmin:" in captured.err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["bound", "--steps", "0"], "gaussmin: steps must be >= 1, got 0\n"),
+        (
+            ["curvature", "--surface", "cylinder", "--params", "radius=2"],
+            "gaussmin: unknown --params keys ['radius']: surface 'cylinder' takes ['r']\n",
+        ),
+        (
+            ["flow", "--init", "sinusoid:3"],
+            "gaussmin: --init: initial condition 'sinusoid' takes no argument, got 'sinusoid:3'\n",
+        ),
+    ],
+)
+def test_usage_error_names_the_fault(args, message, capsys):
+    assert run(args) == EXIT_USAGE
+    assert capsys.readouterr().err == message
+
+
+def test_out_of_memory_is_runtime_error(monkeypatch, capsys):
+    def out_of_memory(n, radii):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr(measure, "bound_sweep", out_of_memory)
+    assert run(["bound", "--steps", "3"]) == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "gaussmin: error: Unable to allocate 745. GiB for an array\n"
 
 
 @pytest.mark.parametrize(
