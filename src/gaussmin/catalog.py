@@ -25,7 +25,7 @@ from .graph import (
     QUAD_LOG_STATIONARY_HEIGHT,
     graph_curvature_samples,
 )
-from .surface import ParametricSurface, weighted_mean_curvature
+from .surface import ParametricSurface, separate_jet, weighted_mean_curvature
 
 # chart half-extents of the catalog surfaces
 ASSOCIATE_V_MAX = 2.0
@@ -73,47 +73,34 @@ def make_associate_family(theta: float) -> ParametricSurface:
     catenoid (theta = pi/2), on the chart (-pi, pi] x [-ASSOCIATE_V_MAX,
     ASSOCIATE_V_MAX].
 
-    Analytic first and second derivatives are included so curvature
-    residuals sit at roundoff.
+    The jet is analytic, so curvature residuals sit at roundoff.
     """
     ct, st = math.cos(theta), math.sin(theta)
 
-    def trig(p):
+    def jet(p, order):
         u, v = p[..., 0], p[..., 1]
-        return np.sin(u), np.cos(u), np.sinh(v), np.cosh(v)
-
-    def immersion(p):
-        su, cu, sv, cv = trig(p)
-        return _stack(
-            [
-                ct * sv * su + st * cv * cu,
-                -ct * sv * cu + st * cv * su,
-                ct * p[..., 0] + st * p[..., 1],
-            ]
-        )
-
-    def firsts(p):
-        su, cu, sv, cv = trig(p)
-        return _stack(
-            [
-                _stack([ct * sv * cu - st * cv * su, ct * sv * su + st * cv * cu, ct]),
-                _stack([ct * cv * su + st * sv * cu, -ct * cv * cu + st * sv * su, st]),
-            ],
-            axis=-2,
-        )
-
-    def seconds(p):
-        su, cu, sv, cv = trig(p)
-        d_uu = _stack([-ct * sv * su - st * cv * cu, ct * sv * cu - st * cv * su, 0.0])
-        d_uv = _stack([ct * cv * cu - st * sv * su, ct * cv * su + st * sv * cu, 0.0])
-        d_vv = _stack([ct * sv * su + st * cv * cu, -ct * sv * cu + st * cv * su, 0.0])
-        return _stack([_stack([d_uu, d_uv], -2), _stack([d_uv, d_vv], -2)], -3)
+        su, cu, sv, cv = np.sin(u), np.cos(u), np.sinh(v), np.cosh(v)
+        out = [
+            _stack([ct * sv * su + st * cv * cu, -ct * sv * cu + st * cv * su, ct * u + st * v])
+        ]
+        if order >= 1:
+            out.append(_stack(
+                [
+                    _stack([ct * sv * cu - st * cv * su, ct * sv * su + st * cv * cu, ct]),
+                    _stack([ct * cv * su + st * sv * cu, -ct * cv * cu + st * sv * su, st]),
+                ],
+                axis=-2,
+            ))
+        if order == 2:
+            d_uu = _stack([-ct * sv * su - st * cv * cu, ct * sv * cu - st * cv * su, 0.0])
+            d_uv = _stack([ct * cv * cu - st * sv * su, ct * cv * su + st * sv * cu, 0.0])
+            d_vv = _stack([ct * sv * su + st * cv * cu, -ct * sv * cu + st * cv * su, 0.0])
+            out.append(_stack([_stack([d_uu, d_uv], -2), _stack([d_uv, d_vv], -2)], -3))
+        return tuple(out)
 
     return ParametricSurface(
         chart_domain=((-math.pi, math.pi), (-ASSOCIATE_V_MAX, ASSOCIATE_V_MAX)),
-        immersion=immersion,
-        first_derivatives=firsts,
-        second_derivatives=seconds,
+        jet=jet,
         name=f"associate(theta={theta:.6g})",
     )
 
@@ -140,18 +127,17 @@ def make_cylinder(r: float) -> CatalogEntry:
     if r <= 0:
         raise ValueError("radius must be positive")
 
-    def immersion(p):
+    def jet(p, order):
         t = p[..., 0]
-        return _stack([r * np.cos(t), r * np.sin(t), p[..., 1]])
-
-    def firsts(p):
-        t = p[..., 0]
-        return _stack([_stack([-r * np.sin(t), r * np.cos(t), 0.0]), [0.0, 0.0, 1.0]], -2)
-
-    def seconds(p):
-        d_tt = _stack([-r * np.cos(p[..., 0]), -r * np.sin(p[..., 0]), 0.0])
-        zero = np.zeros_like(d_tt)
-        return _stack([_stack([d_tt, zero], -2), _stack([zero, zero], -2)], -3)
+        c, s = r * np.cos(t), r * np.sin(t)
+        out = [_stack([c, s, p[..., 1]])]
+        if order >= 1:
+            out.append(_stack([_stack([-s, c, 0.0]), [0.0, 0.0, 1.0]], -2))
+        if order == 2:
+            d_tt = _stack([-c, -s, 0.0])
+            zero = np.zeros_like(d_tt)
+            out.append(_stack([_stack([d_tt, zero], -2), _stack([zero, zero], -2)], -3))
+        return tuple(out)
 
     target = r - 1.0 / r
     claim = Claim(CLAIM_MINIMAL) if abs(target) < 1e-12 else Claim(CLAIM_CONST_HF, target)
@@ -159,9 +145,7 @@ def make_cylinder(r: float) -> CatalogEntry:
         name=f"cylinder_r{r:g}",
         surface=ParametricSurface(
             chart_domain=((-math.pi, math.pi), (-CYLINDER_HALF_HEIGHT, CYLINDER_HALF_HEIGHT)),
-            immersion=immersion,
-            first_derivatives=firsts,
-            second_derivatives=seconds,
+            jet=jet,
             name=f"cylinder(r={r:g})",
         ),
         density=horizontal_gaussian(2),
@@ -196,16 +180,15 @@ def make_plane(normal, offset: float) -> CatalogEntry:
         raise ValueError("plane normal must be horizontal or vertical")
     p0 = offset * nu
 
-    def immersion(p):
-        return p0 + p[..., :1] * basis[0] + p[..., 1:] * basis[1]
-
     return CatalogEntry(
         name=f"plane_offset{offset:g}",
         surface=ParametricSurface(
             chart_domain=((-PLANE_EXTENT, PLANE_EXTENT),) * 2,
-            immersion=immersion,
-            first_derivatives=lambda p: np.broadcast_to(basis, p.shape[:-1] + (2, 3)).copy(),
-            second_derivatives=lambda p: np.zeros(p.shape[:-1] + (2, 2, 3)),
+            jet=separate_jet(
+                lambda p: p0 + p[..., :1] * basis[0] + p[..., 1:] * basis[1],
+                lambda p: np.broadcast_to(basis, p.shape[:-1] + (2, 3)).copy(),
+                lambda p: np.zeros(p.shape[:-1] + (2, 2, 3)),
+            ),
             name=f"plane(offset={offset:g})",
         ),
         density=horizontal_gaussian(2),

@@ -9,6 +9,7 @@ failures, 2 runtime/step failure, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -394,6 +395,7 @@ def _options(command: str) -> dict:
     return {**_COMMANDS[command][2], "out": (None, str)}
 
 
+@functools.cache  # one parser per process; handlers are looked up per call
 def _build_parser() -> _Parser:
     sup = argparse.SUPPRESS
     parser = _Parser(prog="gaussmin", description=__doc__)

@@ -256,17 +256,3 @@ def density_from_name(spec: str, dimension: int) -> Density:
         )
     raise ValueError(f"unknown density preset '{spec}'")
 
-
-def fd_gradient(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, step: float = 1e-5) -> np.ndarray:
-    """Central finite-difference derivative of fn at points x, O(step^2).
-
-    The partial along x[..., i] sits at index i of the last axis, so a
-    function with values of shape (..., m) gets a (..., m, n) result.
-    """
-    x = np.asarray(x, dtype=float)
-    cols = []
-    for i in range(x.shape[-1]):
-        e = np.zeros_like(x)
-        e[..., i] = step
-        cols.append((fn(x + e) - fn(x - e)) / (2.0 * step))
-    return np.stack(cols, axis=-1)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .density import Density, DomainError, Profile, as_points, sq_norm
 from .rng import DEFAULT_SEED, substream
-from .surface import CurvatureReport, ParametricSurface, tangent_plane_distance
+from .surface import CurvatureReport, ParametricSurface, separate_jet, tangent_plane_distance
 
 SINUSOID_AMPLITUDE = 0.5
 BUMP_COUNT = 4  # Gaussian bumps in a random_bump graph
@@ -52,7 +52,7 @@ class GraphFunction:
     def constant(n: int, level: float = 0.0) -> "GraphFunction":
         return GraphFunction(
             dimension=n,
-            jet=_separate_jet(
+            jet=separate_jet(
                 lambda x: np.full(x.shape[:-1], float(level)),
                 np.zeros_like,
                 lambda x: np.zeros(x.shape + (n,)),
@@ -66,7 +66,7 @@ class GraphFunction:
         n = a.size
         return GraphFunction(
             dimension=n,
-            jet=_separate_jet(
+            jet=separate_jet(
                 lambda x: x @ a + intercept,
                 lambda x: np.broadcast_to(a, x.shape).copy(),
                 lambda x: np.zeros(x.shape + (n,)),
@@ -90,7 +90,7 @@ class GraphFunction:
 
         return GraphFunction(
             dimension=n,
-            jet=_separate_jet(lambda x: x[..., 0] ** 2, grad, hess),
+            jet=separate_jet(lambda x: x[..., 0] ** 2, grad, hess),
             name="parabola",
         )
 
@@ -139,7 +139,7 @@ class GraphFunction:
 
         return GraphFunction(
             dimension=n,
-            jet=_separate_jet(
+            jet=separate_jet(
                 lambda x: intercept + np.vecdot(x, a)
                 + 0.5 * np.einsum("...i,...ij,...j->...", x, q, x),
                 lambda x: a + np.vecmat(x, q),
@@ -198,11 +198,6 @@ class GraphFunction:
             return tuple(scale * term for term in (value, g, h)[:order + 1])
 
         return GraphFunction(dimension=n, jet=jet, name=f"random_bump({seed})")
-
-
-def _separate_jet(*terms):
-    """A jet from value, gradient and Hessian callables that share no terms."""
-    return lambda x, order: tuple(term(x) for term in terms[:order + 1])
 
 
 _PRESETS: dict[str, Callable[[int, int], GraphFunction]] = {
@@ -286,23 +281,22 @@ def as_parametric(u: GraphFunction, box: Sequence[tuple[float, float]]) -> Param
     """
     n = u.dimension
 
-    def immersion(p):
-        return np.concatenate([p, u.value(p)[..., None]], axis=-1)
-
-    def firsts(p):
-        g = u.gradient(p)
-        return np.concatenate([np.broadcast_to(np.eye(n), g.shape + (n,)), g[..., None]], axis=-1)
-
-    def seconds(p):
-        out = np.zeros(p.shape[:-1] + (n, n, n + 1))
-        out[..., n] = u.hessian(p)
-        return out
+    def jet(p, order):
+        terms = u.jet(p, order)
+        out = [np.concatenate([p, terms[0][..., None]], axis=-1)]
+        if order >= 1:
+            g = terms[1]
+            eye = np.broadcast_to(np.eye(n), g.shape + (n,))
+            out.append(np.concatenate([eye, g[..., None]], axis=-1))
+        if order == 2:
+            d2x = np.zeros(p.shape[:-1] + (n, n, n + 1))
+            d2x[..., n] = terms[2]
+            out.append(d2x)
+        return tuple(out)
 
     return ParametricSurface(
         chart_domain=tuple((float(lo), float(hi)) for lo, hi in box),
-        immersion=immersion,
-        first_derivatives=firsts,
-        second_derivatives=seconds,
+        jet=jet,
         name=f"graph:{u.name}",
     )
 

@@ -16,11 +16,11 @@ The weighted mean curvature adds the density term <grad F, N>.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .density import Density, as_points, fd_gradient
+from .density import Density, as_points
 
 
 class RankDeficiencyError(ValueError):
@@ -28,27 +28,21 @@ class RankDeficiencyError(ValueError):
 
 
 GRAM_DET_MIN = 1e-12
-FD_STEP = 1e-5
-FD_STEP_HESS = 1e-4
 
 
 @dataclass(frozen=True)
 class ParametricSurface:
-    """Immersion of an n-dimensional chart box into R^{n+1}.
+    """Immersion X of an n-dimensional chart box into R^{n+1}, given by its jet.
 
-    Callables are vectorized over leading axes, like ``GraphFunction``'s:
-    ``immersion`` maps chart points (..., n) -> (..., n+1),
-    ``first_derivatives`` returns the n partial derivative vectors as a
-    (..., n, n+1) array and ``second_derivatives`` a (..., n, n, n+1)
-    array.  Both derivative providers are optional: central finite
-    differences (steps ``FD_STEP`` / ``FD_STEP_HESS``) are used when one is
-    missing.
+    ``jet(p, order)`` takes chart points (..., n) and returns (X,) for order
+    0, (X, dX) for order 1 and (X, dX, d2X) for order 2, of shapes
+    (..., n+1), (..., n, n+1) and (..., n, n, n+1), like ``GraphFunction``'s
+    jet: dX holds the n partial derivative vectors and d2X the second
+    derivatives d^2 X / dp_i dp_j.
     """
 
     chart_domain: tuple[tuple[float, float], ...]
-    immersion: Callable[[np.ndarray], np.ndarray]
-    first_derivatives: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    second_derivatives: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    jet: Callable[[np.ndarray, int], tuple]
     orientation: int = 1
     name: str = ""
 
@@ -61,25 +55,21 @@ class ParametricSurface:
         return self.chart_dim + 1
 
     def point(self, p) -> np.ndarray:
-        return np.asarray(self.immersion(as_points(p, self.chart_dim)), dtype=float)
+        return self.jet(as_points(p, self.chart_dim), 0)[0]
 
     def partials(self, p) -> np.ndarray:
-        p = as_points(p, self.chart_dim)
-        if self.first_derivatives is not None:
-            return np.asarray(self.first_derivatives(p), dtype=float)
-        return np.swapaxes(fd_gradient(self.point, p, FD_STEP), -1, -2)
+        return self.jet(as_points(p, self.chart_dim), 1)[1]
 
     def hessian(self, p) -> np.ndarray:
-        """Second derivatives d^2 X / dp_i dp_j, shape (..., n, n, n+1)."""
-        p = as_points(p, self.chart_dim)
-        if self.second_derivatives is not None:
-            return np.asarray(self.second_derivatives(p), dtype=float)
-        out = np.moveaxis(fd_gradient(self.partials, p, FD_STEP_HESS), -1, -3)
-        # symmetrize; FD cross terms are only approximately symmetric
-        return 0.5 * (out + np.swapaxes(out, -3, -2))
+        return self.jet(as_points(p, self.chart_dim), 2)[2]
 
     def flipped(self) -> "ParametricSurface":
         return replace(self, orientation=-self.orientation)
+
+
+def separate_jet(*terms):
+    """A jet from order-0, -1 and -2 callables that share no terms."""
+    return lambda p, order: tuple(term(p) for term in terms[:order + 1])
 
 
 @dataclass(frozen=True)
@@ -114,37 +104,42 @@ def generalized_cross(rows: np.ndarray) -> np.ndarray:
     rows followed by the result form a positively oriented basis.
     """
     rows = np.asarray(rows, dtype=float)
+    # flush subnormal entries to signed zeros: LU would take one as a pivot
+    # and divide by zero
+    rows = rows * (np.abs(rows) >= np.finfo(float).tiny)
     n = rows.shape[-1] - 1
     keep = np.array([np.delete(np.arange(n + 1), i) for i in range(n + 1)])
     minors = np.moveaxis(rows[..., keep], -2, -3)  # (..., n+1, n, n)
     return (-1.0) ** (n + np.arange(n + 1)) * np.linalg.det(minors)
 
 
-def _frame(surface: ParametricSurface, p) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrices of the chart partials and the oriented unit normals."""
-    J = surface.partials(p)
+def _frame(p, J, orientation) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrices of the chart partials J at chart points p, and the unit
+    normals in the given orientation."""
     gram = J @ np.swapaxes(J, -1, -2)
     bad = np.linalg.det(gram) <= GRAM_DET_MIN
     if np.any(bad):
-        first = np.reshape(p, (-1, surface.chart_dim))[np.flatnonzero(bad)[0]]
+        first = np.reshape(p, (-1, J.shape[-2]))[np.flatnonzero(bad)[0]]
         raise RankDeficiencyError(f"immersion is rank deficient at chart point {first}")
     nvec = generalized_cross(J)
-    return gram, surface.orientation * nvec / np.sqrt(np.vecdot(nvec, nvec))[..., None]
+    return gram, orientation * nvec / np.sqrt(np.vecdot(nvec, nvec))[..., None]
 
 
-def _mean_curvature(surface: ParametricSurface, p, gram, nvec) -> np.ndarray:
-    b = (surface.hessian(p) @ nvec[..., None, :, None])[..., 0]
+def _mean_curvature(d2x, gram, nvec) -> np.ndarray:
+    b = (d2x @ nvec[..., None, :, None])[..., 0]
     return np.trace(np.linalg.solve(gram, b), axis1=-2, axis2=-1)
 
 
 def unit_normal(surface: ParametricSurface, p) -> np.ndarray:
     """Unit normals at chart points, in the chart's cross-product orientation."""
-    return _frame(surface, p)[1]
+    return _frame(p, surface.partials(p), surface.orientation)[1]
 
 
 def mean_curvature(surface: ParametricSurface, p) -> np.ndarray:
     """Sum of principal curvatures, trace(g^{-1} b) with b_ij = <d2X_ij, N>."""
-    return _mean_curvature(surface, p, *_frame(surface, p))
+    p = as_points(p, surface.chart_dim)
+    _, J, d2x = surface.jet(p, 2)
+    return _mean_curvature(d2x, *_frame(p, J, surface.orientation))
 
 
 def density_normal_pairing(surface: ParametricSurface, dens: Density, p) -> np.ndarray:
@@ -162,9 +157,9 @@ def weighted_mean_curvature(
             f"density dimension {dens.dimension} != ambient {surface.ambient_dim}"
         )
     p = as_points(p, surface.chart_dim)
-    x = surface.point(p)
-    gram, nvec = _frame(surface, p)
-    h = _mean_curvature(surface, p, gram, nvec)
+    x, J, d2x = surface.jet(p, 2)
+    gram, nvec = _frame(p, J, surface.orientation)
+    h = _mean_curvature(d2x, gram, nvec)
     term = np.vecdot(dens.grad_log_weight(x), nvec)
     return CurvatureReport(
         chart_point=p,

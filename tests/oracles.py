@@ -1,0 +1,43 @@
+"""Oracles shared by the test modules.
+
+The library evaluates every derivative from analytic jets; the one
+central-difference oracle here checks them, and gives bare immersions a jet.
+"""
+
+import numpy as np
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def central_difference(fn, x, step):
+    """O(step^2) central differences of fn at x; the partial along x[i]
+    sits at index i of the last axis."""
+    x = np.asarray(x, dtype=float)
+    steps = step * np.eye(x.shape[-1])
+    return np.stack([(fn(x + e) - fn(x - e)) / (2.0 * step) for e in steps], axis=-1)
+
+
+def difference_jet(immersion, step=1e-5, hessian_step=1e-4):
+    """A ParametricSurface jet for a bare immersion: partials as step-`step`
+    differences of it, and second derivatives as symmetrized
+    step-`hessian_step` differences of those partials."""
+
+    def point(p):
+        return np.asarray(immersion(p), dtype=float)
+
+    def partials(p):
+        return np.swapaxes(central_difference(point, p, step), -1, -2)
+
+    def jet(p, order):
+        out = [point(p)]
+        if order >= 1:
+            out.append(partials(p))
+        if order == 2:
+            d2x = np.moveaxis(central_difference(partials, p, hessian_step), -1, -3)
+            out.append(0.5 * (d2x + np.swapaxes(d2x, -3, -2)))
+        return tuple(out)
+
+    return jet

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import gaussmin
-from gaussmin import measure
+from gaussmin import cli, measure
 from gaussmin.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from gaussmin.flow import AREA_SLACK, flow_run, initial_field, initial_state
 from gaussmin.graph import GraphFunction
@@ -228,6 +228,24 @@ def test_measure_ball_and_cap(tmp_path):
         == EXIT_OK
     )
     assert json.loads(out.read_text())["value"] == pytest.approx(1.0, abs=1e-8)
+
+
+def test_main_builds_one_parser_per_process(monkeypatch, capsys):
+    built = []
+
+    class CountingParser(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", CountingParser)
+    cli._build_parser.cache_clear()
+    try:
+        assert run(["planes"]) == EXIT_OK
+        assert run(["bound", "--steps", "1"]) == EXIT_OK
+    finally:
+        cli._build_parser.cache_clear()  # drop the parser built from CountingParser
+    assert built.count("gaussmin") == 1
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -9,12 +9,12 @@ from gaussmin.density import (
     DomainError,
     Profile,
     density_from_name,
-    fd_gradient,
     horizontal_gaussian,
     profile_from_name,
     sq_norm,
 )
 from gaussmin.rng import substream
+from oracles import central_difference
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -82,7 +82,7 @@ def test_gradient_matches_finite_differences(dens, low):
     if low is not None:
         pts[:, -1] = np.abs(pts[:, -1]) + low  # stay inside the profile domain
     for x in pts:
-        fd = fd_gradient(dens.log_weight, x, step=1e-5)
+        fd = central_difference(dens.log_weight, x, 1e-5)
         assert np.max(np.abs(dens.grad_log_weight(x) - fd)) <= 1e-6
 
 

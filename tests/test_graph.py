@@ -34,6 +34,7 @@ from gaussmin.graph import (
 from gaussmin.measure import QuadratureSpec, gaussian_ball_volume, graph_cap_weighted_area
 from gaussmin.rng import substream
 from gaussmin.surface import CurvatureReport, tangent_plane_distance, weighted_mean_curvature
+from oracles import central_difference, same_bits
 
 HG2 = horizontal_gaussian(2)
 ROOT = (math.sqrt(17.0) - 1.0) / 8.0  # zero of 4z^2 + z - 1 (quadratic formula)
@@ -144,14 +145,6 @@ def test_batched_graph_report_matches_pointwise_calls(name):
             assert np.max(diff) <= 1e-15, (field.name, idx)
 
 
-def central_difference(fn, x, step):
-    """O(step^2) central differences of fn at x; the partial along x[i]
-    sits at index i of the last axis."""
-    x = np.asarray(x, dtype=float)
-    steps = step * np.eye(x.shape[-1])
-    return np.stack([(fn(x + e) - fn(x - e)) / (2.0 * step) for e in steps], axis=-1)
-
-
 def difference_gradient_and_hessian(u, x):
     """Gradient of u.value with step 1e-6, and the symmetrized Hessian as
     step-1e-4 differences of that gradient."""
@@ -171,11 +164,6 @@ def test_sinusoid_derivatives_match_central_differences():
 
 
 # ------------------------------------------- column kernels vs broadcast formulas
-
-def same_bits(a, b) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
 
 def broadcast_random_bump(n: int, seed: int, amplitude: float = 0.3):
     """(value, gradient, Hessian) of random_bump from (..., bumps, n) arrays,
@@ -341,6 +329,15 @@ def test_cap_and_curvature_build_one_jet_per_row_block():
     graph_weighted_mean_curvature(counted, HG2, x)
     graph_mean_curvature(counted, x)
     assert calls == [((9, 7, 2), 2)] * 2
+
+
+def test_parametric_embedding_makes_one_graph_jet_call_per_jet_call():
+    counted, calls = counted_jet(graph_preset("random_bump", 2, seed=7387))
+    surf = as_parametric(counted, ((-2.0, 2.0),) * 2)
+    x = substream(5, 0).uniform(-2.0, 2.0, size=(9, 7, 2))
+    for order in range(3):
+        surf.jet(x, order)
+    assert calls == [((9, 7, 2), order) for order in range(3)]
 
 
 def test_graph_function_needs_a_jet():
