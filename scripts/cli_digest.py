@@ -51,7 +51,6 @@ ERROR_CASES = [
     ["curvature", "--surface", "plane", "--params", "normal=0:0:0"],
     ["flow", "--init", "bogus", "--grid", "9"],
     ["flow", "--init", "constant:abc", "--grid", "9"],
-    ["bound", "--n", "2", "--rmax", "1e200", "--steps", "2"],
     ["measure", "--quantity", "sphere", "--n", "3", "--R", "1e200"],
     ["measure", "--quantity", "hemisphere", "--n", "2", "--method", "monte_carlo",
      "--samples", "1000", "--R", "1e200"],
@@ -59,6 +58,8 @@ ERROR_CASES = [
     ["flow", "--init", "sinusoid:3", "--grid", "9"],
     ["flow", "--init", "linear:2", "--grid", "9"],
     ["bound", "--steps", "0"],
+    ["flow", "--L", "1e-20", "--grid", "3"],
+    ["flow", "--L", "1e200", "--grid", "3"],
 ]
 
 # a dict stands for --config with a file holding it; every option of each
@@ -88,6 +89,14 @@ def cases() -> list[list[str]]:
         ["measure", "--quantity", "hemisphere", "--n", "4"],
         ["measure", "--quantity", "sphere", "--n", "6", "--R", "1.7"],
         ["bound", "--n", "1", "--rmax", "1e200", "--steps", "2"],
+        ["bound", "--n", "2", "--rmax", "1e200", "--steps", "2"],
+        ["bound", "--rmax", "1e300", "--steps", "2"],
+        ["bound", "--n", "341", "--rmin", "8", "--rmax", "8", "--steps", "1"],
+        ["bound", "--n", "400", "--rmin", "4", "--rmax", "40", "--steps", "3"],
+        ["measure", "--quantity", "hemisphere", "--n", "1", "--R", "300"],
+        ["measure", "--quantity", "hemisphere", "--n", "3", "--R", "1000"],
+        ["planes", "--lo", "-1e-3", "--hi", "1"],
+        ["curvature", "--surface", "associate", "--at", "-1,0.5"],
         ["measure", "--quantity", "cap", "--n", "2", "--R", "1e200"],
         ["flow", "--n", "1"],
         ["flow", "--n", "1", "--grid", "65"],

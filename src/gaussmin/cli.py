@@ -185,7 +185,13 @@ def _cmd_flow(ns: dict) -> int:
     n = ns["n"]
     if n not in (1, 2, 3):
         raise UsageError("flow supports n in {1, 2, 3}")
-    fld = _checked("--init", flow.initial_field, n, ns["L"], ns["grid"], ns["init"], ns["seed"])
+    L, dx = ns["L"], 2.0 * ns["L"] / (ns["grid"] - 1)
+    # |x|^2 and the box volume must be floats; past FLOW_DT/dx^2 = 1/sqrt(eps) the
+    # identity in the step's I - dt L_1 keeps fewer than half of its digits
+    finite = n * L * L < math.inf and 2.0 * L < sys.float_info.max ** (1.0 / n)
+    if not (finite and dx * dx / math.sqrt(sys.float_info.epsilon) >= flow.FLOW_DT):
+        raise UsageError(f"--L {L:g} on --grid {ns['grid']}: needs finite n L^2 and (2L)^n, FLOW_DT/dx^2 <= 6.7e7")
+    fld = _checked("--init", flow.initial_field, n, L, ns["grid"], ns["init"], ns["seed"])
     state = flow.initial_state(fld)
     result = flow.flow_run(state, ns["tmax"], ns["osc_tol"], ns["hf_tol"])
     series = "t,weighted_area,oscillation,max_abs_hf\n"
@@ -447,8 +453,22 @@ def _read_config(path: str, options: dict) -> dict:
     return loaded
 
 
+def _attach_values(argv: Sequence[str]) -> list[str]:
+    """argv with each ``--flag value`` written ``--flag=value``: every option
+    takes one value, and argparse reads a value such as -1e-3 or -1,0.5 as a
+    flag.  Flags match in full or, as in argparse, by a unique prefix."""
+    keys = [*_options(argv[0]), "config"] if argv and argv[0] in _COMMANDS else []
+    flags = ["--" + key.replace("_", "-") for key in keys]
+    out, rest = list(argv[:1]), iter(argv[1:])
+    for arg in rest:
+        named = arg in flags or [f.startswith(arg) for f in flags].count(True) == 1
+        value = next(rest, None) if named else None
+        out.append(arg if value is None else f"{arg}={value}")
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    ns = vars(_build_parser().parse_args(argv))
+    ns = vars(_build_parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv)))
     command = ns.pop("command")
     config_path = ns.pop("config", None)
     options = _options(command)

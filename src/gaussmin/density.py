@@ -153,7 +153,6 @@ class Density:
     """
 
     dimension: int
-    kind: str  # "gaussian" | "radial" | "product"
     _log_weight: Callable[[np.ndarray], np.ndarray]
     _grad: Callable[[np.ndarray], np.ndarray]
 
@@ -178,7 +177,6 @@ class Density:
         log_norm = 0.5 * n * math.log(2.0 * math.pi)
         return Density(
             dimension=n,
-            kind="gaussian",
             _log_weight=lambda x: 0.5 * sq_norm(x) + log_norm,
             _grad=lambda x: x.copy(),
         )
@@ -200,7 +198,6 @@ class Density:
 
         return Density(
             dimension=n,
-            kind="radial",
             _log_weight=lambda x: profile(np.sqrt(sq_norm(x))),
             _grad=grad,
         )
@@ -224,7 +221,6 @@ class Density:
 
         return Density(
             dimension=n + 1,
-            kind="product",
             _log_weight=log_weight,
             _grad=grad,
         )

@@ -4,13 +4,13 @@ Gaussian ball mass, weighted sphere and hemisphere areas, weighted areas of
 graph caps inside ambient balls, and the volume-growth report that compares
 a cap against the ball mass plus the lateral cylinder tail.
 
-Every integral runs on ``gaussian_mc_mean``, ``ball_quadrature``,
-``sphere_quadrature`` or a radial rule.  The last two are 1-D for every n,
-since every ``Density`` weight is invariant under horizontal rotations.
+Every integral runs on ``gaussian_mc_mean``, ``ball_quadrature`` or
+``sphere_quadrature``; the last is 1-D for every n, since every ``Density``
+weight is invariant under horizontal rotations.
 Integrands keep ``density``'s column-order contract, bit for bit: ``sq_norm``
 sums fewer than 8 columns one by one, numpy's order; from 8 on, ``np.sum``.
 
-Two tail terms are computed side by side:
+Two tail terms are computed side by side, each one ``exp`` of a sum of logs:
 
 * ``exact_lateral_tail``: the weighted area of the lateral cylinder wall,
   (2 pi)^{-n/2} e^{-R^2/2} n C_n R^n, which is what the wall integral
@@ -63,27 +63,14 @@ class QuadratureSpec:
 
 # ----------------------------------------------------------------- closed forms
 
-def _gamma_half(n: int, shift: float) -> float:
-    """Gamma(n/2 + shift) for a dimension n; raises where it overflows (past
-    n = 341 for shift 1), which would turn C_n and |S^{n-1}| into zeros."""
-    from scipy import special  # deferred: slow to import
-
-    if n < 1:
-        raise ValueError("dimension must be positive")
-    g = float(special.gamma(n / 2.0 + shift))
-    if not math.isfinite(g):
-        raise OverflowError(f"Gamma({n / 2.0 + shift:g}) overflows: dimension too large")
-    return g
-
-
 def unit_ball_volume(n: int) -> float:
-    """C_n = pi^{n/2} / Gamma(n/2 + 1)."""
-    return math.pi ** (n / 2.0) / _gamma_half(n, 1.0)
+    """C_n = pi^{n/2} / Gamma(n/2 + 1); OverflowError past n = 341."""
+    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
 def unit_sphere_area(n: int) -> float:
-    """Area of the unit (n-1)-sphere in R^n; equals n * C_n (2 for n = 1)."""
-    return 2.0 * math.pi ** (n / 2.0) / _gamma_half(n, 0.0)
+    """Area of the unit (n-1)-sphere in R^n, n C_n; OverflowError past n = 343."""
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
 def gaussian_ball_volume(n: int, R: float) -> float:
@@ -92,7 +79,7 @@ def gaussian_ball_volume(n: int, R: float) -> float:
     Equals the regularized lower incomplete gamma P(n/2, R^2/2); monotone in
     R and -> 1 as R -> infinity.
     """
-    from scipy import special
+    from scipy import special  # deferred: slow to import
 
     if n < 1:
         raise ValueError("dimension must be positive")
@@ -101,21 +88,22 @@ def gaussian_ball_volume(n: int, R: float) -> float:
     return float(special.gammainc(n / 2.0, R * R / 2.0))
 
 
+def _log_power(R: float, k: int) -> float:
+    """log(R^k), with 0^0 = 1."""
+    return k * math.log(R) if R > 0.0 else (-math.inf if k else 0.0)
+
+
 def exact_lateral_tail(n: int, R: float) -> float:
-    """Weighted area of the cylinder wall S^{n-1}(0,R) x [0,R]: the wall
-    weight (2 pi)^{-n/2} e^{-R^2/2} times the Euclidean area n C_n R^n."""
-    return float(
-        (2.0 * math.pi) ** (-n / 2.0)
-        * math.exp(-R * R / 2.0)
-        * n
-        * unit_ball_volume(n)
-        * R**n
-    )
+    """Weighted area of the cylinder wall S^{n-1}(0,R) x [0,R], (2 pi)^{-n/2}
+    e^{-R^2/2} n C_n R^n = 2^{1-n/2} R^n e^{-R^2/2} / Gamma(n/2)."""
+    log_tail = (1.0 - 0.5 * n) * math.log(2.0) - math.lgamma(0.5 * n) + _log_power(R, n)
+    return math.exp(log_tail - 0.5 * R * R)
 
 
 def nominal_lateral_tail(n: int, R: float) -> float:
-    """The coarser tail expression n e^{-R^2} C_n R^{n-1}."""
-    return float(n * math.exp(-R * R) * unit_ball_volume(n) * R ** (n - 1))
+    """The coarser tail n e^{-R^2} C_n R^{n-1}, n C_n = 2 pi^{n/2} / Gamma(n/2)."""
+    log_area = math.log(2.0) + 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n)
+    return math.exp(log_area + _log_power(R, n - 1) - R * R)
 
 
 # ----------------------------------------------------------------- monte carlo
@@ -222,11 +210,15 @@ def sphere_quadrature(
     R^{n+1}, for weights invariant under rotations of the first n coordinates.
 
     Points are (R sin(t), 0, ..., 0, R cos(t)), t the polar angle; weights
-    are |S^{n-1}| R^n sin^{n-1}(t) dt.  ``QUAD_ORDER`` nodes cover [0, pi/2];
-    the full sphere adds their mirror images on [pi/2, pi].
+    are |S^{n-1}| R^n sin^{n-1}(t) dt.  ``QUAD_ORDER`` nodes cover [0, pi/2],
+    or each of [0, t_c] and [t_c, pi/2] where R sin(t_c) = sqrt(n) + 10 < R:
+    a horizontal Gaussian's peak near the pole gets its own panel.  The full
+    sphere adds the mirror images on [pi/2, pi].
     """
     area = unit_sphere_area(n) * R**n  # first: an overflowing area fails before any array
-    t, wt = _leggauss(QUAD_ORDER, 0.0, math.pi / 2.0)
+    t_c = math.asin(min(1.0, (math.sqrt(n) + GAUSSIAN_MASS_MARGIN) / R)) if R > 0.0 else math.pi / 2
+    panels = [_leggauss(QUAD_ORDER, a, b) for a, b in ((0.0, t_c), (t_c, math.pi / 2.0)) if a < b]
+    t, wt = (np.concatenate(parts) for parts in zip(*panels))
     pts = np.column_stack([R * np.sin(t), np.zeros((t.size, n - 1)), R * np.cos(t)])
     wts = area * np.sin(t) ** (n - 1) * wt
     if upper_half:
@@ -359,25 +351,20 @@ class VolumeBoundReport:
 def volume_bound_report(n: int, R: float) -> VolumeBoundReport:
     """Compare the weighted cap area of the constant graph over R^n, an
     entire weighted minimal graph, against the Gaussian ball mass plus the
-    lateral tail.  The cap is the flat ball, so ``lhs`` is a radial rule:
-    |S^{n-1}| sum_k w_k r_k^{n-1} (2 pi)^{-n/2} e^{-r_k^2/2}.
+    lateral tail.  The cap is the flat centered ball, whose weighted area is
+    the ball mass P(n/2, R^2/2) itself: ``lhs`` equals ``ball_term`` bit for
+    bit, so ``chain_ok`` holds by construction for this graph.
     """
-    # the closed forms first, so a radius whose tail overflows fails before
-    # the quadrature meets it
     ball = gaussian_ball_volume(n, R)
     exact = exact_lateral_tail(n, R)
-    nominal = nominal_lateral_tail(n, R)
-    r, wr = _leggauss(QUAD_ORDER, 0.0, min(R, math.sqrt(n) + GAUSSIAN_MASS_MARGIN))
-    density = (2.0 * math.pi) ** (-n / 2.0) * np.exp(-0.5 * r * r)
-    lhs = unit_sphere_area(n) * float(np.sum(wr * r ** (n - 1) * density))
     return VolumeBoundReport(
         n=n,
         R=float(R),
-        lhs=lhs,
+        lhs=ball,
         ball_term=ball,
-        nominal_tail=nominal,
+        nominal_tail=nominal_lateral_tail(n, R),
         exact_tail=exact,
-        chain_ok=bool(lhs <= ball + exact + 1e-9),
+        chain_ok=bool(ball <= ball + exact + 1e-9),
     )
 
 

@@ -15,7 +15,7 @@ The weighted mean curvature adds the density term <grad F, N>.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -43,7 +43,6 @@ class ParametricSurface:
 
     chart_domain: tuple[tuple[float, float], ...]
     jet: Callable[[np.ndarray, int], tuple]
-    orientation: int = 1
     name: str = ""
 
     @property
@@ -62,9 +61,6 @@ class ParametricSurface:
 
     def hessian(self, p) -> np.ndarray:
         return self.jet(as_points(p, self.chart_dim), 2)[2]
-
-    def flipped(self) -> "ParametricSurface":
-        return replace(self, orientation=-self.orientation)
 
 
 def separate_jet(*terms):
@@ -113,16 +109,16 @@ def generalized_cross(rows: np.ndarray) -> np.ndarray:
     return (-1.0) ** (n + np.arange(n + 1)) * np.linalg.det(minors)
 
 
-def _frame(p, J, orientation) -> tuple[np.ndarray, np.ndarray]:
+def _frame(p, J) -> tuple[np.ndarray, np.ndarray]:
     """Gram matrices of the chart partials J at chart points p, and the unit
-    normals in the given orientation."""
+    normals in the chart's cross-product orientation."""
     gram = J @ np.swapaxes(J, -1, -2)
     bad = np.linalg.det(gram) <= GRAM_DET_MIN
     if np.any(bad):
         first = np.reshape(p, (-1, J.shape[-2]))[np.flatnonzero(bad)[0]]
         raise RankDeficiencyError(f"immersion is rank deficient at chart point {first}")
     nvec = generalized_cross(J)
-    return gram, orientation * nvec / np.sqrt(np.vecdot(nvec, nvec))[..., None]
+    return gram, nvec / np.sqrt(np.vecdot(nvec, nvec))[..., None]
 
 
 def _mean_curvature(d2x, gram, nvec) -> np.ndarray:
@@ -132,14 +128,14 @@ def _mean_curvature(d2x, gram, nvec) -> np.ndarray:
 
 def unit_normal(surface: ParametricSurface, p) -> np.ndarray:
     """Unit normals at chart points, in the chart's cross-product orientation."""
-    return _frame(p, surface.partials(p), surface.orientation)[1]
+    return _frame(p, surface.partials(p))[1]
 
 
 def mean_curvature(surface: ParametricSurface, p) -> np.ndarray:
     """Sum of principal curvatures, trace(g^{-1} b) with b_ij = <d2X_ij, N>."""
     p = as_points(p, surface.chart_dim)
     _, J, d2x = surface.jet(p, 2)
-    return _mean_curvature(d2x, *_frame(p, J, surface.orientation))
+    return _mean_curvature(d2x, *_frame(p, J))
 
 
 def density_normal_pairing(surface: ParametricSurface, dens: Density, p) -> np.ndarray:
@@ -158,7 +154,7 @@ def weighted_mean_curvature(
         )
     p = as_points(p, surface.chart_dim)
     x, J, d2x = surface.jet(p, 2)
-    gram, nvec = _frame(p, J, surface.orientation)
+    gram, nvec = _frame(p, J)
     h = _mean_curvature(d2x, gram, nvec)
     term = np.vecdot(dens.grad_log_weight(x), nvec)
     return CurvatureReport(

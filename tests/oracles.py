@@ -2,8 +2,10 @@
 
 The library evaluates every derivative from analytic jets; the one
 central-difference oracle here checks them, and gives bare immersions a jet.
+The 50-digit mpmath oracle checks the closed-form lateral tails.
 """
 
+import mpmath as mp
 import numpy as np
 
 
@@ -41,3 +43,12 @@ def difference_jet(immersion, step=1e-5, hessian_step=1e-4):
         return tuple(out)
 
     return jet
+
+
+def lateral_tails(n, R):
+    """(exact, nominal) lateral tails at 50 digits: (2 pi)^{-n/2} e^{-R^2/2}
+    |S^{n-1}| R^n and e^{-R^2} |S^{n-1}| R^{n-1}, |S^{n-1}| = n C_n."""
+    with mp.workdps(50):
+        R, half = mp.mpf(R), mp.mpf(n) / 2
+        sphere = 2 * mp.pi**half / mp.gamma(half)
+        return (2 * mp.pi) ** -half * mp.exp(-R * R / 2) * sphere * R**n, mp.exp(-R * R) * sphere * R ** (n - 1)

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from scipy import special
 
 import gaussmin
 from gaussmin import cli, measure
@@ -14,6 +15,7 @@ from gaussmin.flow import AREA_SLACK, flow_run, initial_field, initial_state
 from gaussmin.graph import GraphFunction
 from gaussmin.density import horizontal_gaussian
 from gaussmin.measure import gaussian_ball_volume, weighted_sphere_area
+from oracles import lateral_tails
 
 
 def run(args):
@@ -459,6 +461,63 @@ def test_usage_error_names_the_fault(args, message, capsys):
     assert capsys.readouterr().err == message
 
 
+def _numeric_and_list_options():
+    for command, (_, _, options) in cli._COMMANDS.items():
+        for key, (_, kind) in options.items():
+            if key == "at" or kind is not str and not isinstance(kind, list):
+                yield command, key
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-1,0.5", "-0x1", "-2"])
+@pytest.mark.parametrize("command, key", list(_numeric_and_list_options()))
+def test_value_after_a_space_reads_as_after_equals(command, key, value, tmp_path, capsys):
+    # argparse alone reads -1e-3 or -1,0.5 after a space as a flag
+    flag = "--" + key.replace("_", "-")
+    seen = []
+    for spelling in ([flag, value], [f"{flag}={value}"]):
+        out = tmp_path / f"out{len(seen)}"
+        try:
+            code = run([command, *spelling, "--out", str(out)])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        seen.append((code, captured.out, captured.err, out.read_bytes() if out.exists() else None))
+    assert seen[0] == seen[1]
+
+
+def test_negative_radius_keeps_its_range_error(capsys):
+    assert run(["measure", "--R", "-1"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "gaussmin: R must be finite and non-negative, got -1.0\n"
+
+
+@pytest.mark.parametrize(
+    "args, ok",
+    [
+        # n L^2, the squared norm at the box corner, must be a float
+        (["--L", "1.34e154"], True),
+        (["--L", "1.35e154"], False),
+        (["--L", "1e200"], False),
+        # and so must the box volume (2 L)^n
+        (["--n", "3", "--L", "2.8e102"], True),
+        (["--n", "3", "--L", "2.83e102"], False),
+        # FLOW_DT/dx^2 <= 1/sqrt(eps) = 6.7e7, dx = L on grid 3
+        (["--L", "1.8e-5"], True),
+        (["--L", "1.7e-5"], False),
+        (["--L", "1e-9"], False),
+        (["--L", "1e-20"], False),
+    ],
+)
+def test_flow_box_bounds(args, ok, tmp_path, capsys):
+    code = run(["flow", "--grid", "3", *args, "--out", str(tmp_path / "o"),
+                "--field-out", str(tmp_path / "f")])
+    captured = capsys.readouterr()
+    if ok:
+        assert code == EXIT_OK and captured.err == ""
+    else:
+        assert code == EXIT_USAGE and captured.out == ""
+        assert captured.err.startswith("gaussmin: --L ") and captured.err.count("\n") == 1
+
+
 def test_out_of_memory_is_runtime_error(monkeypatch, capsys):
     def out_of_memory(n, radii):
         raise MemoryError("Unable to allocate 745. GiB for an array")
@@ -473,12 +532,14 @@ def test_out_of_memory_is_runtime_error(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "args",
     [
-        ["bound", "--n", "2", "--rmax", "1e200", "--steps", "2"],
+        # the nominal tail itself exceeds the largest float near R = 30
+        ["bound", "--n", "2000", "--rmax", "60"],
         ["measure", "--quantity", "sphere", "--n", "3", "--R", "1e200"],
         ["measure", "--quantity", "hemisphere", "--n", "2", "--method", "monte_carlo",
          "--samples", "1000", "--R", "1e200"],
-        # Gamma(n/2) overflows here, and C_n and |S^{n-1}| would read 0
-        ["bound", "--n", "400", "--rmin", "4", "--rmax", "5", "--steps", "2"],
+        # Gamma(n/2 + 1) overflows past n = 341 and Gamma(n/2) past n = 343,
+        # where C_n and |S^{n-1}| would read 0
+        ["measure", "--quantity", "unit-ball", "--n", "342"],
         ["measure", "--quantity", "hemisphere", "--n", "400"],
         ["measure", "--quantity", "unit-ball", "--n", "400"],
     ],
@@ -490,9 +551,28 @@ def test_overflowing_radius_is_runtime_error(args, capsys):
     assert captured.err.startswith("gaussmin: error:") and captured.err.count("\n") == 1
 
 
+def test_bound_rows_where_the_old_products_overflowed(tmp_path):
+    # lhs is the ball mass and each tail one exp of a sum of logs, so neither
+    # R^n at a huge radius nor Gamma(n/2) at n = 400 stops a row
+    out = tmp_path / "o"
+    assert run(["bound", "--n", "2", "--rmax", "1e200", "--steps", "2", "--out", str(out)]) == EXIT_OK
+    assert out.read_text().splitlines()[-1] == "2,9.9999999999999997e+199,1,1,0,0,true"
+    assert run(["bound", "--n", "400", "--rmin", "4", "--rmax", "5", "--steps", "2",
+                "--out", str(out)]) == EXIT_OK
+    lines = out.read_text().splitlines()
+    assert len(lines) == 3
+    for line in lines[1:]:
+        n, R, lhs, ball, nominal, exact, ok = line.split(",")
+        assert lhs == ball and ok == "true"
+        assert float(ball) == pytest.approx(special.gammainc(200.0, float(R) ** 2 / 2.0), rel=1e-13)
+        for got, ref in zip((float(exact), float(nominal)), lateral_tails(400, float(R))):
+            assert 0.0 < got and abs(got - ref) <= 2e-13 * ref
+
+
 def test_huge_radius_gives_the_full_gaussian_mass(tmp_path):
-    # the quadrature stops where the Gaussian has no double-precision mass,
-    # so radii far past it neither overflow nor lose the mass
+    # bound's lhs is the ball mass, and the cap quadrature stops where the
+    # Gaussian has no double-precision mass, so radii far past it neither
+    # overflow nor lose the mass
     out = tmp_path / "o"
     assert run(["bound", "--n", "1", "--rmax", "1e200", "--steps", "2", "--out", str(out)]) == EXIT_OK
     row = out.read_text().strip().splitlines()[-1].split(",")

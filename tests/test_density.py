@@ -138,10 +138,14 @@ def test_profile_presets_by_name():
 
 
 def test_density_presets_by_name():
-    assert density_from_name("gaussian", 2).kind == "gaussian"
-    d = density_from_name("product:gaussian+quad_log", 3)
-    assert d.kind == "product" and d.dimension == 3
-    assert density_from_name("radial:quadratic", 2).kind == "radial"
+    x = np.array([[0.3, -1.2, 0.7], [1.5, 0.4, -0.2]])
+    gaussian = density_from_name("gaussian", 2)
+    assert np.allclose(gaussian.log_weight(x[:, :2]), 0.5 * np.sum(x[:, :2] ** 2, axis=-1) + LOG_2PI)
+    product = density_from_name("product:gaussian+quad_log", 3)
+    assert product.dimension == 3
+    assert np.allclose(product.log_weight(x), gaussian.log_weight(x[:, :2]) + Profile.quad_log()(x[:, 2]))
+    radial = density_from_name("radial:quadratic", 2)
+    assert np.allclose(radial.log_weight(x[:, :2]), profile_from_name("quadratic")(np.hypot(*x[:, :2].T)))
     with pytest.raises(ValueError):
         density_from_name("product:lorentz+quad_log", 3)
     with pytest.raises(ValueError):

@@ -26,6 +26,7 @@ from gaussmin.measure import (
     weighted_sphere_area_mc,
 )
 from gaussmin.rng import substream
+from oracles import lateral_tails
 
 
 # ----------------------------------------------------------------- closed forms
@@ -212,7 +213,8 @@ def gaussian_sphere_area_oracle(n: int, R: float) -> float:
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 12])
 def test_sphere_and_hemisphere_match_closed_form(n):
     hg = horizontal_gaussian(n)
-    for R in (0.1, 0.7, 2.0, 5.0, 20.0):
+    # past R = sqrt(n) + 10 the Gaussian's peak gets its own polar panel
+    for R in (0.1, 0.7, 2.0, 5.0, 20.0, 300.0, 1000.0):
         full = gaussian_sphere_area_oracle(n, R)
         assert weighted_sphere_area(hg, n, R, upper_half=False) == pytest.approx(full, rel=1e-12)
         assert weighted_sphere_area(hg, n, R) == pytest.approx(full / 2.0, rel=1e-12)
@@ -323,6 +325,18 @@ def test_tail_values():
     assert nominal_lateral_tail(2, 1.0) == pytest.approx(
         2.0 * math.exp(-1.0) * math.pi, abs=1e-14
     )
+
+
+def test_tails_match_a_50_digit_reference():
+    # one exp of a sum of logs: no intermediate overflows or goes subnormal
+    for n in [*range(1, 13), 32, 100, 200, 341]:
+        for R in (0.25 * k for k in range(1, 161)):
+            for got, ref in zip((exact_lateral_tail(n, R), nominal_lateral_tail(n, R)), lateral_tails(n, R)):
+                if ref > 1e-300:
+                    assert got > 0.0 and abs(got - ref) <= 2e-13 * ref, (n, R)
+    assert [exact_lateral_tail(n, 0.0) for n in (1, 2)] == [0.0, 0.0]
+    assert nominal_lateral_tail(1, 0.0) == pytest.approx(2.0, rel=2e-13)  # 0^0 = 1
+    assert nominal_lateral_tail(2, 0.0) == 0.0
 
 
 def test_tails_decrease_to_zero_beyond_two():

@@ -188,11 +188,23 @@ def test_horizontal_plane_pairing_vanishes():
 
 
 def test_orientation_flip_negates_curvatures():
+    # swapping the chart coordinates reverses the cross-product normal
     surf = make_associate_family(math.pi / 2.0)
-    flipped = surf.flipped()
+
+    def swapped_jet(q, order):
+        out = list(surf.jet(q[..., ::-1], order))
+        if order >= 1:
+            out[1] = out[1][..., ::-1, :]
+        if order == 2:
+            out[2] = out[2][..., ::-1, ::-1, :]
+        return tuple(out)
+
+    swapped = ParametricSurface(chart_domain=surf.chart_domain[::-1], jet=swapped_jet)
     for p in ([0.3, 0.5], [-0.8, 1.1]):
         a = weighted_mean_curvature(surf, HG2, p)
-        b = weighted_mean_curvature(flipped, HG2, p)
+        b = weighted_mean_curvature(swapped, HG2, p[::-1])
+        assert same_bits(b.ambient_point, a.ambient_point)
+        assert np.allclose(b.unit_normal, -a.unit_normal, rtol=0.0, atol=1e-15)
         assert b.mean_curvature == pytest.approx(-a.mean_curvature, abs=1e-10)
         assert b.density_term == pytest.approx(-a.density_term, abs=1e-10)
         assert b.weighted_mean_curvature == pytest.approx(
