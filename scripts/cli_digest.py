@@ -54,6 +54,10 @@ ERROR_CASES = [
     ["measure", "--quantity", "sphere", "--n", "3", "--R", "1e200"],
     ["measure", "--quantity", "hemisphere", "--n", "2", "--method", "monte_carlo",
      "--samples", "1000", "--R", "1e200"],
+    # R^3 is a float but the area scale is not
+    ["measure", "--quantity", "sphere", "--n", "3", "--R", "5e102"],
+    ["measure", "--quantity", "sphere", "--n", "3", "--method", "monte_carlo",
+     "--samples", "1000", "--R", "5e102"],
     ["curvature", "--surface", "cylinder", "--params", "radius=2"],
     ["flow", "--init", "sinusoid:3", "--grid", "9"],
     ["flow", "--init", "linear:2", "--grid", "9"],
@@ -85,6 +89,7 @@ def cases() -> list[list[str]]:
         ["verify"],
         ["verify", "--seed", "7387"],
         ["verify", "--only", "catalog"],
+        ["verify", "--only", "calibration"],
         *(["bound", "--n", n] for n in ("1", "2", "3", "4")),
         ["measure", "--quantity", "hemisphere", "--n", "4"],
         ["measure", "--quantity", "sphere", "--n", "6", "--R", "1.7"],

@@ -4,8 +4,9 @@ The upward unit normal of a graph, extended by vertical translation, defines
 an n-form omega(X_1, ..., X_n) = det(X_1, ..., X_n, N).  Two facts make
 e^{-F} omega a weighted calibration of a weighted minimal graph:
 
-* comass: |omega| <= 1 on unit frames, with equality exactly on tangent
-  frames (Hadamard bound on determinants of unit vectors);
+* comass: on an orthonormal frame X, omega(X) = <N, *(X_1 ^ ... ^ X_n)>
+  with |*(X_1 ^ ... ^ X_n)| = 1, so the comass of omega is |N| = 1, attained
+  exactly on tangent frames (Harvey & Lawson, Calibrated geometries, 1982);
 * closedness: d(e^{-F} omega) = div(e^{-F} N) dV, and
   div(e^{-F} N) = -e^{-F} H_F on the graph, so the form is closed precisely
   when the graph is weighted minimal.
@@ -51,41 +52,26 @@ def extended_normal(u: GraphFunction) -> ExtendedNormalField:
     return ExtendedNormalField(u)
 
 
-def frame_value(u: GraphFunction, point, frame) -> float:
-    """omega(X_1, ..., X_n) = det(X_1, ..., X_n, N) at an ambient point."""
-    nbar = extended_normal(u)(np.asarray(point, dtype=float))
-    rows = np.vstack([np.asarray(frame, dtype=float), nbar])
-    return float(np.linalg.det(rows))
-
-
-def tangent_frame(u: GraphFunction, base_point) -> np.ndarray:
-    """Orthonormal rows spanning the graph tangent space over a base point."""
-    base_point = np.asarray(base_point, dtype=float)
-    n = u.dimension
-    g = u.gradient(base_point)
-    tangents = np.hstack([np.eye(n), g[:, None]])  # rows (e_i, du_i)
-    q, _ = np.linalg.qr(tangents.T)
-    return q.T
+def tangent_minors(g: np.ndarray) -> np.ndarray:
+    """*(T_1 ^ ... ^ T_n) = (-g, 1) for graph frames T_i = (e_i, g_i): the
+    cofactors of ``surface.generalized_cross``, apart from ``extended_normal``."""
+    return np.concatenate([-g, np.ones(g.shape[:-1] + (1,))], axis=-1)
 
 
 def comass_check(u: GraphFunction, trials: int = 10_000, seed: int = DEFAULT_SEED) -> float:
-    """Max |omega| over seeded random ambient points and orthonormal frames.
-
-    The Hadamard bound caps the value at 1; it is attained (to rounding)
-    exactly when the frame spans the tangent space of the vertically
-    translated graph.
-    """
+    """max(| |N| - 1 |, |omega(T) - 1|) over seeded random ambient points, T the
+    orthonormal graph frame there: omega(T) = <N, *T> / |*T|, |*T|^2 = det(T T^t).
+    It vanishes to rounding iff N is the unit normal of the translated graph."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = u.dimension
     rng = substream(seed, 0)
     base = rng.uniform(-SAMPLE_HALF_WIDTH, SAMPLE_HALF_WIDTH, size=(trials, n))
     z = rng.uniform(-1.0, 1.0, size=(trials, 1))
-    pts = np.concatenate([base, z], axis=-1)
-    normals = extended_normal(u)(pts)
-    frames, _ = np.linalg.qr(rng.standard_normal((trials, n + 1, n)))
-    mats = np.concatenate([frames, normals[:, :, None]], axis=2)
-    return float(np.max(np.abs(np.linalg.det(mats))))
+    normals = extended_normal(u)(np.concatenate([base, z], axis=-1))
+    star = tangent_minors(u.gradient(base))
+    omega = np.vecdot(normals, star) / np.sqrt(np.vecdot(star, star))
+    return float(np.max(np.abs(np.stack([np.sqrt(np.vecdot(normals, normals)), omega]) - 1.0)))
 
 
 def weighted_normal_divergence(u: GraphFunction, dens: Density, x) -> np.ndarray:

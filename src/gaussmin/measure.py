@@ -73,6 +73,18 @@ def unit_sphere_area(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
+def _area_scale(k: int, n: int, R: float) -> float:
+    """|S^{k-1}| R^n, or an OverflowError that names it where it is no float."""
+    try:
+        power = R**n
+    except OverflowError:
+        power = math.inf
+    scale = unit_sphere_area(k) * power  # raises on its own where Gamma(k/2) overflows
+    if scale == math.inf:
+        raise OverflowError(f"sphere area scale |S^{k - 1}| R^{n} overflows at R = {R:g}")
+    return scale
+
+
 def gaussian_ball_volume(n: int, R: float) -> float:
     """Normalized Gaussian mass of the centered ball B^n(0, R).
 
@@ -215,7 +227,7 @@ def sphere_quadrature(
     a horizontal Gaussian's peak near the pole gets its own panel.  The full
     sphere adds the mirror images on [pi/2, pi].
     """
-    area = unit_sphere_area(n) * R**n  # first: an overflowing area fails before any array
+    area = _area_scale(n, n, R)  # first: an overflowing area fails before any array
     t_c = math.asin(min(1.0, (math.sqrt(n) + GAUSSIAN_MASS_MARGIN) / R)) if R > 0.0 else math.pi / 2
     panels = [_leggauss(QUAD_ORDER, a, b) for a, b in ((0.0, t_c), (t_c, math.pi / 2.0)) if a < b]
     t, wt = (np.concatenate(parts) for parts in zip(*panels))
@@ -244,8 +256,7 @@ def weighted_sphere_area_mc(
     upper-half restriction sits in the indicator, so the full area
     multiplies the mean in both cases.
     """
-    # first, so a radius whose area overflows fails before any sampling
-    area = unit_sphere_area(n + 1) * R**n
+    area = _area_scale(n + 1, n, R)  # first: an overflowing area fails before any sampling
 
     def on_sphere(g):
         p = R * g / np.sqrt(sq_norm(g))[:, None]

@@ -140,7 +140,9 @@ def mean_curvature(surface: ParametricSurface, p) -> np.ndarray:
 
 def density_normal_pairing(surface: ParametricSurface, dens: Density, p) -> np.ndarray:
     """The density term <grad F, N> at the ambient points of chart points."""
-    return np.vecdot(dens.grad_log_weight(surface.point(p)), unit_normal(surface, p))
+    p = as_points(p, surface.chart_dim)
+    x, J = surface.jet(p, 1)
+    return np.vecdot(dens.grad_log_weight(x), _frame(p, J)[1])
 
 
 def weighted_mean_curvature(
@@ -176,8 +178,9 @@ def tangent_plane_distance(surface: ParametricSurface, p) -> tuple[np.ndarray, n
     0), N>|, the absolute density term of the horizontal Gaussian
     log-weight.  The two agree for every regular surface point.
     """
-    x = surface.point(p)
-    nvec = unit_normal(surface, p)
+    p = as_points(p, surface.chart_dim)
+    x, J = surface.jet(p, 1)
+    nvec = _frame(p, J)[1]
     axis_point = np.zeros_like(x)
     axis_point[..., -1] = x[..., -1]
     # point-to-hyperplane distance |<n, q> + d| with d = -<n, M>, |n| = 1

@@ -2,11 +2,15 @@
 
 The library evaluates every derivative from analytic jets; the one
 central-difference oracle here checks them, and gives bare immersions a jet.
-The 50-digit mpmath oracle checks the closed-form lateral tails.
+The 50-digit mpmath oracle checks the closed-form lateral tails, and the
+frame oracles evaluate the calibration form on explicit frames.
 """
 
 import mpmath as mp
 import numpy as np
+
+from gaussmin.calibration import SAMPLE_HALF_WIDTH, extended_normal
+from gaussmin.rng import substream
 
 
 def same_bits(a, b) -> bool:
@@ -52,3 +56,32 @@ def lateral_tails(n, R):
         R, half = mp.mpf(R), mp.mpf(n) / 2
         sphere = 2 * mp.pi**half / mp.gamma(half)
         return (2 * mp.pi) ** -half * mp.exp(-R * R / 2) * sphere * R**n, mp.exp(-R * R) * sphere * R ** (n - 1)
+
+
+def frame_value(u, point, frame) -> float:
+    """omega(X_1, ..., X_n) = det(X_1, ..., X_n, N) at an ambient point."""
+    nbar = extended_normal(u)(np.asarray(point, dtype=float))
+    rows = np.vstack([np.asarray(frame, dtype=float), nbar])
+    return float(np.linalg.det(rows))
+
+
+def tangent_frame(u, base_point) -> np.ndarray:
+    """Orthonormal rows spanning the graph tangent space over a base point."""
+    base_point = np.asarray(base_point, dtype=float)
+    g = u.gradient(base_point)
+    tangents = np.hstack([np.eye(u.dimension), g[:, None]])  # rows (e_i, du_i)
+    q, _ = np.linalg.qr(tangents.T)
+    return q.T
+
+
+def random_frame_comass(u, trials, seed) -> float:
+    """Max |omega| over seeded random ambient points and orthonormal frames,
+    which the Hadamard bound caps at |N| = 1."""
+    n = u.dimension
+    rng = substream(seed, 0)
+    base = rng.uniform(-SAMPLE_HALF_WIDTH, SAMPLE_HALF_WIDTH, size=(trials, n))
+    z = rng.uniform(-1.0, 1.0, size=(trials, 1))
+    normals = extended_normal(u)(np.concatenate([base, z], axis=-1))
+    frames, _ = np.linalg.qr(rng.standard_normal((trials, n + 1, n)))
+    mats = np.concatenate([frames, normals[:, :, None]], axis=2)
+    return float(np.max(np.abs(np.linalg.det(mats))))

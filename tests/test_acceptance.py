@@ -46,6 +46,7 @@ from gaussmin.measure import (
 )
 from gaussmin.rng import substream
 from gaussmin.surface import density_normal_pairing, mean_curvature, weighted_mean_curvature
+from oracles import random_frame_comass
 
 HG1, HG2, HG3 = (horizontal_gaussian(n) for n in (1, 2, 3))
 SEED = 0xD1CE
@@ -231,11 +232,13 @@ def test_calibration_closedness_and_comass():
         worst_minimal = max(
             worst_minimal, abs(weighted_normal_divergence(parab, quad_log_dens, x))
         )
-    comass = comass_check(GraphFunction.parabola(2), trials=100_000, seed=SEED)
+    comass = random_frame_comass(parab, trials=100_000, seed=SEED)
+    tangent = comass_check(parab, trials=100_000, seed=SEED)
     ok = worst_identity <= 1e-4 and worst_minimal <= 1e-4 and comass <= 1.0 + 1e-12
+    ok = ok and tangent <= 1e-12
     assert _line(
         f"calibration: identity {worst_identity:.2e}, minimal divergence "
-        f"{worst_minimal:.2e}, comass max {comass:.12f}",
+        f"{worst_minimal:.2e}, comass max {comass:.12f}, tangent-frame residual {tangent:.2e}",
         ok,
     )
 

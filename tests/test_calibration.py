@@ -1,19 +1,23 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from gaussmin import calibration
 from gaussmin.calibration import (
     closedness_residual,
     comass_check,
     extended_normal,
-    frame_value,
-    tangent_frame,
+    tangent_minors,
     weighted_normal_divergence,
 )
+from gaussmin.cli import EXIT_CHECK_FAILED, main
 from gaussmin.density import Density, Profile, horizontal_gaussian
 from gaussmin.graph import GraphFunction, graph_curvature_samples, graph_presets
 from gaussmin.rng import substream
+from gaussmin.surface import generalized_cross
+from oracles import frame_value, random_frame_comass, tangent_frame
 
 HG2 = horizontal_gaussian(2)
 
@@ -51,7 +55,43 @@ def test_frame_containing_the_normal_gives_zero():
 @pytest.mark.parametrize("name", ["constant", "linear", "parabola", "sinusoid"])
 def test_comass_never_exceeds_one(name):
     u = graph_presets(2)[name]
-    assert comass_check(u, trials=20_000, seed=2) <= 1.0 + 1e-12
+    # Hadamard: no orthonormal frame beats |N| = 1, and the tangent frame attains it
+    assert random_frame_comass(u, trials=20_000, seed=2) <= 1.0 + 1e-12
+    assert comass_check(u, trials=20_000, seed=2) <= 1e-12
+
+
+def flipped_normal(u):
+    """(grad u, 1)/W: a unit field with the gradient term's sign wrong."""
+
+    def field(x):
+        g = u.gradient(np.asarray(x, dtype=float)[..., :-1])
+        up = np.concatenate([g, np.ones(g.shape[:-1] + (1,))], axis=-1)
+        return up / np.sqrt(1.0 + np.vecdot(g, g))[..., None]
+
+    return field
+
+
+def test_comass_check_fails_a_sign_flipped_normal(monkeypatch, capsys):
+    presets = graph_presets(2)
+    for name in ("linear", "sinusoid", "parabola"):
+        assert comass_check(presets[name]) <= 1e-12
+    monkeypatch.setattr(calibration, "extended_normal", flipped_normal)
+    for name in ("linear", "sinusoid", "parabola"):
+        assert comass_check(presets[name]) > 0.1, name
+    assert main(["verify", "--only", "calibration"]) == EXIT_CHECK_FAILED
+    rows = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    failed = {name for name, c in rows.items() if name.startswith("comass:") and not c["pass"]}
+    assert failed == {"comass:linear", "comass:sinusoid", "comass:parabola_quad_log"}
+    assert rows["comass:linear"]["residual"] > 0.1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tangent_minors_are_the_frame_cross_product(n):
+    base = substream(4, n).uniform(-2.0, 2.0, size=(200, n))
+    for name, u in graph_presets(n).items():
+        g = u.gradient(base)
+        frame = np.concatenate([np.broadcast_to(np.eye(n), g.shape + (n,)), g[..., None]], axis=-1)
+        assert np.max(np.abs(tangent_minors(g) - generalized_cross(frame))) <= 1e-14, name
 
 
 def test_comass_requires_positive_trials():

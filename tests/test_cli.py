@@ -551,6 +551,18 @@ def test_overflowing_radius_is_runtime_error(args, capsys):
     assert captured.err.startswith("gaussmin: error:") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("method", ["quadrature", "monte_carlo"])
+@pytest.mark.parametrize("R,scale", [("1e200", "1e+200"), ("5e102", "5e+102")])
+def test_overflowing_sphere_area_is_named(method, R, scale, capsys):
+    # at 5e102, R^3 is a float but |S| R^3 is not, so the product itself is checked
+    unit = {"quadrature": "|S^2|", "monte_carlo": "|S^3|"}[method]
+    args = ["measure", "--quantity", "sphere", "--n", "3", "--R", R, "--method", method]
+    assert run(args + ["--samples", "1000"]) == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"gaussmin: error: sphere area scale {unit} R^3 overflows at R = {scale}\n"
+
+
 def test_bound_rows_where_the_old_products_overflowed(tmp_path):
     # lhs is the ball mass and each tail one exp of a sum of logs, so neither
     # R^n at a huge radius nor Gamma(n/2) at n = 400 stops a row

@@ -142,6 +142,24 @@ def test_weighted_curvature_evaluates_partials_once_per_point():
     assert calls == [2] * 6  # one second-order jet per report
 
 
+def test_normal_queries_evaluate_one_first_order_jet():
+    surf = make_associate_family(0.25)
+    calls = []
+
+    def counting(p, order):
+        calls.append(order)
+        return surf.jet(p, order)
+
+    counted = replace(surf, jet=counting)
+    p = substream(12, 0).uniform(-2.0, 2.0, size=(30, 2))
+    nvec, x = unit_normal(surf, p), surf.point(p)
+    pairing = density_normal_pairing(counted, HG2, p)
+    assert same_bits(pairing, np.vecdot(HG2.grad_log_weight(x), nvec))
+    lhs, rhs = tangent_plane_distance(counted, p)
+    assert same_bits(rhs, np.abs(np.vecdot(np.append(x[:, :-1], np.zeros((30, 1)), axis=-1), nvec)))
+    assert calls == [1, 1]  # one first-order jet per query
+
+
 def parametric_surfaces():
     box = ((-2.0, 2.0),) * 2
     catalog = [e.surface for e in default_catalog() if isinstance(e.surface, ParametricSurface)]
