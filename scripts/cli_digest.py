@@ -109,6 +109,16 @@ def cases() -> list[list[str]]:
         ["flow", "--n", "2", "--grid", "65"],
         ["flow", "--n", "3", "--grid", "33"],
         ["flow", "--n", "3", "--grid", "33", "--init", "random_bump", "--seed", "5"],
+        # coarse, wide and tiny boxes: Peclet number 25, and FLOW_DT/dx^2 up to 6.2e7
+        ["flow", "--n", "1", "--grid", "5", "--L", "10", "--init", "random_bump"],
+        ["flow", "--n", "2", "--grid", "9", "--L", "10", "--init", "random_bump"],
+        ["flow", "--n", "2", "--grid", "33", "--L", "10", "--init", "random_bump"],
+        ["flow", "--n", "2", "--grid", "3", "--L", "1e-3", "--init", "random_bump"],
+        ["flow", "--n", "2", "--grid", "3", "--L", "1.8e-5", "--init", "random_bump"],
+        # R^2 is no float, R^1 is
+        ["measure", "--quantity", "hemisphere", "--n", "1", "--R", "1e200"],
+        ["measure", "--quantity", "hemisphere", "--method", "monte_carlo", "--n", "1",
+         "--R", "1e200", "--samples", "1000"],
         ["curvature", "--surface", "cylinder", "--params", "r=2", "--at", "0.3,-0.7"],
         ["curvature", "--surface", "plane", "--params", "offset=0.75", "--at", "0.4,1.1"],
         ["curvature", "--surface", "horizontal_plane", "--params", "a=0.39",

@@ -187,7 +187,8 @@ def _cmd_flow(ns: dict) -> int:
         raise UsageError("flow supports n in {1, 2, 3}")
     L, dx = ns["L"], 2.0 * ns["L"] / (ns["grid"] - 1)
     # |x|^2 and the box volume must be floats; past FLOW_DT/dx^2 = 1/sqrt(eps) the
-    # identity in the step's I - dt L_1 keeps fewer than half of its digits
+    # first step's I - dt L_h is conditioned past 1/sqrt(eps), and its solve
+    # keeps fewer than half of the digits
     finite = n * L * L < math.inf and 2.0 * L < sys.float_info.max ** (1.0 / n)
     if not (finite and dx * dx / math.sqrt(sys.float_info.epsilon) >= flow.FLOW_DT):
         raise UsageError(f"--L {L:g} on --grid {ns['grid']}: needs finite n L^2 and (2L)^n, FLOW_DT/dx^2 <= 6.7e7")

@@ -1,32 +1,38 @@
 """Weighted mean-curvature descent for graphs over a truncated box in G^n x R.
 
-The density is that of G^n x R: e^{-F} = phi(x) = (2 pi)^{-n/2} e^{-|x|^2/2},
-normalized and independent of the height, so it is read once per grid.  Then
-H_F = H - sum_i x_i u_i / W, and u_t = H_F(u) is the gradient flow of the
-weighted area int phi W dx in the weight-scaled inner product, a Lyapunov
-function: dA/dt = -int phi H_F^2 <= 0.  Constants are the unique
-Neumann-stationary graphs over the box, so generic initial data flattens.
+The density is that of G^n x R: phi(x) = (2 pi)^{-n/2} e^{-|x|^2/2},
+normalized and independent of the height.  Then H_F = H - sum_i x_i u_i / W
+and phi H_F = div(phi grad u / W), so u_t = H_F(u) is the gradient flow of the
+weighted area A = int phi W dx in the phi-weighted inner product: dA/dt =
+-int phi H_F^2 <= 0, and under the natural (Neumann) boundary condition
+d/dt int phi u = 0.  Constants are the only stationary graphs, so generic
+data flattens, to the phi-weighted mean of the initial graph.
 
-One grid operator serves every n: with slopes u_i and W^2 = 1 + sum_k u_k^2,
-    H = (sum_i (1 + sum_{k != i} u_k^2) u_ii - 2 sum_{i<j} u_i u_j u_ij) / W^3;
-one pass over a field gives H_F and the weighted area.  Derivatives are
-second-order central differences; homogeneous Neumann boundary conditions
-are imposed by ghost-node reflection.
+The discrete flow keeps both laws (Deckelnick, Dziuk & Elliott, Acta Numerica
+14, 2005).  A_h is the weighted area of the P1 interpolant on the Kuhn
+triangulation of the grid, phi taken at the cell centres, and H_F^h =
+-M^{-1} grad A_h with the separable mass M = prod_i M_i; the boundary
+condition is natural, so there are no ghost nodes.  A step is
 
-Steps are semi-implicit (Smereka, J. Sci. Comput. 19, 2003) in increment
-form, u <- u + P (dt H_F(u)).  With L_OU = sum_i L_i, L_i = d_ii - x_i d_i,
-H_F's linear part at a constant, P = prod_i (I - dt L_i)^{-1} is the
-approximate factorization (Douglas & Gunn, Numer. Math. 6, 1964) of
-(I - dt L_OU)^{-1}: one 1-D inverse applied along every axis.  P^{-1} exceeds
-I - dt L_OU only by the dt^2 products of the L_i, so the step stays first-order
-consistent, H_F = 0 leaves u unchanged and every grid steps with FLOW_DT; a
-step that raises the weighted area beyond roundoff (or is non-finite) is
-retried at half the dt.
+    u <- u - dt (M + dt K)^{-1} grad A_h = u + (I - dt L_h)^{-1} (dt H_F^h),
+
+K = sum_i K_i (x) prod_{j != i} M_j the Kronecker sum of the 1-D stiffnesses
+and L_h = -M^{-1} K.  M + dt K is symmetric positive definite, so every step
+descends A_h at any dt, and K 1 = 0 gives 1^T M (M + dt K)^{-1} = 1^T, so
+sum M u never moves.  For n <= 2, K is the Hessian of A_h at a constant; for
+n = 3 Kuhn's six simplices use a cell's edges 2, 1, 1 and 2 times, which puts
+the Hessian within [2/3, 4/3] of K edge by edge.  The solve is exact, by fast
+diagonalization.  ``flow_run`` doubles dt after every step accepted at its
+first dt (pseudo-transient continuation: Mulder & van Leer, J. Comput. Phys.
+59, 1985; Kelley & Keyes, SIAM J. Numer. Anal. 35, 1998), so its times are
+pseudo-times; ``run_to_time`` keeps a uniform dt <= FLOW_DT.  A step that
+raises the area beyond AREA_SLACK, or is non-finite, is retried at half the dt.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -93,105 +99,197 @@ class GridField:
 @functools.lru_cache(maxsize=8)
 def grid_nodes(half_width: float, resolution: int, n: int) -> np.ndarray:
     """Read-only node coordinates of the uniform grid of [-L, L]^n, shape
-    (resolution,) * n + (n,); memoized, since every flow step needs them."""
+    (resolution,) * n + (n,); memoized, as every initial field needs them."""
     ax = np.linspace(-half_width, half_width, resolution)
     nodes = np.stack(np.meshgrid(*([ax] * n), indexing="ij"), axis=-1)
     nodes.flags.writeable = False
     return nodes
 
 
+# V scales by M^{-1/2}, so the solve's roundoff at the lightest nodes grows
+# with the span of the weights.  Each axis's cell weights are floored so that
+# they span at most e^{LOG_WEIGHT_SPAN / 2}, and the box's product weights at
+# most e^{LOG_WEIGHT_SPAN}: no floor is reached for L <= 10 and n <= 2, and
+# for n = 3 it lies at e^{-33} of the centre's weight on each axis.
+LOG_WEIGHT_SPAN = 100.0
+REFINE_SWEEPS = 2
+SOLVE_RTOL = 1e-6
+
+
+@dataclass(frozen=True)
+class _Axis:
+    """The 1-D factors of the separable weights on the m nodes of [-L, L].
+
+    ``cell_mass`` is phi_1 dx at the cell centres.  Node j's mass is
+    M_j = (dx/2) (phi_1(x_{j-1/2}) + phi_1(x_{j+1/2})), one half cell at each
+    end, stored up to a constant factor; ``below`` and ``above`` are the shares
+    of it from the cell on either side.  With K the stiffness of edge weights
+    phi_1(x_{j+1/2}) / dx, ``lam`` holds the eigenvalues of M^{-1} K, and
+    ``vecs`` and ``coefs`` its eigenvectors V and V^{-1}, from the symmetric
+    M^{-1/2} K M^{-1/2}."""
+
+    dx: float
+    cell_mass: np.ndarray
+    mass: np.ndarray
+    below: np.ndarray
+    above: np.ndarray
+    lam: np.ndarray
+    vecs: np.ndarray
+    coefs: np.ndarray
+
+
 @functools.lru_cache(maxsize=8)
-def _grid_weight(half_width: float, resolution: int, n: int) -> np.ndarray:
-    """Read-only phi at the grid nodes; memoized, as no field changes it."""
-    weight = Density.gaussian(n).weight(grid_nodes(half_width, resolution, n))
-    weight.flags.writeable = False
-    return weight
+def _axis(half_width: float, resolution: int, n: int) -> _Axis:
+    """The memoized, read-only factors of one axis; all are formed from log
+    weights, so no share or mass ratio underflows on a wide box."""
+    x, dx = np.linspace(-half_width, half_width, resolution, retstep=True)
+    log_w = -Density.gaussian(1).log_weight(0.5 * (x[:-1, None] + x[1:, None]))
+    log_w = np.maximum(log_w, np.max(log_w) - LOG_WEIGHT_SPAN / max(n, 2))
+    rel = log_w - np.max(log_w)
+    lo, hi = np.append(-np.inf, rel), np.append(rel, -np.inf)  # cells below and above each node
+    log_mass = np.logaddexp(lo, hi)
+    below, above = np.exp(lo - log_mass), np.exp(hi - log_mass)
+    # M^{-1/2} K M^{-1/2} in units of 2/dx^2: K_{j,j+1}^2 / (M_j M_{j+1}) = above_j below_{j+1}
+    off = np.sqrt(above[:-1] * below[1:])
+    lam, q = np.linalg.eigh(np.diag(above + below) - np.diag(off, 1) - np.diag(off, -1))
+    lam[0] = 0.0  # K 1 = 0 exactly; roundoff must not let 1 + dt lam_0 leave 1
+    root = np.exp(0.5 * log_mass)
+    axis = _Axis(dx, dx * np.exp(log_w), np.exp(log_mass), below, above,
+                 2.0 / (dx * dx) * lam, q / root[:, None], q.T * root)
+    for a in (axis.cell_mass, axis.mass, axis.below, axis.above, axis.lam, axis.vecs, axis.coefs):
+        a.flags.writeable = False
+    return axis
 
 
-def _reflect_pad(a: np.ndarray) -> np.ndarray:
-    """``np.pad(a, 1, mode="reflect")`` by copies: on every axis in turn, ghost
-    node -1 takes node 1 and ghost node m takes node m - 2; each copy spans
-    the whole slab, so corners take the earlier axes' ghosts."""
-    p = np.empty(tuple(s + 2 for s in a.shape))
-    p[(slice(1, -1),) * a.ndim] = a
-    for axis in range(a.ndim):
-        lead = (slice(None),) * axis
-        p[lead + (0,)] = p[lead + (2,)]
-        p[lead + (-1,)] = p[lead + (-3,)]
-    return p
+def _along(v: np.ndarray, axis: int, n: int) -> np.ndarray:
+    """The 1-D ``v`` shaped to broadcast along ``axis`` of an n-D grid."""
+    return v.reshape([-1 if k == axis else 1 for k in range(n)])
 
 
-def _d1(p: np.ndarray, axis: int, dx: float) -> np.ndarray:
-    sl = [slice(1, -1)] * p.ndim
-    hi, lo = sl.copy(), sl.copy()
-    hi[axis], lo[axis] = slice(2, None), slice(None, -2)
-    return (p[tuple(hi)] - p[tuple(lo)]) / (2.0 * dx)
+def _zero_ends(edge: np.ndarray, axis: int) -> np.ndarray:
+    """``edge`` with a zero slab at both ends of ``axis`` (``np.pad``'s
+    constant mode, by one concatenation): no flux leaves the box."""
+    zero = np.zeros_like(np.take(edge, [0], axis=axis))
+    return np.concatenate([zero, edge, zero], axis=axis)
 
 
-def _d2(p: np.ndarray, axis: int, dx: float) -> np.ndarray:
-    sl = [slice(1, -1)] * p.ndim
-    hi, lo, mid = sl.copy(), sl.copy(), sl.copy()
-    hi[axis], lo[axis] = slice(2, None), slice(None, -2)
-    return (p[tuple(hi)] - 2.0 * p[tuple(mid)] + p[tuple(lo)]) / (dx * dx)
+def _divergence(edge: np.ndarray, ax: _Axis, axis: int) -> np.ndarray:
+    """M^{-1} times the net outflow of the fluxes phi edge through each node's
+    two edges along ``axis``: (2/dx) (above edge_{j+1/2} - below edge_{j-1/2})."""
+    n, padded = edge.ndim, _zero_ends(edge, axis)
+    up = padded[tuple(slice(1, None) if k == axis else slice(None) for k in range(n))]
+    down = padded[tuple(slice(None, -1) if k == axis else slice(None) for k in range(n))]
+    return (2.0 / ax.dx) * (_along(ax.above, axis, n) * up - _along(ax.below, axis, n) * down)
+
+
+def _to_nodes(cells: dict, shares: np.ndarray, axis: int) -> dict:
+    """Fold the last corner offset of ``cells`` (arrays over the cells, keyed
+    by corner offsets) into nodes along ``axis``: a node takes the cell above
+    it (offset 0) and below it (offset 1) in proportion to their shares of
+    its mass, as above + share (below - above), so equal values pass bit for
+    bit.  An end node has one cell, which the padding repeats."""
+    nodes = {}
+    for key in {k[:-1] for k in cells}:
+        up, down = cells[key + (0,)], cells[key + (1,)]
+        up = np.concatenate([up, np.take(down, [-1], axis=axis)], axis=axis)
+        down = np.concatenate([np.take(up, [0], axis=axis), down], axis=axis)
+        nodes[key] = up + shares * (down - up)
+    return nodes
 
 
 def _field_geometry(fld: GridField) -> tuple[float, np.ndarray]:
-    """Trapezoid weighted area and H_F at every node from one set of slopes;
-    reflected ghost nodes enforce the Neumann condition."""
-    n, dx = fld.dimension, fld.dx
-    p = _reflect_pad(fld.values)
-    grads = [_d1(p, i, dx) for i in range(n)]
-    sq = [g * g for g in grads]
-    w2 = sum(sq, 1.0)
-    diag = [(1.0 + sum(sq[:i] + sq[i + 1:])) * _d2(p, i, dx) for i in range(n)]
-    padded = [_reflect_pad(g) for g in grads[:-1]]  # the last slope pairs with no later axis
-    mixed = sum(grads[i] * grads[j] * _d1(padded[i], j, dx)
-                for i in range(n) for j in range(i + 1, n))
-    h = (sum(diag[1:], diag[0]) - 2.0 * mixed) / w2**1.5
-    w = np.sqrt(w2)
-    x = fld.nodes()
-    term = 0.0
-    for i, gi in enumerate(grads):
-        term = term - x[..., i] * gi
-    integrand = _grid_weight(fld.half_width, fld.resolution, n) * w
+    """The P1 weighted area A_h and H_F^h = -M^{-1} grad A_h at every node.
+
+    Each Kuhn simplex of a cell steps from the cell's low corner to its high
+    one along the axes in the order of a permutation; the edge of each step
+    gives one slope of its grad u_T, and W_T = sqrt(1 + |grad u_T|^2).  Then
+    A_h = sum_T (phi |T|) W_T, and d A_h / d u sums the fluxes phi grad u_T / W_T
+    through the edges of each simplex."""
+    n, m = fld.dimension, fld.resolution
+    ax = _axis(fld.half_width, m, n)
+    slopes = [np.diff(fld.values, axis=i) / ax.dx for i in range(n)]
+    total = 0.0
+    fluxes = [{} for _ in range(n)]  # per axis: corner offsets on the other axes -> cells
+    for perm in itertools.permutations(range(n)):
+        corner, steps = [0] * n, [None] * n
+        for i in perm:
+            cell = tuple(slice(None) if j == i else slice(c, c + m - 1) for j, c in enumerate(corner))
+            steps[i] = (slopes[i][cell], tuple(corner[:i] + corner[i + 1:]))
+            corner[i] = 1
+        w = np.sqrt(sum((g * g for g, _ in steps), 1.0))
+        total = total + w
+        for i, (g, key) in enumerate(steps):
+            f = g / w
+            fluxes[i][key] = fluxes[i][key] + f if key in fluxes[i] else f
+    # edge uses per cell against the separable mass: 1 for n <= 2, 2/3 for n = 3
+    uses = 2.0 ** (n - 1) / math.factorial(n)
+    hf = 0.0
+    for i in range(n):
+        cells = fluxes[i]
+        for j in reversed([j for j in range(n) if j != i]):
+            cells = _to_nodes(cells, _along(ax.below, j, n), j)
+        hf = hf + _divergence(uses * cells[()], ax, i)
+    area = total
     for _ in range(n):
-        integrand = np.trapezoid(integrand, dx=dx, axis=-1)
-    return float(integrand), h + term / w
+        area = area @ ax.cell_mass
+    return float(area) / math.factorial(n), hf
 
 
-@functools.lru_cache(maxsize=8)
-def _ou_resolvent(half_width: float, resolution: int, dt: float) -> np.ndarray:
-    """(I - dt L_1)^{-1} for the 1-D L_1 = d_xx - x d_x on the grid, the factor
-    that ``_ou_solve`` applies along every axis; one dense inverse per
-    (L, grid, dt) whatever n is."""
-    x, dx = np.linspace(-half_width, half_width, resolution, retstep=True)
-    eye = np.eye(resolution)
-    p = _reflect_pad(eye)  # L_1 is the stencils applied to I
-    ou = _d2(p, 0, dx) - x[:, None] * _d1(p, 0, dx)
-    return np.linalg.inv(eye - dt * ou)
+def _each_axis(mat: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``mat`` applied along every axis of ``a``: matmul broadcasts over
+    leading axes, so ``mat @`` acts on axis 0 for n <= 2 and on axis 1 for
+    n = 3, and ``@ mat.T`` on the last axis."""
+    out = mat @ a
+    if a.ndim > 1:
+        out = out @ mat.T
+    if a.ndim > 2:
+        out = (mat @ out.reshape(a.shape[0], -1)).reshape(a.shape)
+    return out
 
 
 def _ou_solve(half_width: float, rhs: np.ndarray, dt: float) -> np.ndarray:
-    """P rhs, P = (I - dt L_1)^{-1} along every axis of the grid of ``rhs``."""
-    inv = _ou_resolvent(half_width, rhs.shape[0], dt)
-    # matmul broadcasts over leading axes: ``inv @`` acts on axis 0 for n <= 2
-    # and on axis 1 for n = 3, ``@ inv.T`` on the last axis
-    out = inv @ rhs
-    if rhs.ndim > 1:
-        out = out @ inv.T
-    if rhs.ndim > 2:
-        out = (inv @ out.reshape(rhs.shape[0], -1)).reshape(rhs.shape)
+    """(I - dt L_h)^{-1} rhs, L_h = -M^{-1} K, by fast diagonalization (Lynch,
+    Rice & Thomas, Numer. Math. 6, 1964): V^{-1} along every axis, a division
+    by 1 + dt sum_i lam_i, V along every axis.
+
+    V scales by M^{-1/2}, so the light nodes near the box's edges take the
+    roundoff of the heavy ones amplified: on the 2-D grid 65 of L = 10 the
+    solve alone misses by 1e3 times the solution's norm.  REFINE_SWEEPS
+    sweeps on the residual, formed in flux form, bring that to 1e-13.
+    L_h is a generator (rows sum to 0, no negative rates), so the exact
+    solution lies within max |rhs|; a solve that leaves it by more than
+    SOLVE_RTOL has lost its accuracy and raises FlowStepError."""
+    n = rhs.ndim
+    ax = _axis(half_width, rhs.shape[0], n)
+    denom = 1.0 + dt * functools.reduce(np.add.outer, [ax.lam] * n)
+    out = _each_axis(ax.vecs, _each_axis(ax.coefs, rhs) / denom)
+    for _ in range(REFINE_SWEEPS):
+        resid = rhs - out
+        for i in range(n):
+            resid = resid + dt * _divergence(np.diff(out, axis=i) / ax.dx, ax, i)
+        out = out + _each_axis(ax.vecs, _each_axis(ax.coefs, resid) / denom)
+    if not np.max(np.abs(out)) <= (1.0 + SOLVE_RTOL) * np.max(np.abs(rhs)):
+        raise FlowStepError(f"the eigenbasis solve lost its accuracy at dt = {dt:.6g}")
     return out
 
 
 def grid_weighted_mean_curvature(fld: GridField) -> np.ndarray:
-    """H_F at every node: divergence-form H plus the density term."""
+    """H_F^h = -M^{-1} grad A_h at every node."""
     return _field_geometry(fld)[1]
 
 
 def weighted_area(fld: GridField) -> float:
-    """Trapezoid-rule weighted area int phi W dx over the box."""
+    """The P1 weighted area A_h over the box."""
     return _field_geometry(fld)[0]
+
+
+def mass_mean(fld: GridField) -> float:
+    """The M-weighted mean sum M u / sum M, which every step conserves."""
+    weights = _axis(fld.half_width, fld.resolution, fld.dimension).mass
+    mean = fld.values
+    for _ in range(fld.dimension):
+        mean = mean @ weights / np.sum(weights)
+    return float(mean)
 
 
 @dataclass
@@ -259,7 +357,7 @@ def _accepted(
 
 
 def flow_step(state: FlowState) -> FlowState:
-    """One accepted semi-implicit step u <- u + P (dt H_F(u)).
+    """One accepted step u <- u + (I - dt L_h)^{-1} (dt H_F^h(u)).
 
     Rejects (halving dt, up to MAX_REJECTIONS times) any step that increases
     the weighted area by more than AREA_SLACK or produces non-finite values.
@@ -283,26 +381,29 @@ def flow_step(state: FlowState) -> FlowState:
 def flow_run(
     state: FlowState, t_max: float, osc_tol: float = 0.005, hf_tol: float = 0.005
 ) -> FlowResult:
-    """Iterate flow_step until flattening or the time budget runs out.
+    """Iterate flow_step until flattening or the pseudo-time budget runs out,
+    doubling dt after every step accepted at its first dt.
 
-    Converged: oscillation <= osc_tol and max |H_F| <= hf_tol (the limit
-    constant is the final mean).  Failed: dt halved over MAX_REJECTIONS times.
+    Converged: oscillation <= osc_tol and max |H_F| <= hf_tol; the limit
+    constant is the conserved M-weighted mean.  Failed: dt fell below the
+    initial dt halved MAX_REJECTIONS times, or a step was rejected that often.
     """
     dt_min = state.dt * 0.5**MAX_REJECTIONS
     while True:
         _, _, osc, max_hf = state.history[-1]
         if osc <= osc_tol and max_hf <= hf_tol:
-            return FlowResult(
-                state, VERDICT_CONVERGED, float(np.mean(state.field.values))
-            )
+            return FlowResult(state, VERDICT_CONVERGED, mass_mean(state.field))
         if state.time >= t_max:
             return FlowResult(state, VERDICT_MAX_TIME)
+        dt = state.dt
         try:
             state = flow_step(state)
         except FlowStepError:
             return FlowResult(state, VERDICT_STEP_FAILURE)
         if state.dt < dt_min:
             return FlowResult(state, VERDICT_STEP_FAILURE)
+        if state.dt == dt:
+            state.dt = 2.0 * dt
 
 
 def run_to_time(fld: GridField, t_end: float) -> FlowState:

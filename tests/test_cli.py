@@ -11,7 +11,7 @@ from scipy import special
 import gaussmin
 from gaussmin import cli, measure
 from gaussmin.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
-from gaussmin.flow import AREA_SLACK, flow_run, initial_field, initial_state
+from gaussmin.flow import AREA_SLACK, flow_run, initial_field, initial_state, mass_mean
 from gaussmin.graph import GraphFunction
 from gaussmin.density import horizontal_gaussian
 from gaussmin.measure import gaussian_ball_volume, weighted_sphere_area
@@ -138,13 +138,45 @@ def test_flow_2d_grid_65_converges_in_few_monotone_steps(tmp_path, capsys, init)
     areas = [float(row.split(",")[1]) for row in rows]
     assert max(b - a for a, b in zip(areas, areas[1:])) <= AREA_SLACK
     # one row per accepted step plus the initial state; a regression guard
-    # on the step count (175 sinusoid steps, 266 for the default random_bump)
+    # on the step count (9 sinusoid steps, 10 for the default random_bump)
     assert len(rows) - 1 <= 400
 
 
 def test_flow_rejects_bad_dimension(capsys):
     assert run(["flow", "--n", "4"]) == EXIT_USAGE
     assert "flow supports n in {1, 2, 3}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # Peclet number L dx / 2 = 25: the central-difference flow ended in a step failure
+        ["--n", "1", "--grid", "5", "--L", "10"],
+        # tiny boxes, where FLOW_DT / dx^2 reaches 6.2e7: it ran out of time
+        ["--n", "2", "--grid", "3", "--L", "1e-3"],
+        ["--n", "2", "--grid", "3", "--L", "1.8e-5"],
+        *(["--n", "2", "--grid", str(m), "--L", "10"] for m in (9, 17, 33, 65)),
+    ],
+)
+def test_flow_converges_on_coarse_wide_and_tiny_boxes(args, tmp_path, capsys):
+    out = tmp_path / "series.csv"
+    code = run(["flow", *args, "--init", "random_bump", "--out", str(out),
+                "--field-out", str(tmp_path / "field.csv")])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out.startswith("verdict: converged_to_constant (constant ")
+    areas = [float(row.split(",")[1]) for row in out.read_text().splitlines()[1:]]
+    assert max(b - a for a, b in zip(areas, areas[1:])) <= AREA_SLACK
+
+
+@pytest.mark.parametrize("n, grid", [(1, 257), (2, 65), (3, 17)])
+def test_flow_prints_the_initial_mass_mean(n, grid, tmp_path, capsys):
+    # the flow conserves sum M u, so the constant it converges to is fixed by
+    # the initial field alone
+    fld = initial_field(n, 4.0, grid, "random_bump", seed=5)
+    args = ["flow", "--n", str(n), "--grid", str(grid), "--init", "random_bump", "--seed", "5",
+            "--out", str(tmp_path / "s"), "--field-out", str(tmp_path / "f")]
+    assert run(args) == EXIT_OK
+    assert f"(constant {mass_mean(fld):.6g}, t = " in capsys.readouterr().out
 
 
 def test_flow_3d_field_out_has_one_line_per_last_axis_row(tmp_path):
@@ -635,3 +667,20 @@ def test_import_leaves_scipy_optimize_unloaded():
     )
     # the plane scan bisects in numpy: scipy.optimize alone takes ~0.5 s to import
     assert proc.stdout.splitlines() == ["[]", "(0.3903882032022812,) []"]
+
+
+@pytest.mark.parametrize("method", ["quadrature", "monte_carlo"])
+def test_hemisphere_at_a_radius_whose_square_overflows(method):
+    # n = 1 keeps R^n a float up to 1.8e308, but (R sin t)^2 on the outer
+    # polar panel (and at the Monte Carlo points) is none past 1.34e154
+    src = str(Path(gaussmin.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    args = ["measure", "--quantity", "hemisphere", "--n", "1", "--R", "1e200",
+            "--method", method, "--samples", "1000"]
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "gaussmin.cli", *args],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == EXIT_OK and proc.stderr == ""
+    value = json.loads(proc.stdout)["value"]
+    # 1000 uniform points on the circle miss the polar peak of width ~1/R, so
+    # the Monte Carlo estimate reads 0; the point is that nothing overflows
+    assert value == (0.9999999999999951 if method == "quadrature" else 0.0)

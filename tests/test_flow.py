@@ -58,13 +58,18 @@ def test_initial_state_rejects_unstable_dt():
 
 
 def test_grid_curvature_matches_analytic_on_interior():
-    # u = 0.25 x: H = 0 and H_F = -x * 0.25 / sqrt(1 + 0.0625)
+    # u = 0.25 x: H = 0 and H_F = -x * 0.25 / sqrt(1 + 0.0625).  Every cell has
+    # that slope, so H_F^h = (2/dx) (above - below) 0.25 / W, with above and
+    # below the node's mass shares phi(x +- dx/2) / (phi(x - dx/2) + phi(x + dx/2)):
+    # -(2/dx) tanh(x dx/2) 0.25 / W, within |x|^3 dx^2 / 12 of the continuum
     fld = initial_field(1, 4.0, 257, "linear")
     hf = grid_weighted_mean_curvature(fld)
-    x = fld.axis()
-    expected = -x * 0.25 / math.sqrt(1.0625)
+    x, dx = fld.axis(), fld.dx
+    slope = 0.25 / math.sqrt(1.0625)
+    expected = -(2.0 / dx) * np.tanh(0.5 * x * dx) * slope
     interior = slice(2, -2)
     assert np.max(np.abs(hf[interior] - expected[interior])) <= 1e-6
+    assert np.all(np.abs(expected + x * slope) <= np.abs(x) ** 3 * dx * dx / 12.0 * slope)
 
 
 def test_two_dimensional_operator_reduces_to_one_dimensional_columns():
@@ -75,22 +80,29 @@ def test_two_dimensional_operator_reduces_to_one_dimensional_columns():
     hf1 = grid_weighted_mean_curvature(f1)
     hf2 = grid_weighted_mean_curvature(f2)
     assert np.array_equal(hf2, np.repeat(hf1[:, None], 65, axis=1))
-    # likewise a 3-D field constant along one axis gives the 2-D H_F on every
-    # slice across it; each axis leaves one of the three mixed pairs alone
+    # Kuhn's six simplices use a cell's edges 2, 1, 1 and 2 times, so a 3-D
+    # field constant along one axis has its own H_F.  Its area is the 2-D area
+    # times that axis's mass (each simplex's slopes are a 2-D simplex's), so
+    # the gradients agree summed across the axis: the mass-weighted mean of the
+    # 3-D H_F across it is the 2-D H_F.  A simplex with a wrong slope fails this
     f2 = initial_field(2, 4.0, 33, "random_bump", seed=5)
     hf2 = grid_weighted_mean_curvature(f2)
+    mass = _edge_mass(4.0, 33)
     for axis in range(3):
         f3 = GridField(4.0, np.repeat(np.expand_dims(f2.values, axis), 33, axis=axis))
-        hf3 = grid_weighted_mean_curvature(f3)
-        assert np.array_equal(hf3, np.repeat(np.expand_dims(hf2, axis), 33, axis=axis))
+        assert weighted_area(f3) == pytest.approx(weighted_area(f2) * mass.sum(), rel=1e-14)
+        mean = np.moveaxis(grid_weighted_mean_curvature(f3), axis, -1) @ mass / mass.sum()
+        assert np.max(np.abs(mean - hf2)) <= 1e-14 * np.max(np.abs(hf2))
 
 
 def test_two_dimensional_operator_is_second_order_on_interior():
     # the closed-form graph kernel is the reference, including the mixed
     # derivative terms; the errors are taken on the coarse interior nodes.
-    # n = 3 takes amplitude 1: at 0.3 a dropped mixed pair's u_i u_j u_ij stays
-    # below the grid-17 truncation error, at 1 it stalls the grid-65 errors
-    for n, amplitude, grids in ((2, 0.3, (33, 65, 129)), (3, 1.0, (17, 33, 65))):
+    # Every slope product enters through the simplices' W_T, with no term per
+    # pair of axes to drop (the area identity of the column test guards the
+    # simplices' slopes).  At amplitude 1 the 3-D ratios are 3.45 and 3.84:
+    # the one-sided slopes of W_T at the bump peaks are still pre-asymptotic
+    for n, amplitude, grids in ((2, 0.3, (33, 65, 129)), (3, 0.3, (17, 33, 65))):
         u = GraphFunction.random_bump(n, seed=5, amplitude=amplitude)
         errors = []
         for m in grids:
@@ -189,35 +201,48 @@ def test_flow_run_fails_once_dt_has_halved_max_rejections_times(monkeypatch):
     assert result.state.dt == FLOW_DT * 0.5**11 and len(result.state.history) == 12
 
 
-def _ou_matrix(L, m):
-    # reference L_OU = d_xx - x d_x, column by column from the three-point
-    # stencils with np.pad's reflected ghost nodes u_{-1} = u_1, u_m = u_{m-2}
-    dx = 2.0 * L / (m - 1)
+def _cell_weight(L, m, n=1):
+    # phi at the cell centres, floored as the flow floors an axis of an n-D box
     x = np.linspace(-L, L, m)
-    cols = []
-    for e in np.eye(m):
-        p = np.pad(e, 1, mode="reflect")
-        cols.append((p[2:] - 2.0 * p[1:-1] + p[:-2]) / dx**2 - x * (p[2:] - p[:-2]) / (2.0 * dx))
-    return np.stack(cols, axis=1)
+    phi = np.exp(-0.5 * (0.5 * (x[:-1] + x[1:])) ** 2) / math.sqrt(2.0 * math.pi)
+    return np.maximum(phi, np.max(phi) * math.exp(-flow.LOG_WEIGHT_SPAN / max(n, 2)))
 
 
-def _factored_system(n, m, L, dt):
-    # the Kronecker product of the n per-axis factors I - dt L_1: it differs
-    # from I - dt L_OU by the dt^2 L_i L_j products (approximate factorization)
-    factor = np.eye(m) - dt * _ou_matrix(L, m)
-    return functools.reduce(np.kron, [factor] * n)
+def _edge_mass(L, m, n=1):
+    # M_j = (dx/2) (phi(x_{j-1/2}) + phi(x_{j+1/2})), one half cell at each end
+    phi, dx = _cell_weight(L, m, n), 2.0 * L / (m - 1)
+    return 0.5 * dx * (np.append(0.0, phi) + np.append(phi, 0.0))
+
+
+def _ou_matrix(L, m, n=1):
+    # reference L_1 = -M^{-1} K, K the stiffness with edge weights
+    # phi(x_{j+1/2}) / dx: the 1-D Hessian of the P1 area at a constant
+    k = _cell_weight(L, m, n) / (2.0 * L / (m - 1))
+    stiffness = np.diag(np.append(k, 0.0) + np.append(0.0, k)) - np.diag(k, 1) - np.diag(k, -1)
+    return -stiffness / _edge_mass(L, m, n)[:, None]
+
+
+def _kronecker_system(n, m, L, dt):
+    # I - dt sum_i L_1 along axis i: (M + dt K) scaled by M^{-1}, dense
+    ou, eye = _ou_matrix(L, m, n), np.eye(m)
+    return np.eye(m**n) - dt * sum(
+        functools.reduce(np.kron, [ou if j == i else eye for j in range(n)]) for i in range(n)
+    )
 
 
 @pytest.mark.parametrize("L", [4.0, 10.0])
 @pytest.mark.parametrize("n, m", [(n, m) for n in (1, 2, 3) for m in (3, 5, 9, 65)
                                   if n < 3 or m < 65])
 def test_ou_solve_matches_dense_solve(n, m, L):
-    # the coarse grids (5 and 9 at L = 4, all but 3 at L = 10) give L_OU
-    # complex eigenpairs; at L = 10 its eigenvectors are conditioned ~1e12
+    # at L = 10, M spans e^48 along an axis (e^33, floored, for n = 3), and the
+    # eigenvectors scale by M^{-1/2}
     rhs = np.random.default_rng(m).standard_normal((m,) * n)
-    # a 4,225-unknown dense solve takes seconds: the 2-D grid 65 checks FLOW_DT only
-    for dt in (FLOW_DT,) if m**n > 1000 else (FLOW_DT, FLOW_DT / 2, 1.0):
-        system = _factored_system(n, m, L, dt)
+    # a 4,225-unknown dense solve takes seconds: the 2-D grid 65 checks FLOW_DT
+    # only; at dt = 1e3 the 1-D grid-65 system is conditioned ~4e5, past what a
+    # 1e-12 comparison with its LU solution resolves
+    dts = (FLOW_DT,) if m**n > 1000 else (FLOW_DT, 1.0) if m == 65 else (FLOW_DT, 1.0, 1e3)
+    for dt in dts:
+        system = _kronecker_system(n, m, L, dt)
         dense = np.linalg.solve(system, rhs.ravel()).reshape(rhs.shape)
         fast = flow._ou_solve(L, rhs, dt)
         assert np.linalg.norm(fast - dense) <= 1e-12 * np.linalg.norm(dense)
@@ -227,23 +252,26 @@ def test_ou_solve_matches_dense_solve(n, m, L):
 @pytest.mark.parametrize("n, m", [(n, m) for n in (1, 2, 3) for m in (3, 4, 9, 65)
                                   if n < 3 or m < 65])
 def test_field_geometry_matches_np_pad_reference_bit_for_bit(monkeypatch, n, m, L):
-    # ghost nodes are copies, so the area and H_F built on them must equal,
-    # bit for bit, those built on np.pad's reflected arrays
+    # the zero fluxes beyond the box are built by one concatenation, so the
+    # area and H_F built on them must equal, bit for bit, those built on
+    # np.pad's constant-mode arrays
     values = 0.5 * np.random.default_rng(10 * m + n).standard_normal((m,) * n)
-    assert flow._reflect_pad(values).tobytes() == np.pad(values, 1, mode="reflect").tobytes()
+    for axis in range(n):
+        width = [(1, 1) if k == axis else (0, 0) for k in range(n)]
+        assert flow._zero_ends(values, axis).tobytes() == np.pad(values, width).tobytes()
     fld = GridField(L, values)
     area, hf = flow._field_geometry(fld)
-    monkeypatch.setattr(flow, "_reflect_pad", lambda a: np.pad(a, 1, mode="reflect"))
+    monkeypatch.setattr(flow, "_zero_ends", lambda a, axis: np.pad(
+        a, [(1, 1) if k == axis else (0, 0) for k in range(a.ndim)]))
     ref_area, ref_hf = flow._field_geometry(fld)
     assert np.float64(area).tobytes() == np.float64(ref_area).tobytes()
     assert hf.tobytes() == ref_hf.tobytes()
 
 
 def test_even_coarse_grid_step_at_large_dt_is_accepted():
-    # on even grids L_1 has a positive eigenvalue, so I - dt L_OU at dt = 5 is
-    # not positive stable; the per-axis factors need no sign iteration, and an
-    # oversized increment (as from a factor near singular) raises the area, so
-    # the guard halves dt until the area does not rise
+    # an even grid has no node at the centre, and grid 4 of L = 10 has a cell
+    # Peclet number of 33; the P1 step descends there too, and were an
+    # increment oversized, the guard would halve dt until the area did not rise
     state = initial_state(initial_field(2, 10.0, 4, "random_bump", seed=5), dt=5.0)
     stepped = flow_step(state)
     assert len(stepped.history) == 2
@@ -252,8 +280,9 @@ def test_even_coarse_grid_step_at_large_dt_is_accepted():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_ou_matrix_is_linear_part_of_hf(n):
-    # H_F is odd in u, so H_F(eps s) - eps L_OU s = O(eps^3), boundary nodes
-    # included: the reference matrix of the solve test is H_F's linear part
+    # H_F is odd in u, so H_F(eps s) - eps L_h s = O(eps^3), boundary nodes
+    # included: the reference matrix of the solve test is H_F's linear part,
+    # and for n = 2 the Kronecker sum is the P1 area's Hessian at a constant
     s = initial_field(n, 4.0, 33, "sinusoid").values
     ou_s = s @ _ou_matrix(4.0, 33).T
     if n == 2:
@@ -311,13 +340,55 @@ def test_flow_step_evaluates_no_density(monkeypatch):
 
 @pytest.mark.parametrize("n, m", [(1, 65), (2, 33), (2, 65), (3, 33), (3, 65)])
 def test_weighted_area_of_constant_is_gaussian_trapezoid_mass(n, m):
-    # W = 1 for a constant, so the area is the tensor trapezoid rule applied
-    # to the Gaussian: the n-th power of the 1-D trapezoid mass.
+    # W = 1 for a constant, so the P1 area weighs every cell by phi at its
+    # centre: the n-th power of the 1-D midpoint mass (the trapezoid rule
+    # applied to the cell-centre samples, half a cell at each end)
     ax = np.linspace(-4.0, 4.0, m)
-    weights = np.full(m, ax[1] - ax[0])
-    weights[[0, -1]] *= 0.5
-    mass = float(np.sum(weights * np.exp(-0.5 * ax * ax))) / math.sqrt(2.0 * math.pi)
+    mid = 0.5 * (ax[:-1] + ax[1:])
+    mass = float(np.sum((ax[1] - ax[0]) * np.exp(-0.5 * mid * mid))) / math.sqrt(2.0 * math.pi)
+    assert mass == pytest.approx(float(np.sum(_edge_mass(4.0, m))), rel=1e-15)
     area = weighted_area(initial_field(n, 4.0, m, "constant:0.3"))
     assert area == pytest.approx(mass**n, rel=1e-15, abs=0.0)
     assert area == weighted_area(initial_field(n, 4.0, m, "constant:-2"))
     assert abs(area - math.erf(4.0 / math.sqrt(2.0)) ** n) <= 2e-5
+
+
+@pytest.mark.parametrize("n, m", [(1, 257), (2, 65), (3, 17)])
+def test_mass_mean_is_conserved_whatever_the_dt_path(n, m):
+    # 1^T M (M + dt K)^{-1} = 1^T and 1^T grad A_h = 0, so sum M u never moves:
+    # along the doubling ladder (every step accepted at its first dt, for n = 3
+    # too, where K is only within [2/3, 4/3] of the Hessian), in the limit
+    # flow_run reports, and on the uniform path of run_to_time
+    fld = initial_field(n, 4.0, m, "random_bump", seed=5)
+    mean0 = flow.mass_mean(fld)
+    state = initial_state(fld)
+    for k in range(1, 12):
+        state = flow_step(state)
+        assert state.time == pytest.approx(FLOW_DT * (2**k - 1), rel=1e-12)
+        assert abs(flow.mass_mean(state.field) - mean0) <= 1e-15
+        state.dt *= 2.0
+    result = flow_run(initial_state(fld), t_max=50.0)
+    assert result.verdict == VERDICT_CONVERGED
+    assert abs(result.limit_constant - mean0) <= 1e-15
+    uniform = run_to_time(fld, 3.0)
+    assert abs(flow.mass_mean(uniform.field) - mean0) <= 1e-15
+    assert abs(flow.mass_mean(uniform.field) - result.limit_constant) <= 1e-15
+
+
+@pytest.fixture
+def fresh_axis_factors():
+    flow._axis.cache_clear()
+    yield
+    flow._axis.cache_clear()
+
+
+def test_unsettled_solve_is_a_step_failure(monkeypatch, fresh_axis_factors):
+    # unfloored, the 3-D weights at L = 12 span e^189 over the box, and the
+    # refinement sweeps cannot recover the light corners; the solve's
+    # maximum-principle check turns that into a step failure, not a field of
+    # roundoff that the area (which does not see those corners) would accept
+    monkeypatch.setattr(flow, "LOG_WEIGHT_SPAN", 400.0)
+    fld = initial_field(3, 12.0, 17, "random_bump", seed=5)
+    result = flow_run(initial_state(fld), t_max=50.0)
+    assert result.verdict == VERDICT_STEP_FAILURE
+    assert result.state.field is fld
