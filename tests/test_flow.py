@@ -375,6 +375,17 @@ def test_mass_mean_is_conserved_whatever_the_dt_path(n, m):
     assert abs(flow.mass_mean(uniform.field) - result.limit_constant) <= 1e-15
 
 
+@pytest.mark.parametrize("dt", [1e3, 1e6])
+def test_three_dimensional_step_descends_at_any_dt(dt):
+    # for n = 3 the separable K is only within [2/3, 4/3] of the area's
+    # Hessian, but M + dt K is still positive definite: one step at any dt
+    # is accepted at that dt and lowers the area
+    state = initial_state(initial_field(3, 4.0, 17, "random_bump:1", seed=5), dt=dt)
+    stepped = flow_step(state)
+    assert stepped.dt == dt and stepped.time == dt
+    assert stepped.history[-1][1] < state.history[0][1]
+
+
 @pytest.fixture
 def fresh_axis_factors():
     flow._axis.cache_clear()
