@@ -53,7 +53,8 @@ VERDICT_STEP_FAILURE = "step_failure"
 
 
 class FlowStepError(RuntimeError):
-    """A step could not be accepted after repeated halvings."""
+    """A step could not be accepted: it was rejected at every halving, or
+    its solve lost its accuracy."""
 
 
 @dataclass(frozen=True)
