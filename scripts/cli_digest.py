@@ -115,6 +115,9 @@ def cases() -> list[list[str]]:
         ["flow", "--n", "2", "--grid", "33", "--L", "10", "--init", "random_bump"],
         ["flow", "--n", "2", "--grid", "3", "--L", "1e-3", "--init", "random_bump"],
         ["flow", "--n", "2", "--grid", "3", "--L", "1.8e-5", "--init", "random_bump"],
+        # wide boxes whose far field relaxes slowly: pseudo-time 655 and 328
+        ["flow", "--n", "1", "--grid", "65", "--L", "20"],
+        ["flow", "--n", "1", "--grid", "4", "--L", "10"],
         # R^2 is no float, R^1 is
         ["measure", "--quantity", "hemisphere", "--n", "1", "--R", "1e200"],
         ["measure", "--quantity", "hemisphere", "--method", "monte_carlo", "--n", "1",

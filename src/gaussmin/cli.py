@@ -378,9 +378,11 @@ _COMMANDS: dict[str, tuple] = {
     "bound": (_cmd_bound, "CSV sweep of the volume-growth report", {
         "n": (2, int), "rmin": (0.5, float), "rmax": (6.0, float), "steps": (12, int),
     }),
+    # tmax bounds pseudo-time, which the dt ladder doubles each step: 1e6 lets
+    # it take 26 steps, where 50 stopped it after 12
     "flow": (_cmd_flow, "weighted mean-curvature flow run", {
         "n": (1, int), "L": (4.0, float), "grid": (257, int), "init": ("sinusoid", str),
-        "tmax": (50.0, float), "osc_tol": (0.005, float), "hf_tol": (0.005, float),
+        "tmax": (1e6, float), "osc_tol": (0.005, float), "hf_tol": (0.005, float),
         "seed": _SEED, "field_out": (None, str),
     }),
     "curvature": (_cmd_curvature, "single-point weighted curvature report", {

@@ -9,19 +9,18 @@ d/dt int phi u = 0.  Constants are the only stationary graphs, so generic
 data flattens, to the phi-weighted mean of the initial graph.
 
 The discrete flow keeps both laws (Deckelnick, Dziuk & Elliott, Acta Numerica
-14, 2005).  A_h is the weighted area of the P1 interpolant on the Kuhn
-triangulation of the grid, phi taken at the cell centres, and H_F^h =
--M^{-1} grad A_h with the separable mass M = prod_i M_i; the boundary
-condition is natural, so there are no ghost nodes.  A step is
+14, 2005): H_F^h = -M^{-1} grad A_h with the separable mass M = prod_i M_i
+(phi at the cell centres, half a cell at each end), under the natural
+boundary condition, so there are no ghost nodes.  A_h (``_field_geometry``)
+keeps the P1 Dirichlet energy u^T K u / 2 as its quadratic part, so
+K = sum_i K_i (x) prod_{j != i} M_j, the Kronecker sum of the 1-D
+stiffnesses, is its Hessian at a constant for every n.  A step is
 
     u <- u - dt (M + dt K)^{-1} grad A_h = u + (I - dt L_h)^{-1} (dt H_F^h),
 
-K = sum_i K_i (x) prod_{j != i} M_j the Kronecker sum of the 1-D stiffnesses
-and L_h = -M^{-1} K.  M + dt K is symmetric positive definite, so every step
-descends A_h at any dt, and K 1 = 0 gives 1^T M (M + dt K)^{-1} = 1^T, so
-sum M u never moves.  For n <= 2, K is the Hessian of A_h at a constant; for
-n = 3 Kuhn's six simplices use a cell's edges 2, 1, 1 and 2 times, which puts
-the Hessian within [2/3, 4/3] of K edge by edge.  The solve is exact, by fast
+L_h = -M^{-1} K.  K 1 = 0 gives 1^T M (M + dt K)^{-1} = 1^T, so sum M u never
+moves, and a step descends A_h at any dt while the Hessian of A_h stays below
+2 K (it stayed below K on every field tried).  The solve is exact, by fast
 diagonalization.  ``flow_run`` doubles dt after every step accepted at its
 first dt (pseudo-transient continuation: Mulder & van Leer, J. Comput. Phys.
 59, 1985; Kelley & Keyes, SIAM J. Numer. Anal. 35, 1998), so its times are
@@ -32,7 +31,6 @@ raises the area beyond AREA_SLACK, or is non-finite, is retried at half the dt.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -100,7 +98,7 @@ class GridField:
 @functools.lru_cache(maxsize=8)
 def grid_nodes(half_width: float, resolution: int, n: int) -> np.ndarray:
     """Read-only node coordinates of the uniform grid of [-L, L]^n, shape
-    (resolution,) * n + (n,); memoized, as every initial field needs them."""
+    (resolution,) * n + (n,); memoized, since every flow step needs them."""
     ax = np.linspace(-half_width, half_width, resolution)
     nodes = np.stack(np.meshgrid(*([ax] * n), indexing="ij"), axis=-1)
     nodes.flags.writeable = False
@@ -121,16 +119,17 @@ SOLVE_RTOL = 1e-6
 class _Axis:
     """The 1-D factors of the separable weights on the m nodes of [-L, L].
 
-    ``cell_mass`` is phi_1 dx at the cell centres.  Node j's mass is
+    ``cell_mass`` is phi_1 dx at the cell centres and ``node_mass`` node j's
     M_j = (dx/2) (phi_1(x_{j-1/2}) + phi_1(x_{j+1/2})), one half cell at each
-    end, stored up to a constant factor; ``below`` and ``above`` are the shares
-    of it from the cell on either side.  With K the stiffness of edge weights
-    phi_1(x_{j+1/2}) / dx, ``lam`` holds the eigenvalues of M^{-1} K, and
-    ``vecs`` and ``coefs`` its eigenvectors V and V^{-1}, from the symmetric
-    M^{-1/2} K M^{-1/2}."""
+    end; ``mass`` is M up to a constant factor, which never underflows, and
+    ``below`` and ``above`` are the shares of it from the cell on either side.
+    With K the stiffness of edge weights phi_1(x_{j+1/2}) / dx, ``lam`` holds
+    the eigenvalues of M^{-1} K, and ``vecs`` and ``coefs`` its eigenvectors V
+    and V^{-1}, from the symmetric M^{-1/2} K M^{-1/2}."""
 
     dx: float
     cell_mass: np.ndarray
+    node_mass: np.ndarray
     mass: np.ndarray
     below: np.ndarray
     above: np.ndarray
@@ -155,9 +154,11 @@ def _axis(half_width: float, resolution: int, n: int) -> _Axis:
     lam, q = np.linalg.eigh(np.diag(above + below) - np.diag(off, 1) - np.diag(off, -1))
     lam[0] = 0.0  # K 1 = 0 exactly; roundoff must not let 1 + dt lam_0 leave 1
     root = np.exp(0.5 * log_mass)
-    axis = _Axis(dx, dx * np.exp(log_w), np.exp(log_mass), below, above,
+    cell_mass = dx * np.exp(log_w)
+    node_mass = 0.5 * (np.append(0.0, cell_mass) + np.append(cell_mass, 0.0))
+    axis = _Axis(dx, cell_mass, node_mass, np.exp(log_mass), below, above,
                  2.0 / (dx * dx) * lam, q / root[:, None], q.T * root)
-    for a in (axis.cell_mass, axis.mass, axis.below, axis.above, axis.lam, axis.vecs, axis.coefs):
+    for a in (axis.cell_mass, axis.node_mass, axis.mass, axis.below, axis.above, axis.lam, axis.vecs, axis.coefs):
         a.flags.writeable = False
     return axis
 
@@ -167,73 +168,102 @@ def _along(v: np.ndarray, axis: int, n: int) -> np.ndarray:
     return v.reshape([-1 if k == axis else 1 for k in range(n)])
 
 
-def _zero_ends(edge: np.ndarray, axis: int) -> np.ndarray:
-    """``edge`` with a zero slab at both ends of ``axis`` (``np.pad``'s
-    constant mode, by one concatenation): no flux leaves the box."""
-    zero = np.zeros_like(np.take(edge, [0], axis=axis))
-    return np.concatenate([zero, edge, zero], axis=axis)
+def _ends(n: int, axis: int) -> tuple[tuple, tuple]:
+    """Index tuples of all but the last and all but the first entry along
+    ``axis`` of an n-D grid: the low and the high end of every edge."""
+    return tuple(tuple(part if k == axis else slice(None) for k in range(n))
+                 for part in (slice(None, -1), slice(1, None)))
+
+
+def _at_nodes(edge: np.ndarray, ax: _Axis, axis: int, sign: float) -> np.ndarray:
+    """above edge_{j+1/2} + sign below edge_{j-1/2} at every node j along
+    ``axis``, each edge weighted by its cell's share of the node's mass; no
+    edge lies beyond the box's faces."""
+    n = edge.ndim
+    lo, hi = _ends(n, axis)
+    out = np.zeros(tuple(m + (k == axis) for k, m in enumerate(edge.shape)))
+    out[lo] = _along(ax.above[:-1], axis, n) * edge
+    out[hi] += _along(sign * ax.below[1:], axis, n) * edge
+    return out
+
+
+def _to_nodes(edge: np.ndarray, ax: _Axis, axis: int) -> np.ndarray:
+    """The mass-weighted mean of the two edges along ``axis`` at every node,
+    its one edge at the box's faces."""
+    return _at_nodes(edge, ax, axis, 1.0)
 
 
 def _divergence(edge: np.ndarray, ax: _Axis, axis: int) -> np.ndarray:
     """M^{-1} times the net outflow of the fluxes phi edge through each node's
     two edges along ``axis``: (2/dx) (above edge_{j+1/2} - below edge_{j-1/2})."""
-    n, padded = edge.ndim, _zero_ends(edge, axis)
-    up = padded[tuple(slice(1, None) if k == axis else slice(None) for k in range(n))]
-    down = padded[tuple(slice(None, -1) if k == axis else slice(None) for k in range(n))]
-    return (2.0 / ax.dx) * (_along(ax.above, axis, n) * up - _along(ax.below, axis, n) * down)
+    return (2.0 / ax.dx) * _at_nodes(edge, ax, axis, -1.0)
 
 
-def _to_nodes(cells: dict, shares: np.ndarray, axis: int) -> dict:
-    """Fold the last corner offset of ``cells`` (arrays over the cells, keyed
-    by corner offsets) into nodes along ``axis``: a node takes the cell above
-    it (offset 0) and below it (offset 1) in proportion to their shares of
-    its mass, as above + share (below - above), so equal values pass bit for
-    bit.  An end node has one cell, which the padding repeats."""
-    nodes = {}
-    for key in {k[:-1] for k in cells}:
-        up, down = cells[key + (0,)], cells[key + (1,)]
-        up = np.concatenate([up, np.take(down, [-1], axis=axis)], axis=axis)
-        down = np.concatenate([np.take(up, [0], axis=axis), down], axis=axis)
-        nodes[key] = up + shares * (down - up)
-    return nodes
+def _to_edges(node: np.ndarray, axis: int) -> np.ndarray:
+    """The mean of ``node`` over the two ends of every edge along ``axis``."""
+    lo, hi = _ends(node.ndim, axis)
+    return 0.5 * (node[lo] + node[hi])
+
+
+def _sharpen(edge: np.ndarray, ax: _Axis, axis: int) -> np.ndarray:
+    """edge - (above jump_{j+1} - below jump_j) / 12 along ``axis``, with
+    jump_j = edge_{j+1/2} - edge_{j-1/2} at the inner nodes: (26 e - e_- - e_+) / 24
+    on equal weights, which takes an edge's slope to the derivative at its
+    midpoint to fourth order, and its own adjoint under the edge weights."""
+    n, jump = edge.ndim, np.diff(edge, axis=axis) / 12.0
+    lo, hi = _ends(n, axis)
+    out = edge.copy()
+    out[lo] -= _along(ax.above[1:-1], axis, n) * jump
+    out[hi] += _along(ax.below[1:-1], axis, n) * jump
+    return out
 
 
 def _field_geometry(fld: GridField) -> tuple[float, np.ndarray]:
-    """The P1 weighted area A_h and H_F^h = -M^{-1} grad A_h at every node.
+    """The weighted area A_h and H_F^h = -M^{-1} grad A_h at every node.
 
-    Each Kuhn simplex of a cell steps from the cell's low corner to its high
-    one along the axes in the order of a permutation; the edge of each step
-    gives one slope of its grad u_T, and W_T = sqrt(1 + |grad u_T|^2).  Then
-    A_h = sum_T (phi |T|) W_T, and d A_h / d u sums the fluxes phi grad u_T / W_T
-    through the edges of each simplex."""
-    n, m = fld.dimension, fld.resolution
-    ax = _axis(fld.half_width, m, n)
+    W - 1 = sum_i p_i^2 / (1 + W), so the area splits into one term per axis,
+    taken at the midpoints of the edges along it with the edge weights w_e of K:
+
+        A_h = sum M + sum_i sum_{e along i} w_e (g^2 / 2 + r(s, t)),
+        r(s, t) = s^2 / (1 + W) - s^2 / 2,  W = sqrt(1 + s^2 + |t|^2),
+
+    g the edge's slope, s its ``_sharpen``-ed slope and t the slopes across
+    it, the mean over its two nodes of their ``_to_nodes`` slopes.  The g^2 / 2
+    terms are u^T K u / 2 and r = O(|p|^4).  The P1 area of a triangulation
+    takes W from the one-sided slopes of a simplex: on grid 17 at a steep
+    bump its H_F^h is not yet second order, where this one is."""
+    n = fld.dimension
+    ax = _axis(fld.half_width, fld.resolution, n)
     slopes = [np.diff(fld.values, axis=i) / ax.dx for i in range(n)]
-    total = 0.0
-    fluxes = [{} for _ in range(n)]  # per axis: corner offsets on the other axes -> cells
-    for perm in itertools.permutations(range(n)):
-        corner, steps = [0] * n, [None] * n
-        for i in perm:
-            cell = tuple(slice(None) if j == i else slice(c, c + m - 1) for j, c in enumerate(corner))
-            steps[i] = (slopes[i][cell], tuple(corner[:i] + corner[i + 1:]))
-            corner[i] = 1
-        w = np.sqrt(sum((g * g for g, _ in steps), 1.0))
-        total = total + w
-        for i, (g, key) in enumerate(steps):
-            f = g / w
-            fluxes[i][key] = fluxes[i][key] + f if key in fluxes[i] else f
-    # edge uses per cell against the separable mass: 1 for n <= 2, 2/3 for n = 3
-    uses = 2.0 ** (n - 1) / math.factorial(n)
+    nodal = [_to_nodes(g, ax, i) for i, g in enumerate(slopes)]
+    area = float(np.sum(ax.cell_mass)) ** n
+    fluxes, across = [], [0.0] * n
+    for i, g in enumerate(slopes):
+        s = _sharpen(g, ax, i)
+        cross = [(j, _to_edges(nodal[j], i)) for j in range(n) if j != i]
+        t2 = sum((t * t for _, t in cross), 0.0)
+        ss = s * s
+        w = np.sqrt(1.0 + ss + t2)
+        wp = 1.0 + w
+        q = s / (w * wp * wp)  # d r / d t_j = -s q t_j, d r / d s = s / W - s + q |t|^2
+        fluxes.append(g + _sharpen(s / w - s + q * t2, ax, i))  # d A_h / d g per unit w_e
+        for j, t in cross:
+            across[j] = across[j] + _to_nodes(-s * q * t, ax, i)
+        weights = [ax.cell_mass if k == i else ax.node_mass for k in range(n)]
+        area += _integrate(0.5 * (g * g - ss) + ss / wp, weights)
     hf = 0.0
-    for i in range(n):
-        cells = fluxes[i]
-        for j in reversed([j for j in range(n) if j != i]):
-            cells = _to_nodes(cells, _along(ax.below, j, n), j)
-        hf = hf + _divergence(uses * cells[()], ax, i)
-    area = total
-    for _ in range(n):
-        area = area @ ax.cell_mass
-    return float(area) / math.factorial(n), hf
+    for j, f in enumerate(fluxes):
+        if n > 1:
+            f = f + _to_edges(across[j], j)
+        hf = hf + _divergence(f, ax, j)
+    return area, hf
+
+
+def _integrate(a: np.ndarray, weights: list) -> float:
+    """``a`` summed against the tensor product of the 1-D ``weights``."""
+    for wt in reversed(weights):
+        a = a @ wt
+    return float(a)
 
 
 def _each_axis(mat: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -280,7 +310,7 @@ def grid_weighted_mean_curvature(fld: GridField) -> np.ndarray:
 
 
 def weighted_area(fld: GridField) -> float:
-    """The P1 weighted area A_h over the box."""
+    """The weighted area A_h over the box."""
     return _field_geometry(fld)[0]
 
 

@@ -24,7 +24,6 @@ Both vanish as R -> infinity, which is all the limiting volume bound needs.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -242,19 +241,6 @@ def sphere_quadrature(
 
 # --------------------------------------------------------------- weighted areas
 
-def _sphere_weight(dens: Density, pts: np.ndarray, n: int, R: float) -> np.ndarray:
-    """``dens.weight`` at points of S^n(0, R).  Where R^2 is no float (only
-    n = 1 gets there: R^n overflows first otherwise), the points whose squared
-    horizontal radius is none either are left at weight 0, the limit of a
-    horizontally decaying density, instead of being squared to inf."""
-    if R * R < math.inf:
-        return dens.weight(pts)
-    near = np.max(np.abs(pts[:, :n]), axis=1) <= math.sqrt(sys.float_info.max / (2 * n))
-    weight = np.zeros(len(pts))
-    weight[near] = dens.weight(pts[near])
-    return weight
-
-
 def weighted_sphere_area_mc(
     dens: Density,
     n: int,
@@ -274,7 +260,8 @@ def weighted_sphere_area_mc(
 
     def on_sphere(g):
         p = R * g / np.sqrt(sq_norm(g))[:, None]
-        v = _sphere_weight(dens, p, n, R)
+        with np.errstate(over="ignore"):  # R^2 past 1.8e308 squares to inf: the density's limit
+            v = dens.weight(p)
         if upper_half:
             v = v * (p[:, -1] > 0.0)
         return v
@@ -300,7 +287,8 @@ def weighted_sphere_area(
     if spec.method == "monte_carlo":
         return weighted_sphere_area_mc(dens, n, R, upper_half, spec.samples, spec.seed)[0]
     pts, wts = sphere_quadrature(n, R, upper_half)
-    return float(np.sum(wts * _sphere_weight(dens, pts, n, R)))
+    with np.errstate(over="ignore"):  # R^2 past 1.8e308 squares to inf: the density's limit
+        return float(np.sum(wts * dens.weight(pts)))
 
 
 def gaussian_ball_integral(

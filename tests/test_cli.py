@@ -151,17 +151,20 @@ def test_flow_rejects_bad_dimension(capsys):
     "args",
     [
         # Peclet number L dx / 2 = 25: the central-difference flow ended in a step failure
-        ["--n", "1", "--grid", "5", "--L", "10"],
+        ["--n", "1", "--grid", "5", "--L", "10", "--init", "random_bump"],
         # tiny boxes, where FLOW_DT / dx^2 reaches 6.2e7: it ran out of time
-        ["--n", "2", "--grid", "3", "--L", "1e-3"],
-        ["--n", "2", "--grid", "3", "--L", "1.8e-5"],
-        *(["--n", "2", "--grid", str(m), "--L", "10"] for m in (9, 17, 33, 65)),
+        ["--n", "2", "--grid", "3", "--L", "1e-3", "--init", "random_bump"],
+        ["--n", "2", "--grid", "3", "--L", "1.8e-5", "--init", "random_bump"],
+        *(["--n", "2", "--grid", str(m), "--L", "10", "--init", "random_bump"] for m in (9, 17, 33, 65)),
+        # boxes it converged on at t = 6.6 and 41.8, where the ladder needs
+        # pseudo-time 655 and 328: more than the 50 that --tmax once defaulted to
+        ["--n", "1", "--grid", "65", "--L", "20"],
+        ["--n", "1", "--grid", "4", "--L", "10"],
     ],
 )
 def test_flow_converges_on_coarse_wide_and_tiny_boxes(args, tmp_path, capsys):
     out = tmp_path / "series.csv"
-    code = run(["flow", *args, "--init", "random_bump", "--out", str(out),
-                "--field-out", str(tmp_path / "field.csv")])
+    code = run(["flow", *args, "--out", str(out), "--field-out", str(tmp_path / "field.csv")])
     assert code == EXIT_OK
     assert capsys.readouterr().out.startswith("verdict: converged_to_constant (constant ")
     areas = [float(row.split(",")[1]) for row in out.read_text().splitlines()[1:]]

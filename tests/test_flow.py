@@ -80,29 +80,23 @@ def test_two_dimensional_operator_reduces_to_one_dimensional_columns():
     hf1 = grid_weighted_mean_curvature(f1)
     hf2 = grid_weighted_mean_curvature(f2)
     assert np.array_equal(hf2, np.repeat(hf1[:, None], 65, axis=1))
-    # Kuhn's six simplices use a cell's edges 2, 1, 1 and 2 times, so a 3-D
-    # field constant along one axis has its own H_F.  Its area is the 2-D area
-    # times that axis's mass (each simplex's slopes are a 2-D simplex's), so
-    # the gradients agree summed across the axis: the mass-weighted mean of the
-    # 3-D H_F across it is the 2-D H_F.  A simplex with a wrong slope fails this
+    # likewise a 3-D field constant along one axis gives the 2-D H_F on every
+    # slice across it; each axis leaves one of the three mixed pairs alone
     f2 = initial_field(2, 4.0, 33, "random_bump", seed=5)
     hf2 = grid_weighted_mean_curvature(f2)
-    mass = _edge_mass(4.0, 33)
     for axis in range(3):
         f3 = GridField(4.0, np.repeat(np.expand_dims(f2.values, axis), 33, axis=axis))
-        assert weighted_area(f3) == pytest.approx(weighted_area(f2) * mass.sum(), rel=1e-14)
-        mean = np.moveaxis(grid_weighted_mean_curvature(f3), axis, -1) @ mass / mass.sum()
-        assert np.max(np.abs(mean - hf2)) <= 1e-14 * np.max(np.abs(hf2))
+        hf3 = grid_weighted_mean_curvature(f3)
+        assert np.array_equal(hf3, np.repeat(np.expand_dims(hf2, axis), 33, axis=axis))
 
 
 def test_two_dimensional_operator_is_second_order_on_interior():
     # the closed-form graph kernel is the reference, including the mixed
     # derivative terms; the errors are taken on the coarse interior nodes.
-    # Every slope product enters through the simplices' W_T, with no term per
-    # pair of axes to drop (the area identity of the column test guards the
-    # simplices' slopes).  At amplitude 1 the 3-D ratios are 3.45 and 3.84:
-    # the one-sided slopes of W_T at the bump peaks are still pre-asymptotic
-    for n, amplitude, grids in ((2, 0.3, (33, 65, 129)), (3, 0.3, (17, 33, 65))):
+    # n = 3 takes amplitude 1: at 0.3 a dropped mixed pair's u_i u_j u_ij stays
+    # below the grid-17 truncation error, at 1 it stalls the grid-65 errors
+    # (at 1 a P1 area's one-sided W holds the first ratio at 3.42-3.45)
+    for n, amplitude, grids in ((2, 0.3, (33, 65, 129)), (3, 1.0, (17, 33, 65))):
         u = GraphFunction.random_bump(n, seed=5, amplitude=amplitude)
         errors = []
         for m in grids:
@@ -216,7 +210,7 @@ def _edge_mass(L, m, n=1):
 
 def _ou_matrix(L, m, n=1):
     # reference L_1 = -M^{-1} K, K the stiffness with edge weights
-    # phi(x_{j+1/2}) / dx: the 1-D Hessian of the P1 area at a constant
+    # phi(x_{j+1/2}) / dx: the 1-D Hessian of the area at a constant
     k = _cell_weight(L, m, n) / (2.0 * L / (m - 1))
     stiffness = np.diag(np.append(k, 0.0) + np.append(0.0, k)) - np.diag(k, 1) - np.diag(k, -1)
     return -stiffness / _edge_mass(L, m, n)[:, None]
@@ -237,13 +231,17 @@ def test_ou_solve_matches_dense_solve(n, m, L):
     # at L = 10, M spans e^48 along an axis (e^33, floored, for n = 3), and the
     # eigenvectors scale by M^{-1/2}
     rhs = np.random.default_rng(m).standard_normal((m,) * n)
-    # a 4,225-unknown dense solve takes seconds: the 2-D grid 65 checks FLOW_DT
-    # only; at dt = 1e3 the 1-D grid-65 system is conditioned ~4e5, past what a
-    # 1e-12 comparison with its LU solution resolves
-    dts = (FLOW_DT,) if m**n > 1000 else (FLOW_DT, 1.0) if m == 65 else (FLOW_DT, 1.0, 1e3)
-    for dt in dts:
+    # a 4,225-unknown dense solve takes seconds: the 2-D grid 65 checks FLOW_DT only
+    for dt in (FLOW_DT,) if m**n > 1000 else (FLOW_DT, 1.0, 1e3):
         system = _kronecker_system(n, m, L, dt)
         dense = np.linalg.solve(system, rhs.ravel()).reshape(rhs.shape)
+        # at dt = 1e3 the system is conditioned ~3e5 and LU alone misses the
+        # exact solution by 2e-12 (1-D grid 65, L = 4); one refinement step on
+        # a residual taken in extended precision brings it to roundoff
+        ou, resid = _ou_matrix(L, m, n).astype(np.longdouble), rhs - dense.astype(np.longdouble)
+        for i in range(n):
+            resid = resid + dt * np.moveaxis(np.tensordot(ou, dense, axes=([1], [i])), 0, i)
+        dense = dense + np.linalg.solve(system, resid.astype(float).ravel()).reshape(rhs.shape)
         fast = flow._ou_solve(L, rhs, dt)
         assert np.linalg.norm(fast - dense) <= 1e-12 * np.linalg.norm(dense)
 
@@ -252,17 +250,22 @@ def test_ou_solve_matches_dense_solve(n, m, L):
 @pytest.mark.parametrize("n, m", [(n, m) for n in (1, 2, 3) for m in (3, 4, 9, 65)
                                   if n < 3 or m < 65])
 def test_field_geometry_matches_np_pad_reference_bit_for_bit(monkeypatch, n, m, L):
-    # the zero fluxes beyond the box are built by one concatenation, so the
-    # area and H_F built on them must equal, bit for bit, those built on
-    # np.pad's constant-mode arrays
+    # the edges' sums at the nodes are written into slices, so a face node gets
+    # its one edge; built instead on np.pad's zero edges beyond the box, the
+    # area and H_F must come out the same, bit for bit
+    def padded(edge, ax, axis):
+        n = edge.ndim
+        p = np.pad(edge, [(1, 1) if k == axis else (0, 0) for k in range(n)])
+        up = p[tuple(slice(1, None) if k == axis else slice(None) for k in range(n))]
+        down = p[tuple(slice(None, -1) if k == axis else slice(None) for k in range(n))]
+        return flow._along(ax.above, axis, n) * up, flow._along(ax.below, axis, n) * down
+
     values = 0.5 * np.random.default_rng(10 * m + n).standard_normal((m,) * n)
-    for axis in range(n):
-        width = [(1, 1) if k == axis else (0, 0) for k in range(n)]
-        assert flow._zero_ends(values, axis).tobytes() == np.pad(values, width).tobytes()
     fld = GridField(L, values)
     area, hf = flow._field_geometry(fld)
-    monkeypatch.setattr(flow, "_zero_ends", lambda a, axis: np.pad(
-        a, [(1, 1) if k == axis else (0, 0) for k in range(a.ndim)]))
+    monkeypatch.setattr(flow, "_to_nodes", lambda e, ax, axis: np.add(*padded(e, ax, axis)))
+    monkeypatch.setattr(flow, "_divergence",
+                        lambda e, ax, axis: (2.0 / ax.dx) * np.subtract(*padded(e, ax, axis)))
     ref_area, ref_hf = flow._field_geometry(fld)
     assert np.float64(area).tobytes() == np.float64(ref_area).tobytes()
     assert hf.tobytes() == ref_hf.tobytes()
@@ -270,7 +273,7 @@ def test_field_geometry_matches_np_pad_reference_bit_for_bit(monkeypatch, n, m, 
 
 def test_even_coarse_grid_step_at_large_dt_is_accepted():
     # an even grid has no node at the centre, and grid 4 of L = 10 has a cell
-    # Peclet number of 33; the P1 step descends there too, and were an
+    # Peclet number of 33; the step descends there too, and were an
     # increment oversized, the guard would halve dt until the area did not rise
     state = initial_state(initial_field(2, 10.0, 4, "random_bump", seed=5), dt=5.0)
     stepped = flow_step(state)
@@ -282,7 +285,7 @@ def test_even_coarse_grid_step_at_large_dt_is_accepted():
 def test_ou_matrix_is_linear_part_of_hf(n):
     # H_F is odd in u, so H_F(eps s) - eps L_h s = O(eps^3), boundary nodes
     # included: the reference matrix of the solve test is H_F's linear part,
-    # and for n = 2 the Kronecker sum is the P1 area's Hessian at a constant
+    # and for n = 2 the Kronecker sum is the area's Hessian at a constant
     s = initial_field(n, 4.0, 33, "sinusoid").values
     ou_s = s @ _ou_matrix(4.0, 33).T
     if n == 2:
@@ -340,8 +343,8 @@ def test_flow_step_evaluates_no_density(monkeypatch):
 
 @pytest.mark.parametrize("n, m", [(1, 65), (2, 33), (2, 65), (3, 33), (3, 65)])
 def test_weighted_area_of_constant_is_gaussian_trapezoid_mass(n, m):
-    # W = 1 for a constant, so the P1 area weighs every cell by phi at its
-    # centre: the n-th power of the 1-D midpoint mass (the trapezoid rule
+    # W = 1 for a constant, so the area is sum M, every cell weighed by phi at
+    # its centre: the n-th power of the 1-D midpoint mass (the trapezoid rule
     # applied to the cell-centre samples, half a cell at each end)
     ax = np.linspace(-4.0, 4.0, m)
     mid = 0.5 * (ax[:-1] + ax[1:])
@@ -357,8 +360,7 @@ def test_weighted_area_of_constant_is_gaussian_trapezoid_mass(n, m):
 def test_mass_mean_is_conserved_whatever_the_dt_path(n, m):
     # 1^T M (M + dt K)^{-1} = 1^T and 1^T grad A_h = 0, so sum M u never moves:
     # along the doubling ladder (every step accepted at its first dt, for n = 3
-    # too, where K is only within [2/3, 4/3] of the Hessian), in the limit
-    # flow_run reports, and on the uniform path of run_to_time
+    # too), in the limit flow_run reports, and on the uniform path of run_to_time
     fld = initial_field(n, 4.0, m, "random_bump", seed=5)
     mean0 = flow.mass_mean(fld)
     state = initial_state(fld)
@@ -377,9 +379,8 @@ def test_mass_mean_is_conserved_whatever_the_dt_path(n, m):
 
 @pytest.mark.parametrize("dt", [1e3, 1e6])
 def test_three_dimensional_step_descends_at_any_dt(dt):
-    # for n = 3 the separable K is only within [2/3, 4/3] of the area's
-    # Hessian, but M + dt K is still positive definite: one step at any dt
-    # is accepted at that dt and lowers the area
+    # for n = 3 too, one step at any dt is accepted at that dt and lowers
+    # the area: K is its Hessian at a constant, and stays above it elsewhere
     state = initial_state(initial_field(3, 4.0, 17, "random_bump:1", seed=5), dt=dt)
     stepped = flow_step(state)
     assert stepped.dt == dt and stepped.time == dt
