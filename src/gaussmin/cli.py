@@ -378,8 +378,8 @@ _COMMANDS: dict[str, tuple] = {
     "bound": (_cmd_bound, "CSV sweep of the volume-growth report", {
         "n": (2, int), "rmin": (0.5, float), "rmax": (6.0, float), "steps": (12, int),
     }),
-    # tmax bounds pseudo-time, which the dt ladder doubles each step: 1e6 lets
-    # it take 26 steps, where 50 stopped it after 12
+    # tmax bounds pseudo-time, which the dt ladder doubles each step: 1e6
+    # admits 26 steps, and boxes wider than L = 10 need up to ~20
     "flow": (_cmd_flow, "weighted mean-curvature flow run", {
         "n": (1, int), "L": (4.0, float), "grid": (257, int), "init": ("sinusoid", str),
         "tmax": (1e6, float), "osc_tol": (0.005, float), "hf_tol": (0.005, float),

@@ -247,7 +247,7 @@ def _field_geometry(fld: GridField) -> tuple[float, np.ndarray]:
         wp = 1.0 + w
         q = s / (w * wp * wp)  # d r / d t_j = -s q t_j, d r / d s = s / W - s + q |t|^2
         fluxes.append(g + _sharpen(s / w - s + q * t2, ax, i))  # d A_h / d g per unit w_e
-        for j, t in cross:
+        for j, t in cross:  # d A_h / d t_j, taken to the nodes, reaches the j-edges in the end
             across[j] = across[j] + _to_nodes(-s * q * t, ax, i)
         weights = [ax.cell_mass if k == i else ax.node_mass for k in range(n)]
         area += _integrate(0.5 * (g * g - ss) + ss / wp, weights)

@@ -95,7 +95,6 @@ def test_two_dimensional_operator_is_second_order_on_interior():
     # derivative terms; the errors are taken on the coarse interior nodes.
     # n = 3 takes amplitude 1: at 0.3 a dropped mixed pair's u_i u_j u_ij stays
     # below the grid-17 truncation error, at 1 it stalls the grid-65 errors
-    # (at 1 a P1 area's one-sided W holds the first ratio at 3.42-3.45)
     for n, amplitude, grids in ((2, 0.3, (33, 65, 129)), (3, 1.0, (17, 33, 65))):
         u = GraphFunction.random_bump(n, seed=5, amplitude=amplitude)
         errors = []
