@@ -37,7 +37,8 @@ from gaussmin.cli import main as cli_main
 
 MEASURE_ARGS = ["--R", "1.7", "--samples", "200000"]
 
-# inputs that must fail: usage errors (exit 64) and overflowing radii (exit 2)
+# inputs that must fail: usage errors (exit 64), and overflowing radii and
+# initial flow fields (exit 2)
 ERROR_CASES = [
     ["planes", "--profile", "bogus"],
     ["planes", "--profile", "quadratic:abc"],
@@ -64,6 +65,9 @@ ERROR_CASES = [
     ["bound", "--steps", "0"],
     ["flow", "--L", "1e-20", "--grid", "3"],
     ["flow", "--L", "1e200", "--grid", "3"],
+    # the initial field's split area overflows: its squared slopes, then W (1 + W)^2
+    ["flow", "--init", "random_bump:1e300", "--grid", "9"],
+    ["flow", "--init", "random_bump:1e150", "--grid", "9"],
 ]
 
 # a dict stands for --config with a file holding it; every option of each
@@ -118,6 +122,8 @@ def cases() -> list[list[str]]:
         # wide boxes whose far field relaxes slowly: pseudo-time 655 and 328
         ["flow", "--n", "1", "--grid", "65", "--L", "20"],
         ["flow", "--n", "1", "--grid", "4", "--L", "10"],
+        # steep, but nothing in its split area overflows
+        ["flow", "--init", "random_bump:1e100", "--grid", "9"],
         # R^2 is no float, R^1 is
         ["measure", "--quantity", "hemisphere", "--n", "1", "--R", "1e200"],
         ["measure", "--quantity", "hemisphere", "--method", "monte_carlo", "--n", "1",

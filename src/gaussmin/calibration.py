@@ -17,8 +17,6 @@ area-minimization argument they feed into, over arrays of points at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .density import Density, as_points, sq_norm
@@ -29,33 +27,22 @@ SAMPLE_HALF_WIDTH = 2.0  # base points of the checks lie in [-2, 2]^n
 FD_STEP = 1e-4
 
 
-@dataclass(frozen=True)
-class ExtendedNormalField:
-    """Upward unit graph normal, translated along the vertical axis.
-
-    Evaluation takes ambient points (..., n+1) and ignores the last
-    coordinate, so the field is vertical-translation invariant by
-    construction.
-    """
-
-    graph: GraphFunction
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        base = x[..., :-1]
-        g = self.graph.gradient(base)
-        w = np.sqrt(1.0 + sq_norm(g))
-        return np.concatenate([-g, np.ones(g.shape[:-1] + (1,))], axis=-1) / w[..., None]
-
-
-def extended_normal(u: GraphFunction) -> ExtendedNormalField:
-    return ExtendedNormalField(u)
-
-
 def tangent_minors(g: np.ndarray) -> np.ndarray:
     """*(T_1 ^ ... ^ T_n) = (-g, 1) for graph frames T_i = (e_i, g_i): the
-    cofactors of ``surface.generalized_cross``, apart from ``extended_normal``."""
+    cofactors of ``surface.generalized_cross``, and W times the graph normal."""
     return np.concatenate([-g, np.ones(g.shape[:-1] + (1,))], axis=-1)
+
+
+def extended_normal(u: GraphFunction):
+    """The upward unit graph normal (-grad u, 1)/W, translated along the
+    vertical axis: it takes ambient points (..., n+1) and ignores the last
+    coordinate, so it is vertical-translation invariant by construction."""
+
+    def field(x):
+        g = u.gradient(np.asarray(x, dtype=float)[..., :-1])
+        return tangent_minors(g) / np.sqrt(1.0 + sq_norm(g))[..., None]
+
+    return field
 
 
 def comass_check(u: GraphFunction, trials: int = 10_000, seed: int = DEFAULT_SEED) -> float:

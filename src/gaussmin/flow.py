@@ -88,21 +88,18 @@ class GridField:
         return np.linspace(-self.half_width, self.half_width, self.resolution)
 
     def nodes(self) -> np.ndarray:
-        """Grid node coordinates, shape grid_shape + (n,); read-only."""
+        """Grid node coordinates, shape grid_shape + (n,)."""
         return grid_nodes(self.half_width, self.resolution, self.dimension)
 
     def oscillation(self) -> float:
         return float(np.max(self.values) - np.min(self.values))
 
 
-@functools.lru_cache(maxsize=8)
 def grid_nodes(half_width: float, resolution: int, n: int) -> np.ndarray:
-    """Read-only node coordinates of the uniform grid of [-L, L]^n, shape
-    (resolution,) * n + (n,); memoized, since every flow step needs them."""
+    """Node coordinates of the uniform grid of [-L, L]^n, shape
+    (resolution,) * n + (n,), at which ``initial_field`` samples its graph."""
     ax = np.linspace(-half_width, half_width, resolution)
-    nodes = np.stack(np.meshgrid(*([ax] * n), indexing="ij"), axis=-1)
-    nodes.flags.writeable = False
-    return nodes
+    return np.stack(np.meshgrid(*([ax] * n), indexing="ij"), axis=-1)
 
 
 # V scales by M^{-1/2}, so the solve's roundoff at the lightest nodes grows
@@ -375,7 +372,13 @@ def initial_field(
 def initial_state(fld: GridField, dt: float = FLOW_DT) -> FlowState:
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError("dt must be finite and positive")
-    area, hf = _field_geometry(fld)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            area, hf = _field_geometry(fld)
+    except FloatingPointError as exc:
+        raise ValueError(
+            f"the initial field is too steep: its weighted area or H_F overflows ({exc})"
+        ) from None
     return _accepted(fld, 0.0, dt, area, hf, [])
 
 

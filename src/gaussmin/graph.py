@@ -131,7 +131,10 @@ class GraphFunction:
     @staticmethod
     def quadratic_form(intercept, linear, quadratic) -> "GraphFunction":
         """u(x) = intercept + <linear, x> + x^T quadratic x / 2; stacked coefficients
-        (...), (..., n), (..., n, n) broadcast against the points' leading axes."""
+        (...), (..., n), (..., n, n) broadcast against the points' leading axes.
+        vecdot and vecmat sum in one order whatever the stacking (einsum's order
+        follows the operands' layout), so a family gives its members' jets bit
+        for bit."""
         a = np.asarray(linear, dtype=float)
         q = np.asarray(quadratic, dtype=float)
         q = 0.5 * (q + np.swapaxes(q, -1, -2))
@@ -141,7 +144,7 @@ class GraphFunction:
             dimension=n,
             jet=separate_jet(
                 lambda x: intercept + np.vecdot(x, a)
-                + 0.5 * np.einsum("...i,...ij,...j->...", x, q, x),
+                + 0.5 * np.vecdot(x, np.vecmat(x, q)),
                 lambda x: a + np.vecmat(x, q),
                 lambda x: np.broadcast_to(q, np.broadcast_shapes(q.shape, x.shape + (n,))).copy(),
             ),
@@ -421,36 +424,27 @@ def audit_root_candidates(h: Profile, candidates: Sequence[float]) -> list[dict]
 
 # ------------------------------------------------------- distance identity suite
 
-def _quadratic_coefficients(seed: int, streams: Sequence[int], n: int):
-    """Stacked (intercept, linear, quadratic); entry k comes from substream
-    streams[k], which draws the three in that order."""
-    rngs = [substream(seed, stream) for stream in streams]
-    return (np.array([r.uniform(-1.0, 1.0) for r in rngs]),
-            np.reshape([r.uniform(-1.0, 1.0, n) for r in rngs], (-1, n)),
-            np.reshape([r.uniform(-0.5, 0.5, (n, n)) for r in rngs], (-1, n, n)))
-
-
-def random_quadratic_graph(seed: int, stream: int, n: int = 2) -> GraphFunction:
-    """Seeded random quadratic graph used by the distance-identity suite."""
-    c, a, q = _quadratic_coefficients(seed, [stream], n)
-    return GraphFunction.quadratic_form(c[0], a[0], q[0])
-
-
 TANGENT_SUITE_DIM = 2  # the suite's graphs live over R^2
+TANGENT_SUITE_STREAM = 1  # comass_check keys stream 0 and closedness_suite 3
 
 
 def tangent_distance_suite(trials: int = 100, seed: int = DEFAULT_SEED) -> float:
     """Max |d(axis projection, tangent plane) - |<grad f, N>|| over random
     quadratic graph surfaces and chart points.
 
-    The two sides are computed along different code paths (plane geometry
-    vs. the density pairing); the identity makes the residual roundoff.
+    One stream draws the stacked intercepts, linear terms, quadratic terms
+    and chart points, in that order.  The two sides are computed along
+    different code paths (plane geometry vs. the density pairing); the
+    identity makes the residual roundoff.
     """
     n = TANGENT_SUITE_DIM
-    family = GraphFunction.quadratic_form(*_quadratic_coefficients(seed, range(trials), n))
-    p = np.reshape(
-        [substream(seed, 10_000 + i).uniform(-2.0, 2.0, size=n) for i in range(trials)], (trials, n)
+    rng = substream(seed, TANGENT_SUITE_STREAM)
+    family = GraphFunction.quadratic_form(
+        rng.uniform(-1.0, 1.0, trials),
+        rng.uniform(-1.0, 1.0, (trials, n)),
+        rng.uniform(-0.5, 0.5, (trials, n, n)),
     )
+    p = rng.uniform(-2.0, 2.0, (trials, n))
     lhs, rhs = tangent_plane_distance(as_parametric(family, ((-2.0, 2.0),) * n), p)
     return float(np.max(np.abs(lhs - rhs), initial=0.0))
 

@@ -112,13 +112,13 @@ def generalized_cross(rows: np.ndarray) -> np.ndarray:
 def _frame(p, J) -> tuple[np.ndarray, np.ndarray]:
     """Gram matrices of the chart partials J at chart points p, and the unit
     normals in the chart's cross-product orientation."""
-    gram = J @ np.swapaxes(J, -1, -2)
-    bad = np.linalg.det(gram) <= GRAM_DET_MIN
+    nvec = generalized_cross(J)
+    det = np.vecdot(nvec, nvec)  # det(J J^t), by Cauchy-Binet
+    bad = det <= GRAM_DET_MIN
     if np.any(bad):
         first = np.reshape(p, (-1, J.shape[-2]))[np.flatnonzero(bad)[0]]
         raise RankDeficiencyError(f"immersion is rank deficient at chart point {first}")
-    nvec = generalized_cross(J)
-    return gram, nvec / np.sqrt(np.vecdot(nvec, nvec))[..., None]
+    return J @ np.swapaxes(J, -1, -2), nvec / np.sqrt(det)[..., None]
 
 
 def _mean_curvature(d2x, gram, nvec) -> np.ndarray:

@@ -3,19 +3,30 @@
 The library evaluates every derivative from analytic jets; the one
 central-difference oracle here checks them, and gives bare immersions a jet.
 The 50-digit mpmath oracle checks the closed-form lateral tails, and the
-frame oracles evaluate the calibration form on explicit frames.
+frame oracles evaluate the calibration form on explicit frames.  The
+seeded random quadratic graphs feed the distance-identity tests.
 """
 
 import mpmath as mp
 import numpy as np
 
 from gaussmin.calibration import SAMPLE_HALF_WIDTH, extended_normal
+from gaussmin.graph import GraphFunction
 from gaussmin.rng import substream
 
 
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def random_quadratic_graph(seed, stream, n=2):
+    """Seeded random quadratic graph: its intercept, linear and quadratic
+    terms drawn in that order from substream(seed, stream)."""
+    rng = substream(seed, stream)
+    return GraphFunction.quadratic_form(
+        rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0, n), rng.uniform(-0.5, 0.5, (n, n))
+    )
 
 
 def central_difference(fn, x, step):

@@ -171,6 +171,29 @@ def test_flow_converges_on_coarse_wide_and_tiny_boxes(args, tmp_path, capsys):
     assert max(b - a for a, b in zip(areas, areas[1:])) <= AREA_SLACK
 
 
+TOO_STEEP = ("gaussmin: error: the initial field is too steep: its weighted area "
+             "or H_F overflows (overflow encountered in multiply)\n")
+
+
+@pytest.mark.parametrize(
+    "amplitude, code, out, err",
+    [
+        # slopes of ~1e300 square to inf in the split area; at ~1e150 the
+        # squares are floats but W (1 + W)^2 is not
+        ("1e300", EXIT_RUNTIME, "", TOO_STEEP),
+        ("1e150", EXIT_RUNTIME, "", TOO_STEEP),
+        ("1e100", EXIT_OK, "verdict: max_time_reached (t = 1.34218e+06)\n", ""),
+    ],
+)
+def test_flow_steep_initial_fields(amplitude, code, out, err, tmp_path, capsys):
+    series = tmp_path / "series.csv"
+    args = ["flow", "--init", f"random_bump:{amplitude}", "--grid", "9",
+            "--out", str(series), "--field-out", str(tmp_path / "field.csv")]
+    assert run(args) == code
+    assert capsys.readouterr() == (out, err)
+    assert series.exists() == (code == EXIT_OK)
+
+
 @pytest.mark.parametrize("n, grid", [(1, 257), (2, 65), (3, 17)])
 def test_flow_prints_the_initial_mass_mean(n, grid, tmp_path, capsys):
     # the flow conserves sum M u, so the constant it converges to is fixed by

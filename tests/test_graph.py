@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from gaussmin import graph
 from gaussmin.density import Density, DomainError, Profile, horizontal_gaussian
 from gaussmin.graph import (
     _PRESETS,
@@ -28,13 +29,12 @@ from gaussmin.graph import (
     graph_weighted_mean_curvature,
     horizontal_plane_roots,
     hyperplane_minimality,
-    random_quadratic_graph,
     tangent_distance_suite,
 )
 from gaussmin.measure import QuadratureSpec, gaussian_ball_volume, graph_cap_weighted_area
-from gaussmin.rng import substream
+from gaussmin.rng import DEFAULT_SEED, substream
 from gaussmin.surface import CurvatureReport, tangent_plane_distance, weighted_mean_curvature
-from oracles import central_difference, same_bits
+from oracles import central_difference, random_quadratic_graph, same_bits
 
 HG2 = horizontal_gaussian(2)
 ROOT = (math.sqrt(17.0) - 1.0) / 8.0  # zero of 4z^2 + z - 1 (quadratic formula)
@@ -483,17 +483,30 @@ def test_stacked_quadratic_form_matches_its_members():
         assert np.array_equal(family.hessian(x)[k], member.hessian(x[k]))
 
 
-def test_tangent_suite_matches_one_graph_per_trial():
-    # the stacked suite draws the same graphs and points as a per-trial loop
-    for seed in (0, 7387):
-        worst = 0.0
-        for i in range(100):
-            surf = as_parametric(random_quadratic_graph(seed, i), ((-2.0, 2.0),) * 2)
-            p = substream(seed, 10_000 + i).uniform(-2.0, 2.0, size=2)
-            lhs, rhs = tangent_plane_distance(surf, p)
-            worst = max(worst, float(abs(lhs - rhs)))
-        assert tangent_distance_suite(trials=100, seed=seed) == pytest.approx(worst, abs=2e-16)
-    assert tangent_distance_suite(trials=0) == 0.0
+def test_tangent_suite_matches_one_graph_per_trial(monkeypatch):
+    # substream(seed, 1) draws the stacked intercepts, linear terms, quadratic
+    # terms and chart points in that order; each trial, rebuilt alone from
+    # those draws, gives the suite's lhs and rhs bit for bit
+    seen = []
+
+    def recorded(surface, p):
+        seen.append(tangent_plane_distance(surface, p))
+        return seen[-1]
+
+    monkeypatch.setattr(graph, "tangent_plane_distance", recorded)
+    for seed, trials in ((0, 100), (7387, 100), (DEFAULT_SEED, 0)):
+        seen.clear()
+        worst = tangent_distance_suite(trials=trials, seed=seed)
+        (lhs, rhs), = seen
+        rng = substream(seed, 1)
+        c, a = rng.uniform(-1.0, 1.0, trials), rng.uniform(-1.0, 1.0, (trials, 2))
+        q, p = rng.uniform(-0.5, 0.5, (trials, 2, 2)), rng.uniform(-2.0, 2.0, (trials, 2))
+        assert lhs.shape == rhs.shape == (trials,)
+        for i in range(trials):
+            surf = as_parametric(GraphFunction.quadratic_form(c[i], a[i], q[i]), ((-2.0, 2.0),) * 2)
+            one = tangent_plane_distance(surf, p[i])
+            assert same_bits(one[0], lhs[i]) and same_bits(one[1], rhs[i]), (seed, i)
+        assert worst == float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
 def test_presets_are_built_one_at_a_time():

@@ -7,7 +7,7 @@ from hypothesis import example, given, strategies as st
 
 from gaussmin.catalog import default_catalog, make_associate_family, make_cylinder
 from gaussmin.density import horizontal_gaussian
-from gaussmin.graph import GraphFunction, as_parametric, graph_presets, random_quadratic_graph
+from gaussmin.graph import GraphFunction, as_parametric, graph_presets
 from gaussmin.rng import substream
 from gaussmin.surface import (
     ParametricSurface,
@@ -19,7 +19,7 @@ from gaussmin.surface import (
     unit_normal,
     weighted_mean_curvature,
 )
-from oracles import difference_jet, same_bits
+from oracles import difference_jet, random_quadratic_graph, same_bits
 
 HG2 = horizontal_gaussian(2)
 
