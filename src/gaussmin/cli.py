@@ -206,8 +206,8 @@ def _cmd_flow(ns: dict) -> int:
             f"{x:.17g},{v:.17g}\n" for x, v in zip(result.state.field.axis(), values)
         )
     else:  # one line per row along the last axis, in C order
-        rows = values.reshape(-1, values.shape[-1])
-        field_text = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
+        line = ",".join(["%.17g"] * values.shape[-1]) + "\n"  # the bytes of f"{v:.17g}"
+        field_text = "".join(line % tuple(row) for row in values.reshape(-1, values.shape[-1]).tolist())
     _write(field_text, ns["field_out"])
     if result.verdict == flow.VERDICT_CONVERGED:
         print(f"verdict: {result.verdict} (constant {result.limit_constant:.6g}, t = {result.state.time:.6g})")

@@ -23,7 +23,10 @@ Both vanish as R -> infinity, which is all the limiting volume bound needs.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -130,27 +133,62 @@ def gaussian_mc_mean(
 
     Expectations against the standard normal are exactly integrals against
     the normalized Gaussian weight.  Each ``_MC_CHUNK`` samples form one
-    counter-keyed substream, so the result does not depend on how chunks are
-    scheduled.  Within a chunk, ``fn`` sees ``_ROW_BLOCK`` rows at a time,
-    drawn in order from the chunk's stream; blocks are only the evaluation
-    unit, so ``fn`` must act row-wise.
+    counter-keyed substream with its own sums, added in stream order, so the
+    result does not depend on how chunks are scheduled: they run on up to
+    the allowed CPU count of threads, the caller's among them, with the same
+    bits for any count.  Within a chunk, ``fn`` sees ``_ROW_BLOCK`` rows at
+    a time, drawn in order from the chunk's stream; blocks are only the
+    evaluation unit, so ``fn`` must act row-wise.  ``fn`` may run in several
+    threads at once, so it must not mutate shared state.  An exception in
+    any thread re-raises here once every thread has stopped.
     """
     if samples < 1:
         raise ValueError("monte carlo needs at least one sample")
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    stream = 0
-    while done < samples:
-        take = min(_MC_CHUNK, samples - done)
-        rng = substream(seed, stream)
-        v = np.empty(take)
-        for k in range(0, take, _ROW_BLOCK):
-            v[k:k + _ROW_BLOCK] = fn(rng.standard_normal((min(_ROW_BLOCK, take - k), n)))
-        total += float(np.sum(v))
-        total_sq += float(np.sum(v * v))
-        done += take
-        stream += 1
+    chunks = -(-samples // _MC_CHUNK)
+    sums: list = [None] * chunks  # (sum of v, sum of v^2) per chunk
+    todo = iter(range(chunks))  # shared: each next() hands out one chunk
+    failed: list[BaseException] = []  # the first one stops every thread at its next chunk
+
+    def work(v: np.ndarray, rows: np.ndarray) -> None:
+        try:
+            for c in todo:
+                if failed:
+                    return
+                take = min(_MC_CHUNK, samples - c * _MC_CHUNK)
+                rng = substream(seed, c)
+                for k in range(0, take, _ROW_BLOCK):
+                    block = rows[:min(_ROW_BLOCK, take - k)]
+                    rng.standard_normal(out=block)  # the bits of standard_normal(block.shape)
+                    v[k:k + len(block)] = fn(block)
+                w = v[:take]
+                total = float(np.sum(w))
+                sums[c] = (total, float(np.sum(np.multiply(w, w, out=w))))
+        except BaseException as exc:  # re-raised below, once every thread has stopped
+            failed.append(exc)
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    # each thread's samples and normals, from the caller's heap: what a helper
+    # allocates stays in its own malloc arena once freed, and adds to peak RSS
+    buffers = [
+        (np.empty(min(_MC_CHUNK, samples)), np.empty((min(_ROW_BLOCK, samples), n)))
+        for _ in range(min(chunks, cpus))
+    ]
+    # a plain thread starts in an empty context: np.errstate would not reach it
+    helpers = [
+        threading.Thread(target=contextvars.copy_context().run, args=(work, *b))
+        for b in buffers[1:]
+    ]
+    for t in helpers:
+        t.start()
+    work(*buffers[0])
+    for t in helpers:
+        t.join()
+    if failed:
+        raise failed[0]
+    total = total_sq = 0.0
+    for s, s2 in sums:
+        total += s
+        total_sq += s2
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)
     return mean, math.sqrt(var / samples)
@@ -299,6 +337,9 @@ def gaussian_ball_integral(
     ``fn`` must vanish outside B^n(0, R): the Monte Carlo route averages it
     over all of R^n, the spherical_product route only sees the ball.  Both
     routes call it on at most ``_ROW_BLOCK`` rows at once, so it acts row-wise.
+    The Monte Carlo route runs on up to the allowed CPU count of threads, with
+    the same result for any count, and may call ``fn`` in several threads at
+    once, so ``fn`` must not mutate shared state.
     """
     if spec.method == "monte_carlo":
         return gaussian_mc_mean(fn, n, spec.samples, spec.seed)[0]

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -322,8 +323,10 @@ def test_cap_and_curvature_build_one_jet_per_row_block():
     block = 1 << 13
     # u(0) once, then one first-order jet per 8,192-row block: 32 blocks in
     # each of the three full 2^18-sample chunks, then the last chunk's 213,568
-    # samples as 26 full blocks and one of 576 rows (123 calls)
-    assert calls == [((2,), 0)] + [((block, 2), 1)] * (3 * 32 + 26) + [((576, 2), 1)]
+    # samples as 26 full blocks and one of 576 rows (123 calls); chunks may
+    # run on two threads, so the blocks after u(0) come in no fixed order
+    assert calls[0] == ((2,), 0)
+    assert Counter(calls[1:]) == Counter({((block, 2), 1): 3 * 32 + 26, ((576, 2), 1): 1})
     x = substream(5, 0).uniform(-2.0, 2.0, size=(9, 7, 2))
     calls.clear()
     graph_weighted_mean_curvature(counted, HG2, x)

@@ -1,4 +1,8 @@
+import itertools
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -119,6 +123,69 @@ def test_row_blocks_match_whole_chunk_evaluation_bit_for_bit(n):
 
     got = gaussian_mc_mean(fn, n, 600_001, 17)
     assert np.array(got).tobytes() == np.array(whole_chunk_mc_mean(fn, n, 600_001, 17)).tobytes()
+
+
+@pytest.mark.parametrize("cpus", [None, 1])
+@pytest.mark.parametrize("samples", [1 << 18, (1 << 18) + 1, 1_000_000])
+def test_threaded_chunks_match_whole_chunk_evaluation_bit_for_bit(monkeypatch, samples, cpus):
+    # one chunk starts no thread; more chunks run on every allowed CPU, or
+    # on the calling thread alone when one CPU is allowed
+    if cpus is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+    def fn(x):
+        r2 = sq_norm(x)
+        return np.sqrt(1.0 + r2) * np.cos(x[:, 0]) * (r2 <= 5.0)
+
+    got = gaussian_mc_mean(fn, 3, samples, 29)
+    assert np.array(got).tobytes() == np.array(whole_chunk_mc_mean(fn, 3, samples, 29)).tobytes()
+
+
+def test_eight_threads_on_a_short_switch_interval_take_each_chunk_once(monkeypatch):
+    # 8 chunks on 8 threads of a smaller host, switching as often as the
+    # interpreter allows: a chunk lost or taken twice changes the call count
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    calls = itertools.count()
+
+    def fn(x):
+        next(calls)
+        return np.cos(x[:, 0]) * x[:, 1]
+
+    samples = 7 * (1 << 18) + 5
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = gaussian_mc_mean(fn, 2, samples, 41)
+    finally:
+        sys.setswitchinterval(interval)
+    assert next(calls) == 7 * 32 + 1
+    assert np.array(got).tobytes() == np.array(whole_chunk_mc_mean(fn, 2, samples, 41)).tobytes()
+
+
+def failing_from_call(k, fail):
+    """An integrand whose k-th and later calls run ``fail`` on their rows;
+    chunk 0 alone takes 32 calls, so on two threads either one may fail."""
+    calls = itertools.count(1)
+
+    def fn(x):
+        return fail(x) if next(calls) >= k else x[:, 0]
+
+    return fn
+
+
+def test_an_integrand_error_in_any_thread_reaches_the_caller():
+    def fail(x):
+        raise ValueError("integrand failed")
+
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="integrand failed"):
+        gaussian_mc_mean(failing_from_call(40, fail), 2, 1_000_000, 3)
+    assert threading.active_count() == before
+
+
+def test_the_callers_errstate_reaches_every_thread():
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        gaussian_mc_mean(failing_from_call(40, lambda x: np.exp(1e3 + x[:, 0])), 2, 1_000_000, 3)
 
 
 def test_ball_quadrature_blocks_match_one_shot_evaluation_bit_for_bit():
