@@ -167,9 +167,13 @@ def cases() -> list[list[str]]:
                 "--n", "3", "--R", "1.7", "--samples", "600001"])
     out.append(["measure", "--quantity", "hemisphere", "--method", "monte_carlo", "--n", "8",
                 "--R", "1.7", "--samples", "600001"])
-    # three chunks, shared by the calling thread and its helpers
-    out.append(["measure", "--quantity", "cap", "--n", "2", "--R", "1.7", "--method", "monte_carlo",
-                "--samples", "600001", "--seed", "5", "--init", "random_bump"])
+    # three chunks, shared by the calling thread and its helpers, then the
+    # random_bump jet at every n on both routes
+    for n in ("2", "1", "3"):
+        out.append(["measure", "--quantity", "cap", "--n", n, "--R", "1.7", "--method",
+                    "monte_carlo", "--samples", "600001", "--seed", "5", "--init", "random_bump"])
+    out.append(["measure", "--quantity", "cap", "--n", "3", "--R", "1.7", "--method", "quadrature",
+                "--seed", "5", "--init", "random_bump"])
     out.append(["measure", "--quantity", "hemisphere", "--n", "2", "--R", "2.5", "--method",
                 "monte_carlo", "--samples", "600001"])
     return out + CONFIG_CASES + ERROR_CASES

@@ -30,7 +30,9 @@ class GraphFunction:
     ``jet(x, order)`` takes points (..., n) and returns (value,) for order 0,
     (value, gradient) for order 1 and (value, gradient, Hessian) for order 2,
     of shapes (...), (..., n) and (..., n, n); every order builds the
-    graph's terms once and shares them.
+    graph's terms once and shares them.  The returned arrays are fresh:
+    they share no memory with x or with each other, so callers may
+    overwrite them.
     """
 
     dimension: int
@@ -167,12 +169,11 @@ class GraphFunction:
         h2 = widths**2
 
         def bumps(cols):
-            """Per bump k in order: the offset columns d_i = x_i - c_ki,
-            b_k = heights_k exp(-sum_i d_i^2 / (2 h_k^2)) and h_k^2."""
+            """b_k = heights_k exp(-sum_i d_i^2 / (2 h_k^2)), d_i = x_i - c_ki,
+            per bump k in order, from broadcasting coordinate columns."""
             for c, height, h2k in zip(centers, heights, h2):
                 d = [col - ci for col, ci in zip(cols, c)]
-                b = height * np.exp(-sum(di * di for di in d) / (2.0 * h2k))
-                yield d, b, h2k
+                yield height * np.exp(-sum(di * di for di in d) / (2.0 * h2k))
 
         # the 161^n probe as broadcasting axes, in slabs of 161^(3-n) first
         # coordinates (at most 161^2 points each): the same sums, no (161^n, n)
@@ -180,25 +181,50 @@ class GraphFunction:
         probe = np.meshgrid(*([np.linspace(-4.0, 4.0, 161)] * n), indexing="ij", sparse=True)
         rows = 161 ** (3 - n)
         scale = amplitude / max(
-            np.max(np.abs(sum(b for _, b, _ in bumps([probe[0][k:k + rows], *probe[1:]]))))
+            np.max(np.abs(sum(bumps([probe[0][k:k + rows], *probe[1:]]))))
             for k in range(0, 161, rows)
         )
 
         def jet(x, order):
-            # one bump at a time; the sums start at 0 and +0.0, as Python's
-            # and numpy's do
-            value = 0
-            g = np.zeros_like(x) if order >= 1 else None
-            h = np.zeros(x.shape + (n,)) if order == 2 else None
-            for d, b, h2k in bumps(np.moveaxis(x, -1, 0)):
-                value = value + b
+            # one bump at a time, in place on (n, ...) buffers; the sums start
+            # at +0.0, as Python's and numpy's do.  g[i] -= (b d_i) / h^2 is
+            # += (-b d_i) / h^2 bit for bit
+            lead = x.shape[:-1]
+            d = np.empty((n, *lead))  # the offsets x_i - c_ki
+            b, t = np.empty(lead), np.empty(lead)  # the bump and a scratch row
+            value = np.zeros(lead)
+            g = np.zeros((n, *lead)) if order >= 1 else None
+            h = np.zeros((n, n, *lead)) if order == 2 else None
+            for c, height, h2k in zip(centers, heights, h2):
+                for i in range(n):
+                    np.subtract(x[..., i], c[i], out=d[i, ...])
+                np.multiply(d[0], d[0], out=b)
+                for i in range(1, n):
+                    b += np.multiply(d[i], d[i], out=t)
+                np.negative(b, out=b)
+                b /= 2.0 * h2k
+                np.exp(b, out=b)
+                b *= height
+                value += b
                 if g is not None:
                     for i in range(n):
-                        g[..., i] += -b * d[i] / h2k
+                        g[i] -= np.divide(np.multiply(b, d[i], out=t), h2k, out=t)
                 if h is not None:
                     for i, j in np.ndindex(n, n):
-                        h[..., i, j] += b * (d[i] * d[j] / (h2k * h2k) - (i == j) / h2k)
-            return tuple(scale * term for term in (value, g, h)[:order + 1])
+                        np.multiply(d[i], d[j], out=t)
+                        t /= h2k * h2k
+                        if i == j:
+                            t -= 1.0 / h2k
+                        h[i, j] += np.multiply(b, t, out=t)
+            value *= scale
+            out = [value]
+            if g is not None:
+                g *= scale
+                out.append(np.moveaxis(g, 0, -1))
+            if h is not None:
+                h *= scale
+                out.append(np.moveaxis(h, (0, 1), (-2, -1)))
+            return tuple(out)
 
         return GraphFunction(dimension=n, jet=jet, name=f"random_bump({seed})")
 
@@ -232,11 +258,14 @@ def graph_slope(u: GraphFunction, x):
 
 def _divergence_form(g, hess):
     """div(grad u / W) from the gradient and Hessian of u, expanded as
-    (W^2 tr(D2u) - grad^T D2u grad)/W^3; returns it with W."""
+    (W^2 tr(D2u) - grad^T D2u grad)/W^3; returns it with W.  A stack of
+    points gets each point's curvature bit for bit: vecdot and vecmat sum in
+    one order whatever the stacking, and np.power takes numpy's pow for one
+    point too, where a scalar's ** would take the C library's."""
     w2 = 1.0 + sq_norm(g)
     trace = np.trace(hess, axis1=-2, axis2=-1)
-    quad = np.einsum("...i,...ij,...j->...", g, hess, g)
-    return (w2 * trace - quad) / w2**1.5, np.sqrt(w2)
+    quad = np.vecdot(g, np.vecmat(g, hess))
+    return (w2 * trace - quad) / np.power(w2, 1.5), np.sqrt(w2)
 
 
 def graph_mean_curvature(u: GraphFunction, x):

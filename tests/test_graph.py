@@ -32,7 +32,13 @@ from gaussmin.graph import (
     hyperplane_minimality,
     tangent_distance_suite,
 )
-from gaussmin.measure import QuadratureSpec, gaussian_ball_volume, graph_cap_weighted_area
+from gaussmin.measure import (
+    _MC_CHUNK,
+    _ROW_BLOCK,
+    QuadratureSpec,
+    gaussian_ball_volume,
+    graph_cap_weighted_area,
+)
 from gaussmin.rng import DEFAULT_SEED, substream
 from gaussmin.surface import CurvatureReport, tangent_plane_distance, weighted_mean_curvature
 from oracles import central_difference, random_quadratic_graph, same_bits
@@ -303,6 +309,34 @@ def test_jet_of_stacked_quadratic_family_matches_its_views(n):
         assert_jet_matches_views(family, pts)
 
 
+def stacks_and_layouts(n: int):
+    """Stacks of leading shapes (), (k,) and (a, b), near and far out, each
+    as a C- and an F-ordered copy."""
+    rng = substream(43, n)
+    stacks = [rng.uniform(-4.0, 4.0, shape) for shape in [(n,), (200, n), (12, 15, n)]]
+    stacks.append(rng.uniform(-90.0, 90.0, (3, 4, n)))
+    return [layout(x) for x in stacks for layout in (np.ascontiguousarray, np.asfortranarray)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("name", list(_PRESETS))
+def test_stacked_jets_and_curvature_match_each_points_bit_for_bit(name, n):
+    # jets return fresh arrays: callers such as the cap integrand overwrite them
+    u = graph_preset(name, n, seed=7387)
+    for x in stacks_and_layouts(n):
+        points = list(np.ndindex(x.shape[:-1]))
+        for order in range(3):
+            terms = u.jet(x, order)
+            for k, term in enumerate(terms):
+                assert not np.may_share_memory(term, x), order
+                assert not any(np.may_share_memory(term, other) for other in terms[k + 1:]), order
+            for idx in points:
+                alone = u.jet(x[idx].copy(), order)
+                assert all(same_bits(t[idx], a) for t, a in zip(terms, alone)), (order, idx)
+        h = graph_mean_curvature(u, x)
+        assert all(same_bits(h[idx], graph_mean_curvature(u, x[idx].copy())) for idx in points)
+
+
 def counted_jet(u):
     """u with a jet that logs (points shape, order) per call."""
     calls = []
@@ -320,13 +354,16 @@ def test_cap_and_curvature_build_one_jet_per_row_block():
     spec = QuadratureSpec(method="monte_carlo", samples=1_000_000, seed=3)
     area = graph_cap_weighted_area(counted, 1.9, spec)
     assert same_bits(area, graph_cap_weighted_area(u, 1.9, spec))
-    block = 1 << 13
-    # u(0) once, then one first-order jet per 8,192-row block: 32 blocks in
-    # each of the three full 2^18-sample chunks, then the last chunk's 213,568
-    # samples as 26 full blocks and one of 576 rows (123 calls); chunks may
-    # run on two threads, so the blocks after u(0) come in no fixed order
+    # u(0) once, then one first-order jet per row block: each of the three
+    # full chunks in whole blocks, then the last chunk's 213,568 samples as
+    # whole blocks and one short one; chunks may run on two threads, so the
+    # blocks after u(0) come in no fixed order
+    last = 1_000_000 - 3 * _MC_CHUNK
     assert calls[0] == ((2,), 0)
-    assert Counter(calls[1:]) == Counter({((block, 2), 1): 3 * 32 + 26, ((576, 2), 1): 1})
+    assert Counter(calls[1:]) == Counter({
+        ((_ROW_BLOCK, 2), 1): 3 * (_MC_CHUNK // _ROW_BLOCK) + last // _ROW_BLOCK,
+        ((last % _ROW_BLOCK, 2), 1): 1,
+    })
     x = substream(5, 0).uniform(-2.0, 2.0, size=(9, 7, 2))
     calls.clear()
     graph_weighted_mean_curvature(counted, HG2, x)

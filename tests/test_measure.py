@@ -12,6 +12,8 @@ from scipy import integrate, special, stats
 from gaussmin.density import density_from_name, horizontal_gaussian, sq_norm
 from gaussmin.graph import GraphFunction, graph_preset
 from gaussmin.measure import (
+    _MC_CHUNK,
+    _ROW_BLOCK,
     QuadratureSpec,
     VolumeBoundReport,
     ball_quadrature,
@@ -158,13 +160,17 @@ def test_eight_threads_on_a_short_switch_interval_take_each_chunk_once(monkeypat
         got = gaussian_mc_mean(fn, 2, samples, 41)
     finally:
         sys.setswitchinterval(interval)
-    assert next(calls) == 7 * 32 + 1
+    assert next(calls) == 7 * (_MC_CHUNK // _ROW_BLOCK) + 1
     assert np.array(got).tobytes() == np.array(whole_chunk_mc_mean(fn, 2, samples, 41)).tobytes()
 
 
+# past chunk 0's row blocks, so on two threads either one may fail; a
+# 1M-sample run makes 3 * _MC_CHUNK // _ROW_BLOCK + 7 calls in all
+FAILING_CALL = _MC_CHUNK // _ROW_BLOCK + 2
+
+
 def failing_from_call(k, fail):
-    """An integrand whose k-th and later calls run ``fail`` on their rows;
-    chunk 0 alone takes 32 calls, so on two threads either one may fail."""
+    """An integrand whose k-th and later calls run ``fail`` on their rows."""
     calls = itertools.count(1)
 
     def fn(x):
@@ -179,17 +185,18 @@ def test_an_integrand_error_in_any_thread_reaches_the_caller():
 
     before = threading.active_count()
     with pytest.raises(ValueError, match="integrand failed"):
-        gaussian_mc_mean(failing_from_call(40, fail), 2, 1_000_000, 3)
+        gaussian_mc_mean(failing_from_call(FAILING_CALL, fail), 2, 1_000_000, 3)
     assert threading.active_count() == before
 
 
 def test_the_callers_errstate_reaches_every_thread():
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        gaussian_mc_mean(failing_from_call(40, lambda x: np.exp(1e3 + x[:, 0])), 2, 1_000_000, 3)
+        gaussian_mc_mean(
+            failing_from_call(FAILING_CALL, lambda x: np.exp(1e3 + x[:, 0])), 2, 1_000_000, 3)
 
 
 def test_ball_quadrature_blocks_match_one_shot_evaluation_bit_for_bit():
-    # the n = 3 ball rule: 64 x 64^2 = 262,144 nodes, 32 row blocks
+    # the n = 3 ball rule: 64 x 64^2 = 262,144 nodes, as many as a chunk has samples
     u, R = graph_preset("random_bump", 3, 7387), 1.7
     u0 = float(u.value(np.zeros(3)))
     rows = []
@@ -200,7 +207,7 @@ def test_ball_quadrature_blocks_match_one_shot_evaluation_bit_for_bit():
         return np.sqrt(1.0 + sq_norm(grad)) * (sq_norm(x) + (value - u0) ** 2 <= R * R)
 
     got = gaussian_ball_integral(fn, 3, R, QuadratureSpec())
-    assert rows == [1 << 13] * 32
+    assert rows == [_ROW_BLOCK] * (_MC_CHUNK // _ROW_BLOCK)
     pts, wts = ball_quadrature(3, R)
     weight = (2.0 * math.pi) ** -1.5 * np.exp(-0.5 * sq_norm(pts))
     assert got == float(np.sum(wts * weight * fn(pts)))
