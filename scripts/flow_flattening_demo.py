@@ -11,7 +11,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, default=1, choices=(1, 2, 3))
     ap.add_argument("--grid", type=int, default=129)
-    ap.add_argument("--tmax", type=float, default=50.0)
+    ap.add_argument("--tmax", type=float, default=1e6)  # flow's --tmax
     ap.add_argument("--osc-tol", type=float, default=0.005)
     ap.add_argument("--seed", type=lambda s: int(s, 0), default=0xD1CE)
     args = ap.parse_args()

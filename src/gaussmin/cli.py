@@ -186,9 +186,10 @@ def _cmd_flow(ns: dict) -> int:
     if n not in (1, 2, 3):
         raise UsageError("flow supports n in {1, 2, 3}")
     L, dx = ns["L"], 2.0 * ns["L"] / (ns["grid"] - 1)
-    # |x|^2 and the box volume must be floats; past FLOW_DT/dx^2 = 1/sqrt(eps) the
-    # first step's I - dt L_h is conditioned past 1/sqrt(eps), and its solve
-    # keeps fewer than half of the digits
+    # |x|^2 and the box volume must be floats.  FLOW_DT/dx^2 <= 1/sqrt(eps) bounds
+    # the first step's conditioning at dt = FLOW_DT, not at the ladder's FIRST_DT;
+    # it is kept, not re-derived, as the set of boxes accepted: below it the
+    # grid-3 sinusoid at L = 1e-15 overflows its area on the ladder
     finite = n * L * L < math.inf and 2.0 * L < sys.float_info.max ** (1.0 / n)
     if not (finite and dx * dx / math.sqrt(sys.float_info.epsilon) >= flow.FLOW_DT):
         raise UsageError(f"--L {L:g} on --grid {ns['grid']}: needs finite n L^2 and (2L)^n, FLOW_DT/dx^2 <= 6.7e7")
@@ -378,8 +379,8 @@ _COMMANDS: dict[str, tuple] = {
     "bound": (_cmd_bound, "CSV sweep of the volume-growth report", {
         "n": (2, int), "rmin": (0.5, float), "rmax": (6.0, float), "steps": (12, int),
     }),
-    # tmax bounds pseudo-time, which the dt ladder doubles each step: 1e6
-    # admits 26 steps, and boxes wider than L = 10 need up to ~20
+    # tmax bounds pseudo-time, which the dt ladder doubles each step from
+    # FIRST_DT = 100: 1e6 admits 14 steps, and the L = 100 boxes tried need up to 9
     "flow": (_cmd_flow, "weighted mean-curvature flow run", {
         "n": (1, int), "L": (4.0, float), "grid": (257, int), "init": ("sinusoid", str),
         "tmax": (1e6, float), "osc_tol": (0.005, float), "hf_tol": (0.005, float),

@@ -18,6 +18,7 @@ from gaussmin.catalog import make_associate_family, make_cylinder
 from gaussmin.density import Density, Profile, horizontal_gaussian
 from gaussmin.flow import (
     AREA_SLACK,
+    FIRST_DT,
     VERDICT_CONVERGED,
     flow_run,
     flow_step,
@@ -251,12 +252,12 @@ def test_axis_distance_identity():
 
 def test_flow_flattening_and_refinement():
     state = initial_state(initial_field(1, 4.0, 257, "sinusoid"))
-    result = flow_run(state, t_max=50.0, osc_tol=0.005, hf_tol=0.005)
+    result = flow_run(state, t_max=2500.0 * FIRST_DT, osc_tol=0.005, hf_tol=0.005)
     areas = np.array([rec[1] for rec in result.state.history])
     monotone = float(np.max(np.diff(areas))) <= AREA_SLACK
     converged = (
         result.verdict == VERDICT_CONVERGED
-        and result.state.time < 50.0
+        and result.state.time < 2500.0 * FIRST_DT
         and result.state.field.oscillation() <= 0.005
     )
     const_state = initial_state(initial_field(1, 4.0, 257, "constant:0.25"))
@@ -276,10 +277,10 @@ def test_flow_flattening_and_refinement():
 def test_flow_flattens_in_three_dimensions(init):
     # the 2-D gates on G^3 x R: converged, monotone area, constant fixed point
     state = initial_state(initial_field(3, 4.0, 33, init, seed=5))
-    result = flow_run(state, t_max=50.0, osc_tol=0.005, hf_tol=0.005)
+    result = flow_run(state, t_max=2500.0 * FIRST_DT, osc_tol=0.005, hf_tol=0.005)
     areas = np.array([rec[1] for rec in result.state.history])
     monotone = float(np.max(np.diff(areas))) <= AREA_SLACK
-    converged = result.verdict == VERDICT_CONVERGED and result.state.time < 50.0
+    converged = result.verdict == VERDICT_CONVERGED and result.state.time < 2500.0 * FIRST_DT
     const_state = initial_state(initial_field(3, 4.0, 33, "constant:0.25"))
     const_fixed = np.array_equal(
         flow_step(const_state).field.values, const_state.field.values

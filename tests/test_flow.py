@@ -8,6 +8,7 @@ from gaussmin import flow
 from gaussmin.density import Density, horizontal_gaussian
 from gaussmin.flow import (
     AREA_SLACK,
+    FIRST_DT,
     FLOW_DT,
     GridField,
     VERDICT_CONVERGED,
@@ -54,7 +55,7 @@ def test_initial_state_rejects_unstable_dt():
     for dt in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             initial_state(fld, dt=dt)
-    assert initial_state(fld).dt == FLOW_DT
+    assert initial_state(fld).dt == FIRST_DT
 
 
 def test_grid_curvature_matches_analytic_on_interior():
@@ -139,7 +140,7 @@ def test_linear_initial_data_flattens():
 
 def test_flow_run_converges_and_areas_monotone():
     state = initial_state(initial_field(1, 4.0, 65, "sinusoid"))
-    result = flow_run(state, t_max=50.0, osc_tol=0.005, hf_tol=0.005)
+    result = flow_run(state, t_max=2500.0 * FIRST_DT, osc_tol=0.005, hf_tol=0.005)
     assert result.verdict == VERDICT_CONVERGED
     areas = np.array([rec[1] for rec in result.state.history])
     assert float(np.max(np.diff(areas))) <= AREA_SLACK
@@ -152,7 +153,9 @@ def test_flow_run_converges_and_areas_monotone():
 
 
 def test_flow_run_hits_time_budget():
-    state = initial_state(initial_field(1, 4.0, 65, "sinusoid"))
+    # from FIRST_DT the ladder flattens to 1e-9 in 5 steps, before it has
+    # spent 20 first dts; the budget is met on the ladder from FLOW_DT
+    state = initial_state(initial_field(1, 4.0, 65, "sinusoid"), dt=FLOW_DT)
     result = flow_run(state, t_max=20.0 * state.dt, osc_tol=1e-9, hf_tol=1e-9)
     assert result.verdict == VERDICT_MAX_TIME
     assert result.state.time >= 20.0 * state.dt
@@ -179,17 +182,20 @@ def test_unstable_dt_triggers_rejection_and_halving(monkeypatch):
         state = flow_step(state)
     # the uphill attempt was rejected and retried at half the step size,
     # and every accepted step kept the area monotone
-    assert calls[:2] == [FLOW_DT, FLOW_DT / 2]
-    assert state.dt == FLOW_DT / 2 and len(state.history) == 21
+    assert calls[:2] == [FIRST_DT, FIRST_DT / 2]
+    assert state.dt == FIRST_DT / 2 and len(state.history) == 21
     areas = np.array([rec[1] for rec in state.history])
     assert float(np.max(np.diff(areas))) <= AREA_SLACK
 
 
 def test_flow_run_fails_once_dt_has_halved_max_rejections_times(monkeypatch):
     # each step's first attempt goes uphill, so every accepted step halves
-    # dt for good; the run must stop rather than crawl on a vanishing step
+    # dt for good; the run must stop rather than crawl on a vanishing step.
+    # From FIRST_DT the halved steps of 50 and 25 flatten the field before
+    # then, so the run starts at FLOW_DT: the floor is relative to the first dt
     _force_uphill(monkeypatch, lambda k: k % 2 == 1)
-    result = flow_run(initial_state(initial_field(1, 4.0, 65, "sinusoid")), t_max=50.0)
+    state = initial_state(initial_field(1, 4.0, 65, "sinusoid"), dt=FLOW_DT)
+    result = flow_run(state, t_max=50.0)
     assert result.verdict == VERDICT_STEP_FAILURE
     assert result.state.dt == FLOW_DT * 0.5**11 and len(result.state.history) == 12
 
@@ -231,7 +237,7 @@ def test_ou_solve_matches_dense_solve(n, m, L):
     # eigenvectors scale by M^{-1/2}
     rhs = np.random.default_rng(m).standard_normal((m,) * n)
     # a 4,225-unknown dense solve takes seconds: the 2-D grid 65 checks FLOW_DT only
-    for dt in (FLOW_DT,) if m**n > 1000 else (FLOW_DT, 1.0, 1e3):
+    for dt in (FLOW_DT,) if m**n > 1000 else (FLOW_DT, 1.0, FIRST_DT, 1e3):
         system = _kronecker_system(n, m, L, dt)
         dense = np.linalg.solve(system, rhs.ravel()).reshape(rhs.shape)
         # at dt = 1e3 the system is conditioned ~3e5 and LU alone misses the
@@ -357,18 +363,19 @@ def test_weighted_area_of_constant_is_gaussian_trapezoid_mass(n, m):
 
 @pytest.mark.parametrize("n, m", [(1, 257), (2, 65), (3, 17)])
 def test_mass_mean_is_conserved_whatever_the_dt_path(n, m):
-    # 1^T M (M + dt K)^{-1} = 1^T and 1^T grad A_h = 0, so sum M u never moves:
-    # along the doubling ladder (every step accepted at its first dt, for n = 3
-    # too), in the limit flow_run reports, and on the uniform path of run_to_time
+    # 1^T M (M + dt K)^{-1} = 1^T and 1^T grad A_h = 0, and each increment has
+    # its M-weighted mean taken out, so sum M u never moves: along the doubling
+    # ladder (every step accepted at its first dt, for n = 3 too), in the limit
+    # flow_run reports, and on the uniform path of run_to_time
     fld = initial_field(n, 4.0, m, "random_bump", seed=5)
     mean0 = flow.mass_mean(fld)
     state = initial_state(fld)
     for k in range(1, 12):
         state = flow_step(state)
-        assert state.time == pytest.approx(FLOW_DT * (2**k - 1), rel=1e-12)
+        assert state.time == pytest.approx(FIRST_DT * (2**k - 1), rel=1e-12)
         assert abs(flow.mass_mean(state.field) - mean0) <= 1e-15
         state.dt *= 2.0
-    result = flow_run(initial_state(fld), t_max=50.0)
+    result = flow_run(initial_state(fld), t_max=2500.0 * FIRST_DT)
     assert result.verdict == VERDICT_CONVERGED
     assert abs(result.limit_constant - mean0) <= 1e-15
     uniform = run_to_time(fld, 3.0)
