@@ -129,6 +129,10 @@ def cases() -> list[list[str]]:
         ["measure", "--quantity", "hemisphere", "--method", "monte_carlo", "--n", "1",
          "--R", "1e200", "--samples", "1000"],
         ["curvature", "--surface", "cylinder", "--params", "r=2", "--at", "0.3,-0.7"],
+        # normals with exact zero components: cofactors that are 0, negated or not
+        ["curvature", "--surface", "cylinder", "--params", "r=1", "--at", "0,0"],
+        ["curvature", "--surface", "plane", "--params", "normal=0:1:0", "--at", "0.5,-0.5"],
+        ["curvature", "--surface", "associate", "--params", "theta=1.2", "--at", "2.9,-1.9"],
         ["curvature", "--surface", "plane", "--params", "offset=0.75", "--at", "0.4,1.1"],
         ["curvature", "--surface", "horizontal_plane", "--params", "a=0.39",
          "--params", "profile=quad_log", "--at", "0.5,-0.2"],

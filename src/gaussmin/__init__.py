@@ -30,7 +30,6 @@ from .surface import (
     CurvatureReport,
     ParametricSurface,
     RankDeficiencyError,
-    density_normal_pairing,
     mean_curvature,
     tangent_plane_distance,
     unit_normal,
@@ -48,7 +47,6 @@ __all__ = [
     "RankDeficiencyError",
     "VolumeBoundReport",
     "bernstein_functional",
-    "density_normal_pairing",
     "gaussian_ball_volume",
     "graph_cap_weighted_area",
     "graph_mean_curvature",

@@ -30,7 +30,12 @@ FD_STEP = 1e-4
 def tangent_minors(g: np.ndarray) -> np.ndarray:
     """*(T_1 ^ ... ^ T_n) = (-g, 1) for graph frames T_i = (e_i, g_i): the
     cofactors of ``surface.generalized_cross``, and W times the graph normal."""
-    return np.concatenate([-g, np.ones(g.shape[:-1] + (1,))], axis=-1)
+    n = g.shape[-1]
+    out = np.empty(g.shape[:-1] + (n + 1,))
+    for i in range(n):  # column by column: whole-array ops would walk short rows
+        np.negative(g[..., i], out=out[..., i])
+    out[..., n] = 1.0
+    return out
 
 
 def extended_normal(u: GraphFunction):
@@ -40,7 +45,10 @@ def extended_normal(u: GraphFunction):
 
     def field(x):
         g = u.gradient(np.asarray(x, dtype=float)[..., :-1])
-        return tangent_minors(g) / np.sqrt(1.0 + sq_norm(g))[..., None]
+        normal, w = tangent_minors(g), np.sqrt(1.0 + sq_norm(g))
+        for i in range(u.dimension + 1):
+            normal[..., i] /= w
+        return normal
 
     return field
 
@@ -48,17 +56,25 @@ def extended_normal(u: GraphFunction):
 def comass_check(u: GraphFunction, trials: int = 10_000, seed: int = DEFAULT_SEED) -> float:
     """max(| |N| - 1 |, |omega(T) - 1|) over seeded random ambient points, T the
     orthonormal graph frame there: omega(T) = <N, *T> / |*T|, |*T|^2 = det(T T^t).
-    It vanishes to rounding iff N is the unit normal of the translated graph."""
+    It vanishes to rounding iff N is the unit normal of the translated graph.
+
+    *T = (-g, 1) comes from a gradient of its own, not from N: with
+    <N, *T> = N_{n+1} - sum_i N_i g_i and |*T|^2 = 1 + |g|^2, column by column.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = u.dimension
     rng = substream(seed, 0)
     base = rng.uniform(-SAMPLE_HALF_WIDTH, SAMPLE_HALF_WIDTH, size=(trials, n))
-    z = rng.uniform(-1.0, 1.0, size=(trials, 1))
-    normals = extended_normal(u)(np.concatenate([base, z], axis=-1))
-    star = tangent_minors(u.gradient(base))
-    omega = np.vecdot(normals, star) / np.sqrt(np.vecdot(star, star))
-    return float(np.max(np.abs(np.stack([np.sqrt(np.vecdot(normals, normals)), omega]) - 1.0)))
+    points = np.empty((trials, n + 1))
+    for i in range(n):
+        points[:, i] = base[:, i]
+    points[:, n] = rng.uniform(-1.0, 1.0, size=trials)
+    normals = extended_normal(u)(points)
+    g = u.gradient(base)
+    pairing = normals[:, n] - sum(normals[:, i] * g[:, i] for i in range(n))
+    omega = pairing / np.sqrt(1.0 + sq_norm(g))
+    return float(np.max(np.maximum(np.abs(np.sqrt(sq_norm(normals)) - 1.0), np.abs(omega - 1.0))))
 
 
 def weighted_normal_divergence(u: GraphFunction, dens: Density, x) -> np.ndarray:

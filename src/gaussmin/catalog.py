@@ -64,8 +64,13 @@ class CatalogEntry:
 # ----------------------------------------------------------------- constructors
 
 def _stack(parts, axis: int = -1) -> np.ndarray:
-    """np.stack after broadcasting, so constant entries fill a whole batch."""
-    return np.stack(np.broadcast_arrays(*parts), axis=axis)
+    """np.stack after broadcasting, so constant entries fill a whole batch:
+    each part is written into one preallocated array."""
+    shape = np.broadcast_shapes(*map(np.shape, parts))
+    out = np.empty(shape[:len(shape) + axis + 1] + (len(parts),) + shape[len(shape) + axis + 1:])
+    for k, part in enumerate(parts):
+        out[(Ellipsis, k) + (slice(None),) * (-axis - 1)] = part
+    return out
 
 
 def make_associate_family(theta: float) -> ParametricSurface:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -434,9 +434,12 @@ def flow_run(
     """Iterate flow_step until flattening or the pseudo-time budget runs out,
     doubling dt after every step accepted at its first dt.
 
-    Converged: oscillation <= osc_tol and max |H_F| <= hf_tol; the limit
-    constant is the conserved M-weighted mean.  Failed: dt fell below the
-    initial dt halved MAX_REJECTIONS times, or a step was rejected that often.
+    A step that would pass t_max is clipped to end there.  The clip is no
+    rejection: the ladder's dt stays, halved only as often as the clipped
+    step was.  Converged: oscillation <= osc_tol and max |H_F| <= hf_tol; the
+    limit constant is the conserved M-weighted mean.  Failed: dt fell below
+    the initial dt halved MAX_REJECTIONS times, or a step was rejected that
+    often.
     """
     dt_min = state.dt * 0.5**MAX_REJECTIONS
     while True:
@@ -445,14 +448,17 @@ def flow_run(
             return FlowResult(state, VERDICT_CONVERGED, mass_mean(state.field))
         if state.time >= t_max:
             return FlowResult(state, VERDICT_MAX_TIME)
-        dt = state.dt
+        dt, left = state.dt, t_max - state.time
+        clipped = dt > left
         try:
-            state = flow_step(state)
+            state = flow_step(replace(state, dt=left) if clipped else state)
         except FlowStepError:
             return FlowResult(state, VERDICT_STEP_FAILURE)
+        if clipped:
+            state.dt = dt * (state.dt / left)
         if state.dt < dt_min:
             return FlowResult(state, VERDICT_STEP_FAILURE)
-        if state.dt == dt:
+        if state.dt == dt and not clipped:
             state.dt = 2.0 * dt
 
 

@@ -11,16 +11,23 @@ Curvature conventions used throughout the package:
   H = div(grad u / W).
 
 The weighted mean curvature adds the density term <grad F, N>.
+
+Both are whole-stack column arithmetic with one determinant helper: the
+normal's components are the cofactors of the partials, determinants by
+Laplace expansion, and H = trace(g^{-1} b) comes from Cramer's rule,
+sum_j det(g with column j replaced by b's) / det g, where det g = |N|^2 for
+the unnormalized normal by Cauchy-Binet.  No LAPACK call, no pivots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .density import Density, as_points
+from .density import Density, as_points, sq_norm
 
 
 class RankDeficiencyError(ValueError):
@@ -92,6 +99,39 @@ class CurvatureReport:
         }
 
 
+@lru_cache(maxsize=None)
+def _minor_columns(n: int) -> tuple[tuple[int, ...], ...]:
+    """For each i, the columns of an (n, n+1) matrix other than column i."""
+    return tuple(tuple(j for j in range(n + 1) if j != i) for i in range(n + 1))
+
+
+def _det(m) -> np.ndarray:
+    """Determinants of a stack of k x k matrices given entry by entry: m[r][c]
+    is the array (...) of entries in row r and column c.
+
+    Laplace expansion down the first column: products and differences of
+    whole-stack entries only.  Exact zeros come out +0.0, as from LAPACK.
+    """
+
+    def expand(rows, cols):
+        if len(cols) == 1:
+            return m[rows[0]][cols[0]]
+        total = None
+        for k, r in enumerate(rows):
+            term = m[r][cols[0]] * expand(rows[:k] + rows[k + 1:], cols[1:])
+            total = term if k == 0 else total - term if k % 2 else total + term
+        return total
+
+    full = tuple(range(len(m)))
+    return expand(full, full) + 0.0
+
+
+def _dot(a, b) -> np.ndarray:
+    """<a, b> over the last axis, summed column by column like ``sq_norm``:
+    the same bits for a stack as for each of its points, in any layout."""
+    return sum(a[..., k] * b[..., k] for k in range(a.shape[-1]))
+
+
 def generalized_cross(rows: np.ndarray) -> np.ndarray:
     """Vector orthogonal to the n rows of (..., n, n+1) matrices.
 
@@ -100,49 +140,46 @@ def generalized_cross(rows: np.ndarray) -> np.ndarray:
     rows followed by the result form a positively oriented basis.
     """
     rows = np.asarray(rows, dtype=float)
-    # flush subnormal entries to signed zeros: LU would take one as a pivot
-    # and divide by zero
-    rows = rows * (np.abs(rows) >= np.finfo(float).tiny)
     n = rows.shape[-1] - 1
-    keep = np.array([np.delete(np.arange(n + 1), i) for i in range(n + 1)])
-    minors = np.moveaxis(rows[..., keep], -2, -3)  # (..., n+1, n, n)
-    return (-1.0) ** (n + np.arange(n + 1)) * np.linalg.det(minors)
+    out = np.empty(rows.shape[:-2] + (n + 1,))
+    for i, keep in enumerate(_minor_columns(n)):
+        minor = _det([[rows[..., r, c] for c in keep] for r in range(n)])
+        # 0.0 - minor negates without turning a zero cofactor into -0.0
+        out[..., i] = 0.0 - minor if (n + i) % 2 else minor
+    return out
 
 
 def _frame(p, J) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrices of the chart partials J at chart points p, and the unit
-    normals in the chart's cross-product orientation."""
+    """Unit normals of the chart partials J at chart points p, in the chart's
+    cross-product orientation, and the Gram determinants det(J J^t)."""
     nvec = generalized_cross(J)
-    det = np.vecdot(nvec, nvec)  # det(J J^t), by Cauchy-Binet
+    det = sq_norm(nvec)  # det(J J^t), by Cauchy-Binet
     bad = det <= GRAM_DET_MIN
     if np.any(bad):
         first = np.reshape(p, (-1, J.shape[-2]))[np.flatnonzero(bad)[0]]
         raise RankDeficiencyError(f"immersion is rank deficient at chart point {first}")
-    return J @ np.swapaxes(J, -1, -2), nvec / np.sqrt(det)[..., None]
+    return nvec / np.sqrt(det)[..., None], det
 
 
-def _mean_curvature(d2x, gram, nvec) -> np.ndarray:
-    b = (d2x @ nvec[..., None, :, None])[..., 0]
-    return np.trace(np.linalg.solve(gram, b), axis1=-2, axis2=-1)
+def _mean_curvature(J, d2x, nvec, det) -> np.ndarray:
+    """trace(g^{-1} b), g = J J^t and b_ij = <d2X_ij, N>, by Cramer's rule:
+    the sum over j of det(g with column j replaced by b's) / det g."""
+    n = range(J.shape[-2])
+    g = [[_dot(J[..., i, :], J[..., j, :]) for j in n] for i in n]
+    b = [[_dot(d2x[..., i, j, :], nvec) for j in n] for i in n]
+    return sum(_det([[b[r][j] if c == j else g[r][c] for c in n] for r in n]) for j in n) / det
 
 
 def unit_normal(surface: ParametricSurface, p) -> np.ndarray:
     """Unit normals at chart points, in the chart's cross-product orientation."""
-    return _frame(p, surface.partials(p))[1]
+    return _frame(p, surface.partials(p))[0]
 
 
 def mean_curvature(surface: ParametricSurface, p) -> np.ndarray:
     """Sum of principal curvatures, trace(g^{-1} b) with b_ij = <d2X_ij, N>."""
     p = as_points(p, surface.chart_dim)
     _, J, d2x = surface.jet(p, 2)
-    return _mean_curvature(d2x, *_frame(p, J))
-
-
-def density_normal_pairing(surface: ParametricSurface, dens: Density, p) -> np.ndarray:
-    """The density term <grad F, N> at the ambient points of chart points."""
-    p = as_points(p, surface.chart_dim)
-    x, J = surface.jet(p, 1)
-    return np.vecdot(dens.grad_log_weight(x), _frame(p, J)[1])
+    return _mean_curvature(J, d2x, *_frame(p, J))
 
 
 def weighted_mean_curvature(
@@ -156,9 +193,9 @@ def weighted_mean_curvature(
         )
     p = as_points(p, surface.chart_dim)
     x, J, d2x = surface.jet(p, 2)
-    gram, nvec = _frame(p, J)
-    h = _mean_curvature(d2x, gram, nvec)
-    term = np.vecdot(dens.grad_log_weight(x), nvec)
+    nvec, det = _frame(p, J)
+    h = _mean_curvature(J, d2x, nvec, det)
+    term = _dot(dens.grad_log_weight(x), nvec)
     return CurvatureReport(
         chart_point=p,
         ambient_point=x,
@@ -180,12 +217,9 @@ def tangent_plane_distance(surface: ParametricSurface, p) -> tuple[np.ndarray, n
     """
     p = as_points(p, surface.chart_dim)
     x, J = surface.jet(p, 1)
-    nvec = _frame(p, J)[1]
-    axis_point = np.zeros_like(x)
-    axis_point[..., -1] = x[..., -1]
-    # point-to-hyperplane distance |<n, q> + d| with d = -<n, M>, |n| = 1
-    lhs = np.abs(np.vecdot(nvec, axis_point) - np.vecdot(nvec, x))
-    grad_f = x.copy()
-    grad_f[..., -1] = 0.0
-    rhs = np.abs(np.vecdot(grad_f, nvec))
+    nvec = _frame(p, J)[0]
+    # point-to-hyperplane distance |<n, q> + d| with d = -<n, M>, |n| = 1, for
+    # the axis point q = (0, ..., 0, x_{n+1})
+    lhs = np.abs(nvec[..., -1] * x[..., -1] - _dot(nvec, x))
+    rhs = np.abs(_dot(x[..., :-1], nvec[..., :-1]))
     return lhs, rhs

@@ -2,7 +2,8 @@
 
 The library evaluates every derivative from analytic jets; the one
 central-difference oracle here checks them, and gives bare immersions a jet.
-The 50-digit mpmath oracle checks the closed-form lateral tails, and the
+The 50-digit mpmath oracle checks the closed-form lateral tails, the
+LAPACK oracles check the cofactor normals and Cramer curvature, and the
 frame oracles evaluate the calibration form on explicit frames.  The
 seeded random quadratic graphs feed the distance-identity tests.
 """
@@ -13,11 +14,41 @@ import numpy as np
 from gaussmin.calibration import SAMPLE_HALF_WIDTH, extended_normal
 from gaussmin.graph import GraphFunction
 from gaussmin.rng import substream
+from gaussmin.density import as_points
+from gaussmin.surface import _frame
 
 
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def density_normal_pairing(surface, dens, p):
+    """The density term <grad F, N> at the ambient points of chart points,
+    from one first-order jet and BLAS's dot: a curvature report's
+    ``density_term``, without the second-order jet that H needs."""
+    p = as_points(p, surface.chart_dim)
+    x, J = surface.jet(p, 1)
+    return np.vecdot(dens.grad_log_weight(x), _frame(p, J)[0])
+
+
+def lapack_cross(rows):
+    """The generalized cross product of (..., n, n+1) rows from LAPACK: each
+    component the signed determinant of a minor, one np.linalg.det each."""
+    rows = np.asarray(rows, dtype=float)
+    n = rows.shape[-1] - 1
+    keep = np.array([np.delete(np.arange(n + 1), i) for i in range(n + 1)])
+    minors = np.moveaxis(rows[..., keep], -2, -3)
+    return (-1.0) ** (n + np.arange(n + 1)) * np.linalg.det(minors)
+
+
+def lapack_mean_curvature(J, d2x):
+    """trace(g^{-1} b), g = J J^t and b_ij = <d2X_ij, N>, by np.linalg.solve,
+    with N the normalized ``lapack_cross`` of the partials J."""
+    nvec = lapack_cross(J)
+    nvec = nvec / np.linalg.norm(nvec, axis=-1, keepdims=True)
+    b = (d2x @ nvec[..., None, :, None])[..., 0]
+    return np.trace(np.linalg.solve(J @ np.swapaxes(J, -1, -2), b), axis1=-2, axis2=-1)
 
 
 def random_quadratic_graph(seed, stream, n=2):

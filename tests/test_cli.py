@@ -182,7 +182,9 @@ TOO_STEEP = ("gaussmin: error: the initial field is too steep: its weighted area
         # squares are floats but W (1 + W)^2 is not
         ("1e300", EXIT_RUNTIME, "", TOO_STEEP),
         ("1e150", EXIT_RUNTIME, "", TOO_STEEP),
-        ("1e100", EXIT_OK, "verdict: max_time_reached (t = 1.6383e+06)\n", ""),
+        # ...and at ~1e100 the flow runs out of its default budget: the
+        # ladder's 14th step is clipped to end at t = 1e6
+        ("1e100", EXIT_OK, "verdict: max_time_reached (t = 1e+06)\n", ""),
     ],
 )
 def test_flow_steep_initial_fields(amplitude, code, out, err, tmp_path, capsys):
@@ -223,6 +225,18 @@ def test_curvature_cylinder(tmp_path):
     )
     payload = json.loads(out.read_text())
     assert payload["report"]["weighted_mean_curvature"] == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("args, normal", [
+    (["--surface", "cylinder", "--params", "r=1", "--at", "0,0"], [1.0, 0.0, 0.0]),
+    (["--surface", "plane", "--params", "normal=0:1:0", "--at", "0.5,-0.5"], [0.0, 1.0, 0.0]),
+])
+def test_exact_zero_normal_components_print_as_zero(args, normal, capsys):
+    # a zero cofactor, negated or not, is 0.0 in the output, never -0.0
+    assert run(["curvature", *args]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert json.loads(out)["report"]["unit_normal"] == normal
+    assert "-0.0" not in out
 
 
 def test_curvature_associate_at_quarter(tmp_path):

@@ -161,6 +161,29 @@ def test_flow_run_hits_time_budget():
     assert result.state.time >= 20.0 * state.dt
 
 
+@pytest.mark.parametrize("t_max", [2.0, 0.05, 1e-9, 250.0])
+def test_flow_run_clips_the_last_step_to_end_at_the_budget(t_max):
+    # the ladder's steps are 100, 200, ...; the one that would pass t_max
+    # ends there instead, at the ladder's dt, however short it is
+    result = flow_run(initial_state(initial_field(1, 4.0, 65, "sinusoid")), t_max=t_max,
+                      osc_tol=1e-9, hf_tol=1e-9)
+    assert result.verdict == VERDICT_MAX_TIME
+    times = [rec[0] for rec in result.state.history]
+    assert times[-1] == t_max and all(t < t_max for t in times[:-1])
+    assert result.state.dt == (FIRST_DT if t_max < FIRST_DT else 2.0 * FIRST_DT)
+
+
+def test_a_clipped_step_that_is_rejected_halves_the_ladder(monkeypatch):
+    # the clipped step's first attempt goes uphill: it is retried at half its
+    # length, and the ladder's dt is halved once, as for any rejected step
+    calls = _force_uphill(monkeypatch, lambda k: k == 1)
+    result = flow_run(initial_state(initial_field(1, 4.0, 65, "sinusoid")), t_max=2.0,
+                      osc_tol=1e-9, hf_tol=1e-9)
+    assert calls == [2.0, 1.0, 1.0]
+    assert [rec[0] for rec in result.state.history] == [0.0, 1.0, 2.0]
+    assert result.verdict == VERDICT_MAX_TIME and result.state.dt == FIRST_DT / 2
+
+
 def _force_uphill(monkeypatch, uphill):
     # the semi-implicit step does not go uphill on its own: reverse the
     # increment of the k-th solve when uphill(k); returns each solve's dt

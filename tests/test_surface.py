@@ -12,14 +12,20 @@ from gaussmin.rng import substream
 from gaussmin.surface import (
     ParametricSurface,
     RankDeficiencyError,
-    density_normal_pairing,
     generalized_cross,
     mean_curvature,
     tangent_plane_distance,
     unit_normal,
     weighted_mean_curvature,
 )
-from oracles import difference_jet, random_quadratic_graph, same_bits
+from oracles import (
+    density_normal_pairing,
+    difference_jet,
+    lapack_cross,
+    lapack_mean_curvature,
+    random_quadratic_graph,
+    same_bits,
+)
 
 HG2 = horizontal_gaussian(2)
 
@@ -45,6 +51,81 @@ def test_generalized_cross_orients_upward_for_curve_graphs():
     n = generalized_cross(np.array([[1.0, 0.7]]))
     assert n[1] > 0
     assert abs(n @ np.array([1.0, 0.7])) < 1e-15
+
+
+# ------------------------------------------------------ LAPACK oracle
+
+def plus_zeros(ref):
+    return (ref == 0.0) & ~np.signbit(ref)
+
+
+def cramer_scale(J, d2x):
+    """The scale of trace(g^{-1} b)'s rounding: |g|^{n-1} |d2X| / det g, the
+    size of the Cramer numerators' terms over det g (b_ij = <d2X_ij, N>
+    with |N| = 1), times cond(g), since both routes form g from J and an ulp
+    of g moves H by cond(g) ulps of that."""
+    n = J.shape[-2]
+    g = J @ np.swapaxes(J, -1, -2)
+    size = np.max(np.abs(g), axis=(-2, -1)) ** (n - 1) * np.max(np.abs(d2x), axis=(-3, -2, -1))
+    return np.linalg.cond(g) * size / np.linalg.det(g)
+
+
+def fixed_jet(x, J, d2x):
+    """A surface whose jet is the given arrays, whatever the chart points."""
+    return ParametricSurface(
+        chart_domain=((-1.0, 1.0),) * J.shape[-2], jet=lambda p, order: (x, J, d2x)[:order + 1]
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cofactor_cross_matches_lapack_on_random_frames(n):
+    # six decades of scale, and 30 % of the entries exactly zero
+    rng = substream(51, n)
+    rows = rng.uniform(-1.0, 1.0, (4000, n, n + 1)) * 10.0 ** rng.uniform(-3.0, 3.0, (4000, 1, 1))
+    rows[rng.uniform(size=rows.shape) < 0.3] = 0.0
+    new, ref = generalized_cross(rows), lapack_cross(rows)
+    hadamard = np.prod(np.linalg.norm(rows, axis=-1), axis=-1)  # bounds every minor
+    assert np.all(np.abs(new - ref) <= 1e-14 * hadamard[:, None])
+    # every zero here is exact (a zero row or column in the minor): +0.0 on both sides
+    assert np.all(plus_zeros(new[plus_zeros(ref)]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cramer_mean_curvature_matches_lapack_on_random_frames(n):
+    rng = substream(52, n)
+    scale = 10.0 ** rng.uniform(-1.0, 2.0, (4000, 1, 1))
+    J = rng.uniform(-1.0, 1.0, (4000, n, n + 1)) * scale
+    d2x = rng.uniform(-1.0, 1.0, (4000, n, n, n + 1)) * scale[..., None]
+    d2x = d2x + np.swapaxes(d2x, -3, -2)
+    h = mean_curvature(fixed_jet(np.zeros((4000, n + 1)), J, d2x), np.zeros((4000, n)))
+    assert np.all(np.abs(h - lapack_mean_curvature(J, d2x)) <= 1e-14 * cramer_scale(J, d2x))
+
+
+def catalog_surfaces():
+    """Each catalog entry's surface and sample box, its graphs embedded."""
+    out = []
+    for e in default_catalog():
+        if isinstance(e.surface, ParametricSurface):
+            out.append((e.name, e.surface, e.surface.chart_domain))
+        else:
+            out.append((e.name, as_parametric(e.surface, e.sample_box), e.sample_box))
+    return out
+
+
+@pytest.mark.parametrize("name, surf, box", catalog_surfaces(), ids=[c[0] for c in catalog_surfaces()])
+def test_catalog_normals_and_curvature_match_lapack_on_sample_grids(name, surf, box):
+    axes = [np.linspace(lo, hi, 21) for lo, hi in box]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    _, J, d2x = surf.jet(grid, 2)
+    ref = lapack_cross(J)
+    ref = ref / np.linalg.norm(ref, axis=-1, keepdims=True)
+    new = unit_normal(surf, grid)
+    assert np.max(np.abs(new - ref)) <= 1e-14
+    # LU cancels some roundoff-sized components to +0.0 (the associate
+    # surfaces at v = 0); none of them may come out -0.0 here
+    assert not np.any(np.signbit(new[plus_zeros(ref)]) & (new[plus_zeros(ref)] == 0.0))
+    h, ref_h = mean_curvature(surf, grid), lapack_mean_curvature(J, d2x)
+    assert np.all(np.abs(h - ref_h) <= 1e-14 * cramer_scale(J, d2x))
 
 
 def test_helicoid_normal_at_origin():
@@ -156,7 +237,7 @@ def test_normal_queries_evaluate_one_first_order_jet():
     pairing = density_normal_pairing(counted, HG2, p)
     assert same_bits(pairing, np.vecdot(HG2.grad_log_weight(x), nvec))
     lhs, rhs = tangent_plane_distance(counted, p)
-    assert same_bits(rhs, np.abs(np.vecdot(np.append(x[:, :-1], np.zeros((30, 1)), axis=-1), nvec)))
+    assert same_bits(rhs, np.abs(x[:, 0] * nvec[:, 0] + x[:, 1] * nvec[:, 1]))
     assert calls == [1, 1]  # one first-order jet per query
 
 
@@ -179,6 +260,48 @@ def test_jet_of_every_order_matches_point_partials_and_hessian(surf):
             assert len(terms) == order + 1
             for term, view in zip(terms, views):
                 assert same_bits(term, view), order
+
+
+def stack_surfaces():
+    """(id, surface, density): every catalog surface, its graphs embedded over
+    their sample boxes, and every graph preset embedded at n = 1, 2, 3."""
+    out = []
+    for e in default_catalog():
+        surf = e.surface
+        if not isinstance(surf, ParametricSurface):
+            surf = as_parametric(surf, e.sample_box)
+        out.append((e.name, surf, e.density))
+    for n in (1, 2, 3):
+        for name, u in graph_presets(n, seed=7387).items():
+            out.append((f"{name}_n{n}", as_parametric(u, ((-2.0, 2.0),) * n), horizontal_gaussian(n)))
+    return out
+
+
+def chart_stacks(n: int):
+    """Stacks of chart points of leading shapes (), (k,) and (a, b), near and
+    far out, each as a C- and an F-ordered copy."""
+    rng = substream(44, n)
+    stacks = [rng.uniform(-2.0, 2.0, shape) for shape in [(n,), (30, n), (4, 5, n)]]
+    stacks.append(rng.uniform(-9.0, 9.0, (2, 3, n)))
+    return [layout(x) for x in stacks for layout in (np.ascontiguousarray, np.asfortranarray)]
+
+
+REPORT_FIELDS = ("ambient_point", "unit_normal", "mean_curvature", "density_term",
+                 "weighted_mean_curvature")
+
+
+@pytest.mark.parametrize("name, surf, dens", stack_surfaces(), ids=lambda v: v if isinstance(v, str) else "")
+def test_stacked_normals_curvature_and_distance_match_each_points_bit_for_bit(name, surf, dens):
+    for x in chart_stacks(surf.chart_dim):
+        rep, nvec = weighted_mean_curvature(surf, dens, x), unit_normal(surf, x)
+        dist = tangent_plane_distance(surf, x)
+        for idx in np.ndindex(x.shape[:-1]):
+            p = x[idx].copy()
+            alone = weighted_mean_curvature(surf, dens, p)
+            for f in REPORT_FIELDS:
+                assert same_bits(getattr(rep, f)[idx], getattr(alone, f)), (f, idx)
+            assert same_bits(nvec[idx], unit_normal(surf, p)), idx
+            assert all(same_bits(d[idx], a) for d, a in zip(dist, tangent_plane_distance(surf, p))), idx
 
 
 def test_parametric_surface_needs_a_jet():
