@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .density import Density, as_points, sq_norm
+from .density import Density, as_points, dot, sq_norm
 from .graph import GraphFunction, graph_curvature_samples
 from .rng import DEFAULT_SEED, substream
 
@@ -32,7 +32,7 @@ def tangent_minors(g: np.ndarray) -> np.ndarray:
     cofactors of ``surface.generalized_cross``, and W times the graph normal."""
     n = g.shape[-1]
     out = np.empty(g.shape[:-1] + (n + 1,))
-    for i in range(n):  # column by column: whole-array ops would walk short rows
+    for i in range(n):  # by columns: an op on (..., n) slices runs n-long rows
         np.negative(g[..., i], out=out[..., i])
     out[..., n] = 1.0
     return out
@@ -67,12 +67,12 @@ def comass_check(u: GraphFunction, trials: int = 10_000, seed: int = DEFAULT_SEE
     rng = substream(seed, 0)
     base = rng.uniform(-SAMPLE_HALF_WIDTH, SAMPLE_HALF_WIDTH, size=(trials, n))
     points = np.empty((trials, n + 1))
-    for i in range(n):
+    for i in range(n):  # by columns, as in tangent_minors
         points[:, i] = base[:, i]
     points[:, n] = rng.uniform(-1.0, 1.0, size=trials)
     normals = extended_normal(u)(points)
     g = u.gradient(base)
-    pairing = normals[:, n] - sum(normals[:, i] * g[:, i] for i in range(n))
+    pairing = normals[:, n] - dot(normals[:, :n], g)
     omega = pairing / np.sqrt(1.0 + sq_norm(g))
     return float(np.max(np.maximum(np.abs(np.sqrt(sq_norm(normals)) - 1.0), np.abs(omega - 1.0))))
 

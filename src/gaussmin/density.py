@@ -136,6 +136,13 @@ def sq_norm(x: np.ndarray) -> np.ndarray:
     return sum(x[..., i] * x[..., i] for i in range(x.shape[-1]))
 
 
+def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a, b> over the last axis, by columns like ``sq_norm``: a stack gets
+    each point's bits in any memory layout.  np.vecdot (BLAS) does not: on
+    strided operands of four or more columns it sums in another order."""
+    return sum(a[..., i] * b[..., i] for i in range(a.shape[-1]))
+
+
 def as_points(x, dimension: int) -> np.ndarray:
     """x as a float array of points of shape (..., dimension)."""
     x = np.asarray(x, dtype=float)

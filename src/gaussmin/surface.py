@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .density import Density, as_points, sq_norm
+from .density import Density, as_points, dot, sq_norm
 
 
 class RankDeficiencyError(ValueError):
@@ -126,12 +126,6 @@ def _det(m) -> np.ndarray:
     return expand(full, full) + 0.0
 
 
-def _dot(a, b) -> np.ndarray:
-    """<a, b> over the last axis, summed column by column like ``sq_norm``:
-    the same bits for a stack as for each of its points, in any layout."""
-    return sum(a[..., k] * b[..., k] for k in range(a.shape[-1]))
-
-
 def generalized_cross(rows: np.ndarray) -> np.ndarray:
     """Vector orthogonal to the n rows of (..., n, n+1) matrices.
 
@@ -165,8 +159,8 @@ def _mean_curvature(J, d2x, nvec, det) -> np.ndarray:
     """trace(g^{-1} b), g = J J^t and b_ij = <d2X_ij, N>, by Cramer's rule:
     the sum over j of det(g with column j replaced by b's) / det g."""
     n = range(J.shape[-2])
-    g = [[_dot(J[..., i, :], J[..., j, :]) for j in n] for i in n]
-    b = [[_dot(d2x[..., i, j, :], nvec) for j in n] for i in n]
+    g = [[dot(J[..., i, :], J[..., j, :]) for j in n] for i in n]
+    b = [[dot(d2x[..., i, j, :], nvec) for j in n] for i in n]
     return sum(_det([[b[r][j] if c == j else g[r][c] for c in n] for r in n]) for j in n) / det
 
 
@@ -195,7 +189,7 @@ def weighted_mean_curvature(
     x, J, d2x = surface.jet(p, 2)
     nvec, det = _frame(p, J)
     h = _mean_curvature(J, d2x, nvec, det)
-    term = _dot(dens.grad_log_weight(x), nvec)
+    term = dot(dens.grad_log_weight(x), nvec)
     return CurvatureReport(
         chart_point=p,
         ambient_point=x,
@@ -220,6 +214,6 @@ def tangent_plane_distance(surface: ParametricSurface, p) -> tuple[np.ndarray, n
     nvec = _frame(p, J)[0]
     # point-to-hyperplane distance |<n, q> + d| with d = -<n, M>, |n| = 1, for
     # the axis point q = (0, ..., 0, x_{n+1})
-    lhs = np.abs(nvec[..., -1] * x[..., -1] - _dot(nvec, x))
-    rhs = np.abs(_dot(x[..., :-1], nvec[..., :-1]))
+    lhs = np.abs(nvec[..., -1] * x[..., -1] - dot(nvec, x))
+    rhs = np.abs(dot(x[..., :-1], nvec[..., :-1]))
     return lhs, rhs

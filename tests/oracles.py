@@ -12,9 +12,9 @@ import mpmath as mp
 import numpy as np
 
 from gaussmin.calibration import SAMPLE_HALF_WIDTH, extended_normal
+from gaussmin.density import as_points
 from gaussmin.graph import GraphFunction
 from gaussmin.rng import substream
-from gaussmin.density import as_points
 from gaussmin.surface import _frame
 
 

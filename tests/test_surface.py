@@ -55,8 +55,9 @@ def test_generalized_cross_orients_upward_for_curve_graphs():
 
 # ------------------------------------------------------ LAPACK oracle
 
-def plus_zeros(ref):
-    return (ref == 0.0) & ~np.signbit(ref)
+def plus_zeros(a):
+    """Where a holds +0.0."""
+    return (a == 0.0) & ~np.signbit(a)
 
 
 def cramer_scale(J, d2x):
@@ -102,18 +103,19 @@ def test_cramer_mean_curvature_matches_lapack_on_random_frames(n):
 
 
 def catalog_surfaces():
-    """Each catalog entry's surface and sample box, its graphs embedded."""
+    """(name, surface, density, sample box) of each catalog entry, its graphs
+    embedded over their sample boxes."""
     out = []
     for e in default_catalog():
         if isinstance(e.surface, ParametricSurface):
-            out.append((e.name, e.surface, e.surface.chart_domain))
+            out.append((e.name, e.surface, e.density, e.surface.chart_domain))
         else:
-            out.append((e.name, as_parametric(e.surface, e.sample_box), e.sample_box))
+            out.append((e.name, as_parametric(e.surface, e.sample_box), e.density, e.sample_box))
     return out
 
 
-@pytest.mark.parametrize("name, surf, box", catalog_surfaces(), ids=[c[0] for c in catalog_surfaces()])
-def test_catalog_normals_and_curvature_match_lapack_on_sample_grids(name, surf, box):
+@pytest.mark.parametrize("name, surf, dens, box", catalog_surfaces(), ids=[c[0] for c in catalog_surfaces()])
+def test_catalog_normals_and_curvature_match_lapack_on_sample_grids(name, surf, dens, box):
     axes = [np.linspace(lo, hi, 21) for lo, hi in box]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     _, J, d2x = surf.jet(grid, 2)
@@ -123,7 +125,8 @@ def test_catalog_normals_and_curvature_match_lapack_on_sample_grids(name, surf, 
     assert np.max(np.abs(new - ref)) <= 1e-14
     # LU cancels some roundoff-sized components to +0.0 (the associate
     # surfaces at v = 0); none of them may come out -0.0 here
-    assert not np.any(np.signbit(new[plus_zeros(ref)]) & (new[plus_zeros(ref)] == 0.0))
+    at_zeros = new[plus_zeros(ref)]
+    assert not np.any((at_zeros == 0.0) & np.signbit(at_zeros))
     h, ref_h = mean_curvature(surf, grid), lapack_mean_curvature(J, d2x)
     assert np.all(np.abs(h - ref_h) <= 1e-14 * cramer_scale(J, d2x))
 
@@ -263,14 +266,9 @@ def test_jet_of_every_order_matches_point_partials_and_hessian(surf):
 
 
 def stack_surfaces():
-    """(id, surface, density): every catalog surface, its graphs embedded over
-    their sample boxes, and every graph preset embedded at n = 1, 2, 3."""
-    out = []
-    for e in default_catalog():
-        surf = e.surface
-        if not isinstance(surf, ParametricSurface):
-            surf = as_parametric(surf, e.sample_box)
-        out.append((e.name, surf, e.density))
+    """(name, surface, density): every catalog surface, and every graph
+    preset embedded at n = 1, 2, 3."""
+    out = [(name, surf, dens) for name, surf, dens, _ in catalog_surfaces()]
     for n in (1, 2, 3):
         for name, u in graph_presets(n, seed=7387).items():
             out.append((f"{name}_n{n}", as_parametric(u, ((-2.0, 2.0),) * n), horizontal_gaussian(n)))
@@ -290,7 +288,7 @@ REPORT_FIELDS = ("ambient_point", "unit_normal", "mean_curvature", "density_term
                  "weighted_mean_curvature")
 
 
-@pytest.mark.parametrize("name, surf, dens", stack_surfaces(), ids=lambda v: v if isinstance(v, str) else "")
+@pytest.mark.parametrize("name, surf, dens", stack_surfaces(), ids=[c[0] for c in stack_surfaces()])
 def test_stacked_normals_curvature_and_distance_match_each_points_bit_for_bit(name, surf, dens):
     for x in chart_stacks(surf.chart_dim):
         rep, nvec = weighted_mean_curvature(surf, dens, x), unit_normal(surf, x)
