@@ -12,11 +12,11 @@ Curvature conventions used throughout the package:
 
 The weighted mean curvature adds the density term <grad F, N>.
 
-Both are whole-stack column arithmetic with one determinant helper: the
-normal's components are the cofactors of the partials, determinants by
-Laplace expansion, and H = trace(g^{-1} b) comes from Cramer's rule,
-sum_j det(g with column j replaced by b's) / det g, where det g = |N|^2 for
-the unnormalized normal by Cauchy-Binet.  No LAPACK call, no pivots.
+The normal and H are whole-stack column arithmetic with one determinant
+helper: the normal's components are the cofactors of the partials, each a
+determinant by Laplace expansion, and H = trace(g^{-1} b) comes from
+Cramer's rule, sum_j det(g with column j replaced by b's) / det g, where
+det g = |N|^2 for the unnormalized normal (Cauchy-Binet).  No LAPACK call.
 """
 
 from __future__ import annotations
