@@ -20,22 +20,26 @@ from __future__ import annotations
 import numpy as np
 
 from .density import Density, as_points, dot, sq_norm
-from .graph import GraphFunction, graph_curvature_samples
+from .graph import GraphFunction, graph_curvature_samples, tangent_minors
 from .rng import DEFAULT_SEED, substream
 
 SAMPLE_HALF_WIDTH = 2.0  # base points of the checks lie in [-2, 2]^n
 FD_STEP = 1e-4
 
 
-def tangent_minors(g: np.ndarray) -> np.ndarray:
-    """*(T_1 ^ ... ^ T_n) = (-g, 1) for graph frames T_i = (e_i, g_i): the
-    cofactors of ``surface.generalized_cross``, and W times the graph normal."""
-    n = g.shape[-1]
-    out = np.empty(g.shape[:-1] + (n + 1,))
-    for i in range(n):  # by columns: an op on (..., n) slices runs n-long rows
-        np.negative(g[..., i], out=out[..., i])
-    out[..., n] = 1.0
-    return out
+def ambient_samples(u: GraphFunction, rng, trials: int, on_graph: bool) -> np.ndarray:
+    """(trials, n+1) ambient points: base points uniform in the
+    [-SAMPLE_HALF_WIDTH, SAMPLE_HALF_WIDTH]^n box are drawn first, then the
+    heights, which are the graph's own when ``on_graph`` and otherwise
+    uniform in [-1, 1].  Both verify checks draw through here: ``comass_check``
+    from stream 0 and ``cli.closedness_suite`` from stream 3."""
+    n = u.dimension
+    base = rng.uniform(-SAMPLE_HALF_WIDTH, SAMPLE_HALF_WIDTH, size=(trials, n))
+    points = np.empty((trials, n + 1))
+    for i in range(n):  # by columns, as in tangent_minors
+        points[:, i] = base[:, i]
+    points[:, n] = u.value(base) if on_graph else rng.uniform(-1.0, 1.0, size=trials)
+    return points
 
 
 def extended_normal(u: GraphFunction):
@@ -64,14 +68,9 @@ def comass_check(u: GraphFunction, trials: int = 10_000, seed: int = DEFAULT_SEE
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = u.dimension
-    rng = substream(seed, 0)
-    base = rng.uniform(-SAMPLE_HALF_WIDTH, SAMPLE_HALF_WIDTH, size=(trials, n))
-    points = np.empty((trials, n + 1))
-    for i in range(n):  # by columns, as in tangent_minors
-        points[:, i] = base[:, i]
-    points[:, n] = rng.uniform(-1.0, 1.0, size=trials)
+    points = ambient_samples(u, substream(seed, 0), trials, False)
     normals = extended_normal(u)(points)
-    g = u.gradient(base)
+    g = u.gradient(points[:, :n])
     pairing = normals[:, n] - dot(normals[:, :n], g)
     omega = pairing / np.sqrt(1.0 + sq_norm(g))
     return float(np.max(np.maximum(np.abs(np.sqrt(sq_norm(normals)) - 1.0), np.abs(omega - 1.0))))

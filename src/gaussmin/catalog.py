@@ -346,13 +346,9 @@ class CatalogReport:
         return max((r["residual"] for r in self.results), default=0.0)
 
 
-def verify_catalog(
-    tolerance: float = 1e-5, entries: Optional[list[CatalogEntry]] = None
-) -> CatalogReport:
-    """Check every entry's claim at the tolerance; an empty catalog passes
-    vacuously."""
-    entries = default_catalog() if entries is None else entries
+def verify_catalog(tolerance: float = 1e-5) -> CatalogReport:
+    """Check every ``default_catalog`` entry's claim at the tolerance."""
     return CatalogReport(
         tolerance=tolerance,
-        results=[verify_entry(e, tolerance) for e in entries],
+        results=[verify_entry(e, tolerance) for e in default_catalog()],
     )

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import calibration, catalog, flow, graph, measure
-from .density import Density, Profile, density_from_name, profile_from_name, horizontal_gaussian
+from .density import Density, density_from_name, profile_from_name, horizontal_gaussian
 from .graph import GraphFunction
 from .rng import DEFAULT_SEED, substream
 from .surface import weighted_mean_curvature
@@ -95,13 +95,10 @@ def _graph_preset(name: str, n: int, seed: int) -> GraphFunction:
 
 def _calibration_presets() -> list[tuple[str, GraphFunction, Density, bool]]:
     """(name, graph, density, sample_on_graph) checked by the verify command."""
-    quad_log_density = Density.product(Density.gaussian(2), Profile.quad_log())
-    return [
-        ("constant", GraphFunction.constant(2, 0.7), horizontal_gaussian(2), False),
-        ("linear", GraphFunction.linear([0.5, 0.0]), horizontal_gaussian(2), False),
-        ("sinusoid", GraphFunction.sinusoid(2), horizontal_gaussian(2), False),
-        ("parabola_quad_log", GraphFunction.parabola(2), quad_log_density, True),
-    ]
+    presets = [(name, graph.graph_preset(name, 2), horizontal_gaussian(2), False)
+               for name in ("constant", "linear", "sinusoid")]
+    parabola = catalog.make_parabola_with_profile()
+    return presets + [(parabola.name, parabola.surface, parabola.density, True)]
 
 
 CLOSEDNESS_TRIALS = 100
@@ -116,14 +113,7 @@ def closedness_suite(
     For densities that depend on the vertical coordinate the identity holds
     on the graph itself, so sampling is restricted there.
     """
-    rng = substream(seed, 3)
-    half_width = calibration.SAMPLE_HALF_WIDTH
-    base = rng.uniform(-half_width, half_width, size=(CLOSEDNESS_TRIALS, u.dimension))
-    if on_graph:
-        z = np.asarray(u.value(base), dtype=float)
-    else:
-        z = rng.uniform(-1.0, 1.0, size=CLOSEDNESS_TRIALS)
-    x = np.concatenate([base, z[:, None]], axis=-1)
+    x = calibration.ambient_samples(u, substream(seed, 3), CLOSEDNESS_TRIALS, on_graph)
     residuals = calibration.closedness_residual(u, dens, x)
     return float(np.max(np.abs(residuals), initial=0.0))
 

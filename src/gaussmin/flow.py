@@ -29,8 +29,7 @@ graphs, so ``flow_run`` heads for the flat limit in pseudo-time: it starts
 at FIRST_DT and doubles dt after every step accepted at its first dt
 (pseudo-transient continuation: Mulder & van Leer, J. Comput. Phys. 59,
 1985; Kelley & Keyes, SIAM J. Numer. Anal. 35, 1998), and a default field
-converges in two steps.  ``run_to_time`` follows the flow in time, with a
-uniform dt <= FLOW_DT.  A step that raises the area beyond AREA_SLACK, or is
+converges in two steps.  A step that raises the area beyond AREA_SLACK, or is
 non-finite, is retried at half the dt.
 """
 
@@ -47,7 +46,7 @@ from .density import Density
 from .graph import GraphFunction
 from .rng import DEFAULT_SEED
 
-FLOW_DT = 0.02  # run_to_time's largest uniform step
+FLOW_DT = 0.02  # the tests' time-accurate uniform step; cli's box bound is stated at it
 FIRST_DT = 100.0  # the first dt of flow_run's ladder
 AREA_SLACK = 1e-12
 MAX_REJECTIONS = 10
@@ -93,10 +92,6 @@ class GridField:
 
     def axis(self) -> np.ndarray:
         return np.linspace(-self.half_width, self.half_width, self.resolution)
-
-    def nodes(self) -> np.ndarray:
-        """Grid node coordinates, shape grid_shape + (n,)."""
-        return grid_nodes(self.half_width, self.resolution, self.dimension)
 
     def oscillation(self) -> float:
         return float(np.max(self.values) - np.min(self.values))
@@ -461,30 +456,3 @@ def flow_run(
         if state.dt == dt and not clipped:
             state.dt = 2.0 * dt
 
-
-def run_to_time(fld: GridField, t_end: float) -> FlowState:
-    """Advance to exactly t_end with the largest uniform step <= FLOW_DT
-    dividing it."""
-    steps = max(1, math.ceil(t_end / FLOW_DT))
-    state = initial_state(fld, dt=t_end / steps)
-    for _ in range(steps):
-        state = flow_step(state)
-    return state
-
-
-# nested grids (m' = 2(m-1)+1, so coarse nodes embed in fine ones) and end time
-REFINEMENT_GRIDS = (33, 65, 129)
-REFINEMENT_T_END = 1.0
-
-
-def refinement_order() -> float:
-    """Observed convergence order of the default 1-D sinusoid flow at
-    REFINEMENT_T_END on the three REFINEMENT_GRIDS: log2 of the ratio of
-    successive max-norm differences on the common nodes."""
-    sols = [
-        run_to_time(initial_field(1, resolution=m), REFINEMENT_T_END).field.values
-        for m in REFINEMENT_GRIDS
-    ]
-    d1 = float(np.max(np.abs(sols[0] - sols[1][::2])))
-    d2 = float(np.max(np.abs(sols[1] - sols[2][::2])))
-    return math.log2(d1 / d2)

@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import measure
 from .density import Density, DomainError, Profile, as_points, sq_norm
 from .rng import DEFAULT_SEED, substream
 from .surface import CurvatureReport, ParametricSurface, separate_jet, tangent_plane_distance
@@ -63,13 +64,13 @@ class GraphFunction:
         )
 
     @staticmethod
-    def linear(coeffs: Sequence[float], intercept: float = 0.0) -> "GraphFunction":
+    def linear(coeffs: Sequence[float]) -> "GraphFunction":
         a = np.asarray(coeffs, dtype=float)
         n = a.size
         return GraphFunction(
             dimension=n,
             jet=separate_jet(
-                lambda x: x @ a + intercept,
+                lambda x: x @ a,
                 lambda x: np.broadcast_to(a, x.shape).copy(),
                 lambda x: np.zeros(x.shape + (n,)),
             ),
@@ -268,9 +269,16 @@ def _divergence_form(g, hess):
     return (w2 * trace - quad) / np.power(w2, 1.5), np.sqrt(w2)
 
 
-def graph_mean_curvature(u: GraphFunction, x):
-    """Mean curvature div(grad u / W) with the upward normal."""
-    return _divergence_form(*u.jet(as_points(x, u.dimension), 2)[1:])[0]
+def tangent_minors(g: np.ndarray) -> np.ndarray:
+    """*(T_1 ^ ... ^ T_n) = (-g, 1) for graph frames T_i = (e_i, g_i): the
+    cofactors of ``surface.generalized_cross``, and W times the upward normal.
+    0.0 - g negates as there, without turning a zero slope into -0.0."""
+    n = g.shape[-1]
+    out = np.empty(g.shape[:-1] + (n + 1,))
+    for i in range(n):  # by columns: an op on (..., n) slices runs n-long rows
+        np.subtract(0.0, g[..., i], out=out[..., i])
+    out[..., n] = 1.0
+    return out
 
 
 def graph_weighted_mean_curvature(u: GraphFunction, dens: Density, x) -> CurvatureReport:
@@ -286,7 +294,7 @@ def graph_weighted_mean_curvature(u: GraphFunction, dens: Density, x) -> Curvatu
     ambient = np.concatenate([x, value[..., None]], axis=-1)
     gf = dens.grad_log_weight(ambient)
     term = (gf[..., -1] - np.sum(gf[..., :-1] * g, axis=-1)) / w
-    normal = np.concatenate([-g, np.ones_like(w)[..., None]], axis=-1) / w[..., None]
+    normal = tangent_minors(g) / w[..., None]
     return CurvatureReport(
         chart_point=x,
         ambient_point=ambient,
@@ -365,18 +373,6 @@ def hyperplane_minimality(a_vec: Sequence[float], c: float, h: Profile) -> str:
         return NOT_MINIMAL
     residual = s[keep] + h.slope(z[keep])
     return MINIMAL_TILTED if float(np.max(np.abs(residual))) <= PLANE_TOL else NOT_MINIMAL
-
-
-def classify_hyperplane(coeffs: Sequence[float], const: float, h: Profile) -> str:
-    """Classify a general non-vertical plane sum(coeffs_i x_i) + const = 0.
-
-    Normalizes by the x_{n+1} coefficient first, so the result is invariant
-    under rescaling the equation by any nonzero constant.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    if abs(coeffs[-1]) < 1e-14:
-        raise ValueError("vertical hyperplane: coefficient of x_{n+1} is zero")
-    return hyperplane_minimality(coeffs[:-1] / coeffs[-1], float(const) / coeffs[-1], h)
 
 
 # ----------------------------------------------------------------- plane roots
@@ -488,8 +484,6 @@ def bernstein_functional(u: GraphFunction, truncation: float = 8.0, quad=None) -
     ball mass, with equality iff grad u vanishes on the ball; for R >= 8 the
     mass defect of the comparison bound is below 1e-14 in n <= 3.
     """
-    from . import measure
-
     R2 = truncation * truncation
 
     def slope_inside(x):

@@ -164,18 +164,6 @@ def _mean_curvature(J, d2x, nvec, det) -> np.ndarray:
     return sum(_det([[b[r][j] if c == j else g[r][c] for c in n] for r in n]) for j in n) / det
 
 
-def unit_normal(surface: ParametricSurface, p) -> np.ndarray:
-    """Unit normals at chart points, in the chart's cross-product orientation."""
-    return _frame(p, surface.partials(p))[0]
-
-
-def mean_curvature(surface: ParametricSurface, p) -> np.ndarray:
-    """Sum of principal curvatures, trace(g^{-1} b) with b_ij = <d2X_ij, N>."""
-    p = as_points(p, surface.chart_dim)
-    _, J, d2x = surface.jet(p, 2)
-    return _mean_curvature(J, d2x, *_frame(p, J))
-
-
 def weighted_mean_curvature(
     surface: ParametricSurface, dens: Density, p
 ) -> CurvatureReport:

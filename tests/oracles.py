@@ -5,17 +5,23 @@ central-difference oracle here checks them, and gives bare immersions a jet.
 The 50-digit mpmath oracle checks the closed-form lateral tails, the
 LAPACK oracles check the cofactor normals and Cramer curvature, and the
 frame oracles evaluate the calibration form on explicit frames.  The
-seeded random quadratic graphs feed the distance-identity tests.
+seeded random quadratic graphs feed the distance-identity tests.  The
+rest wrap library kernels in forms that only tests call: a surface's unit
+normal or mean curvature alone, a graph's mean curvature alone, the
+general-plane classification, and the flow at a uniform time step.
 """
+
+import math
 
 import mpmath as mp
 import numpy as np
 
-from gaussmin.calibration import SAMPLE_HALF_WIDTH, extended_normal
+from gaussmin.calibration import ambient_samples, extended_normal
 from gaussmin.density import as_points
-from gaussmin.graph import GraphFunction
+from gaussmin.flow import FLOW_DT, flow_step, initial_field, initial_state
+from gaussmin.graph import GraphFunction, _divergence_form, hyperplane_minimality
 from gaussmin.rng import substream
-from gaussmin.surface import _frame
+from gaussmin.surface import _frame, _mean_curvature
 
 
 def same_bits(a, b) -> bool:
@@ -121,9 +127,64 @@ def random_frame_comass(u, trials, seed) -> float:
     which the Hadamard bound caps at |N| = 1."""
     n = u.dimension
     rng = substream(seed, 0)
-    base = rng.uniform(-SAMPLE_HALF_WIDTH, SAMPLE_HALF_WIDTH, size=(trials, n))
-    z = rng.uniform(-1.0, 1.0, size=(trials, 1))
-    normals = extended_normal(u)(np.concatenate([base, z], axis=-1))
+    normals = extended_normal(u)(ambient_samples(u, rng, trials, False))
     frames, _ = np.linalg.qr(rng.standard_normal((trials, n + 1, n)))
     mats = np.concatenate([frames, normals[:, :, None]], axis=2)
     return float(np.max(np.abs(np.linalg.det(mats))))
+
+
+def unit_normal(surface, p):
+    """Unit normals at chart points, in the chart's cross-product orientation."""
+    return _frame(p, surface.partials(p))[0]
+
+
+def mean_curvature(surface, p):
+    """Sum of principal curvatures, trace(g^{-1} b) with b_ij = <d2X_ij, N>."""
+    p = as_points(p, surface.chart_dim)
+    _, J, d2x = surface.jet(p, 2)
+    return _mean_curvature(J, d2x, *_frame(p, J))
+
+
+def graph_mean_curvature(u, x):
+    """Mean curvature div(grad u / W) of a graph with the upward normal."""
+    return _divergence_form(*u.jet(as_points(x, u.dimension), 2)[1:])[0]
+
+
+def classify_hyperplane(coeffs, const, h) -> str:
+    """Classify a general non-vertical plane sum(coeffs_i x_i) + const = 0.
+
+    Normalizes by the x_{n+1} coefficient first, so the result is invariant
+    under rescaling the equation by any nonzero constant.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    if abs(coeffs[-1]) < 1e-14:
+        raise ValueError("vertical hyperplane: coefficient of x_{n+1} is zero")
+    return hyperplane_minimality(coeffs[:-1] / coeffs[-1], float(const) / coeffs[-1], h)
+
+
+def run_to_time(fld, t_end):
+    """Advance to exactly t_end with the largest uniform step <= FLOW_DT
+    dividing it."""
+    steps = max(1, math.ceil(t_end / FLOW_DT))
+    state = initial_state(fld, dt=t_end / steps)
+    for _ in range(steps):
+        state = flow_step(state)
+    return state
+
+
+# nested grids (m' = 2(m-1)+1, so coarse nodes embed in fine ones) and end time
+REFINEMENT_GRIDS = (33, 65, 129)
+REFINEMENT_T_END = 1.0
+
+
+def refinement_order() -> float:
+    """Observed convergence order of the default 1-D sinusoid flow at
+    REFINEMENT_T_END on the three REFINEMENT_GRIDS: log2 of the ratio of
+    successive max-norm differences on the common nodes."""
+    sols = [
+        run_to_time(initial_field(1, resolution=m), REFINEMENT_T_END).field.values
+        for m in REFINEMENT_GRIDS
+    ]
+    d1 = float(np.max(np.abs(sols[0] - sols[1][::2])))
+    d2 = float(np.max(np.abs(sols[1] - sols[2][::2])))
+    return math.log2(d1 / d2)

@@ -24,7 +24,6 @@ from gaussmin.flow import (
     flow_step,
     initial_field,
     initial_state,
-    refinement_order,
 )
 from gaussmin.graph import (
     GraphFunction,
@@ -46,8 +45,8 @@ from gaussmin.measure import (
     weighted_sphere_area,
 )
 from gaussmin.rng import substream
-from gaussmin.surface import mean_curvature, weighted_mean_curvature
-from oracles import density_normal_pairing, random_frame_comass
+from gaussmin.surface import weighted_mean_curvature
+from oracles import density_normal_pairing, mean_curvature, random_frame_comass, refinement_order
 
 HG1, HG2, HG3 = (horizontal_gaussian(n) for n in (1, 2, 3))
 SEED = 0xD1CE

@@ -9,12 +9,11 @@ from gaussmin.calibration import (
     closedness_residual,
     comass_check,
     extended_normal,
-    tangent_minors,
     weighted_normal_divergence,
 )
 from gaussmin.cli import EXIT_CHECK_FAILED, main
 from gaussmin.density import Density, Profile, horizontal_gaussian
-from gaussmin.graph import GraphFunction, graph_curvature_samples, graph_presets
+from gaussmin.graph import GraphFunction, graph_curvature_samples, graph_presets, tangent_minors
 from gaussmin.rng import substream
 from gaussmin.surface import generalized_cross
 from oracles import frame_value, random_frame_comass, tangent_frame

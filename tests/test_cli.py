@@ -709,6 +709,33 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert proc.stdout.splitlines() == ["[]", "(0.3903882032022812,) []"]
 
 
+def test_package_import_loads_no_submodule():
+    # callers import the submodules they use; the package itself re-exports nothing
+    src = str(Path(gaussmin.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, gaussmin; print(sorted(m for m in sys.modules if m.startswith('gaussmin.')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.splitlines() == ["[]"]
+
+
+def test_benchmark_tracer_finds_and_restores_its_names(monkeypatch):
+    # perfbench/tracing.py wraps library names where their callers look them
+    # up; install() fails on a name that moved, and uninstall() restores all
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from tracing import Tracer
+
+    original = cli.main
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert cli.main is not original
+    finally:
+        tracer.uninstall()
+    assert cli.main is original
+
+
 @pytest.mark.parametrize("method", ["quadrature", "monte_carlo"])
 def test_hemisphere_at_a_radius_whose_square_overflows(method):
     # n = 1 keeps R^n a float up to 1.8e308, but (R sin t)^2 on the outer

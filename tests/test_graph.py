@@ -21,9 +21,7 @@ from gaussmin.graph import (
     as_parametric,
     audit_root_candidates,
     bernstein_functional,
-    classify_hyperplane,
     graph_curvature_samples,
-    graph_mean_curvature,
     graph_preset,
     graph_presets,
     graph_slope,
@@ -41,7 +39,13 @@ from gaussmin.measure import (
 )
 from gaussmin.rng import DEFAULT_SEED, substream
 from gaussmin.surface import CurvatureReport, tangent_plane_distance, weighted_mean_curvature
-from oracles import central_difference, random_quadratic_graph, same_bits
+from oracles import (
+    central_difference,
+    classify_hyperplane,
+    graph_mean_curvature,
+    random_quadratic_graph,
+    same_bits,
+)
 
 HG2 = horizontal_gaussian(2)
 ROOT = (math.sqrt(17.0) - 1.0) / 8.0  # zero of 4z^2 + z - 1 (quadratic formula)
@@ -75,7 +79,7 @@ def test_parabola_mean_curvature_closed_form():
 
 @given(st.lists(st.floats(min_value=-2, max_value=2), min_size=2, max_size=2))
 def test_linear_graphs_are_flat(v):
-    u = GraphFunction.linear([0.8, -0.4], 0.3)
+    u = GraphFunction.quadratic_form(0.3, [0.8, -0.4], np.zeros((2, 2)))
     assert graph_mean_curvature(u, np.asarray(v)) == pytest.approx(0.0, abs=1e-13)
 
 
@@ -121,6 +125,14 @@ def test_linear_graph_report_values():
     assert rep.mean_curvature == pytest.approx(0.0, abs=1e-14)
     assert rep.density_term == pytest.approx(-1.0 / math.sqrt(2.0), abs=1e-14)
     assert rep.weighted_mean_curvature == pytest.approx(-0.70710678, abs=1e-7)
+
+
+@pytest.mark.parametrize("u", [GraphFunction.constant(2, 0.7), GraphFunction.parabola(2)])
+def test_zero_slope_normal_has_no_negative_zero(u):
+    # `curvature` prints the normal: a flat direction reads 0.0, not -0.0
+    for x in ([0.0, 0.5], [[0.0, 0.5], [0.0, -1.5]]):
+        normal = graph_weighted_mean_curvature(u, HG2, x).unit_normal
+        assert not np.any(np.signbit(normal)), (u.name, x)
 
 
 def test_graph_matches_parametric_embedding():
