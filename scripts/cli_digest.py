@@ -124,6 +124,11 @@ def cases() -> list[list[str]]:
         ["flow", "--n", "1", "--grid", "4", "--L", "10"],
         # steep, but nothing in its split area overflows
         ["flow", "--init", "random_bump:1e100", "--grid", "9"],
+        # the rare layouts of the field text: 0, -0, a value beyond the power
+        # table, an integer and 1e+17
+        *(["flow", "--n", "2", "--grid", "5", "--init", init]
+          for init in ("constant", "constant:-0.0", "constant:1e-300", "constant:123456789",
+                       "constant:1e17")),
         # R^2 is no float, R^1 is
         ["measure", "--quantity", "hemisphere", "--n", "1", "--R", "1e200"],
         ["measure", "--quantity", "hemisphere", "--method", "monte_carlo", "--n", "1",

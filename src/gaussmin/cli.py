@@ -20,6 +20,7 @@ import numpy as np
 from . import calibration, catalog, flow, graph, measure
 from .density import Density, density_from_name, profile_from_name, horizontal_gaussian
 from .graph import GraphFunction
+from .numtext import g17_rows
 from .rng import DEFAULT_SEED, substream
 from .surface import weighted_mean_curvature
 
@@ -186,19 +187,13 @@ def _cmd_flow(ns: dict) -> int:
     fld = _checked("--init", flow.initial_field, n, L, ns["grid"], ns["init"], ns["seed"])
     state = flow.initial_state(fld)
     result = flow.flow_run(state, ns["tmax"], ns["osc_tol"], ns["hf_tol"])
-    series = "t,weighted_area,oscillation,max_abs_hf\n"
-    series += "".join(
-        f"{t:.17g},{a:.17g},{o:.17g},{m:.17g}\n" for t, a, o, m in result.state.history
-    )
-    _write(series, ns["out"])
+    series = g17_rows(np.array(result.state.history))
+    _write("t,weighted_area,oscillation,max_abs_hf\n" + series, ns["out"])
     values = result.state.field.values
     if n == 1:
-        field_text = "x,u\n" + "".join(
-            f"{x:.17g},{v:.17g}\n" for x, v in zip(result.state.field.axis(), values)
-        )
+        field_text = "x,u\n" + g17_rows(np.column_stack([result.state.field.axis(), values]))
     else:  # one line per row along the last axis, in C order
-        line = ",".join(["%.17g"] * values.shape[-1]) + "\n"  # the bytes of f"{v:.17g}"
-        field_text = "".join(line % tuple(row) for row in values.reshape(-1, values.shape[-1]).tolist())
+        field_text = g17_rows(values.reshape(-1, values.shape[-1]))
     _write(field_text, ns["field_out"])
     if result.verdict == flow.VERDICT_CONVERGED:
         print(f"verdict: {result.verdict} (constant {result.limit_constant:.6g}, t = {result.state.time:.6g})")

@@ -8,7 +8,9 @@ frame oracles evaluate the calibration form on explicit frames.  The
 seeded random quadratic graphs feed the distance-identity tests.  The
 rest wrap library kernels in forms that only tests call: a surface's unit
 normal or mean curvature alone, a graph's mean curvature alone, the
-general-plane classification, and the flow at a uniform time step.
+general-plane classification, and the flow at a uniform time step.  The
+``%.17g`` row template gives the CLI's flow text by Python's own float
+formatting, the reference for the array formatter.
 """
 
 import math
@@ -188,3 +190,22 @@ def refinement_order() -> float:
     d1 = float(np.max(np.abs(sols[0] - sols[1][::2])))
     d2 = float(np.max(np.abs(sols[1] - sols[2][::2])))
     return math.log2(d1 / d2)
+
+
+def g17_text(a) -> str:
+    """Python's ``'%.17g' % v`` of every value of the 2-D array ``a``, one
+    line per row, values joined by ``,``: a row template per line."""
+    a = np.asarray(a, dtype=float)
+    line = ",".join(["%.17g"] * a.shape[1]) + "\n"
+    return "".join(line % tuple(row) for row in a.tolist())
+
+
+def flow_texts(result) -> tuple[str, str]:
+    """The ``--out`` series and ``--field-out`` field text of a flow result,
+    by ``g17_text``: for n = 1 an ``x,u`` table, else one line per row along
+    the last axis, in C order."""
+    series = "t,weighted_area,oscillation,max_abs_hf\n" + g17_text(result.state.history)
+    fld = result.state.field
+    if fld.values.ndim == 1:
+        return series, "x,u\n" + g17_text(np.column_stack([fld.axis(), fld.values]))
+    return series, g17_text(fld.values.reshape(-1, fld.values.shape[-1]))

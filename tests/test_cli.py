@@ -15,7 +15,7 @@ from gaussmin.flow import AREA_SLACK, flow_run, initial_field, initial_state, ma
 from gaussmin.graph import GraphFunction
 from gaussmin.density import horizontal_gaussian
 from gaussmin.measure import gaussian_ball_volume, weighted_sphere_area
-from oracles import lateral_tails
+from oracles import flow_texts, lateral_tails
 
 
 def run(args):
@@ -205,6 +205,21 @@ def test_flow_prints_the_initial_mass_mean(n, grid, tmp_path, capsys):
             "--out", str(tmp_path / "s"), "--field-out", str(tmp_path / "f")]
     assert run(args) == EXIT_OK
     assert f"(constant {mass_mean(fld):.6g}, t = " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args", [
+    ["--n", "1", "--grid", "65"],
+    ["--n", "2", "--grid", "33", "--init", "random_bump", "--seed", "5"],
+    ["--n", "3", "--grid", "9"],
+])
+def test_flow_files_are_pythons_17g_text_of_the_run(args, tmp_path):
+    out, fout = tmp_path / "series.csv", tmp_path / "field.csv"
+    assert run(["flow", *args, "--out", str(out), "--field-out", str(fout)]) == EXIT_OK
+    opts = {k: v[0] for k, v in cli._COMMANDS["flow"][2].items()}
+    opts.update(zip((a[2:] for a in args[::2]), args[1::2]))
+    fld = initial_field(int(opts["n"]), opts["L"], int(opts["grid"]), opts["init"], int(opts["seed"]))
+    result = flow_run(initial_state(fld), opts["tmax"], opts["osc_tol"], opts["hf_tol"])
+    assert (out.read_text(), fout.read_text()) == flow_texts(result)
 
 
 def test_flow_3d_field_out_has_one_line_per_last_axis_row(tmp_path):

@@ -14,7 +14,7 @@ from gaussmin.density import (
     sq_norm,
 )
 from gaussmin.rng import substream
-from oracles import central_difference
+from oracles import central_difference, same_bits
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -160,3 +160,34 @@ def test_sq_norm_is_np_sum_and_linalg_norm_bit_for_bit(n):
         x = rng.standard_normal(shape) * np.exp(rng.uniform(-6.0, 6.0, shape))
         assert np.array_equal(sq_norm(x), np.sum(x * x, axis=-1))
         assert np.array_equal(np.sqrt(sq_norm(x)), np.linalg.norm(x, axis=-1))
+
+
+PROFILES = ["constant:0.3", "linear:0.7,-0.2", "quadratic:0.5,1", "quad_log"]
+STACK_DENSITIES = (
+    [(f"gaussian_n{n}", Density.gaussian(n)) for n in (1, 2, 3)]
+    + [(f"radial_{p}_n{n}", Density.radial(profile_from_name(p), n)) for p in PROFILES for n in (1, 2, 3)]
+    + [(f"product_{p}_n{n}", Density.product(Density.gaussian(n), profile_from_name(p)))
+       for p in PROFILES for n in (1, 2, 3)]
+)
+
+
+def point_stacks(dim: int):
+    """Points of leading shapes (), (k,) and (a, b), near and far out, with
+    the last coordinate inside quad_log's domain, each as a C- and an
+    F-ordered copy."""
+    rng = substream(45, dim)
+    stacks = [rng.uniform(-2.0, 2.0, shape) for shape in [(dim,), (40, dim), (5, 6, dim)]]
+    stacks.append(rng.uniform(-30.0, 30.0, (3, 4, dim)))
+    for x in stacks:
+        x[..., -1] = np.abs(x[..., -1])
+    return [layout(x) for x in stacks for layout in (np.ascontiguousarray, np.asfortranarray)]
+
+
+@pytest.mark.parametrize("dens", [d for _, d in STACK_DENSITIES], ids=[name for name, _ in STACK_DENSITIES])
+def test_stacked_weights_and_gradients_match_each_points_bit_for_bit(dens):
+    for x in point_stacks(dens.dimension):
+        stacked = (dens.log_weight(x), dens.weight(x), dens.grad_log_weight(x))
+        for idx in np.ndindex(x.shape[:-1]):
+            p = x[idx].copy()
+            alone = (dens.log_weight(p), dens.weight(p), dens.grad_log_weight(p))
+            assert all(same_bits(s[idx], a) for s, a in zip(stacked, alone)), idx
