@@ -46,7 +46,9 @@ def _powers() -> np.ndarray:
     m, e = np.frexp(hi)  # split the mantissa, so hi * _SPLIT cannot overflow
     t = m * _SPLIT
     upper = np.ldexp(t - (t - m), e)
-    return np.stack([hi, upper, hi - upper, np.array(lo)])
+    table = np.stack([hi, upper, hi - upper, np.array(lo)])
+    table.flags.writeable = False  # one cached copy for every call
+    return table
 
 
 @functools.cache
@@ -63,7 +65,9 @@ def _layouts() -> np.ndarray:
         whole = 1 if sci else max(E + 1, 0)
         rows.append(prefix.ljust(5, "\0").encode() + exponent.ljust(5, "\0").encode()
                     + bytes([point, whole]))
-    return np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(-1, 12).T.copy()
+    table = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(-1, 12).T.copy()
+    table.flags.writeable = False  # one cached copy for every call
+    return table
 
 
 def _scaled(ax: np.ndarray, k: np.ndarray):
@@ -77,19 +81,12 @@ def _scaled(ax: np.ndarray, k: np.ndarray):
     return p, err + ax * tail
 
 
-def g17_rows(a) -> str:
-    """The text of the 2-D float array ``a``: one line per row, its values
-    joined by ``,``, each exactly ``'%.17g' % v``.  A value takes 17
-    significant digits less its trailing zeros; its decimal exponent picks
-    the "0.000ddd", "ddd.ddd" or "d.ddde+XX" layout, as in printf."""
-    a = np.asarray(a, dtype=np.float64)
-    cols = a.shape[1]
-    x = a.ravel()
-    n = x.size
+def _significands(x: np.ndarray):
+    """(D, E, ok): D = round(|x| 10^(16 - E)) in [1e16, 1e17) with E the
+    decimal exponent, exact where ``ok``; the rest Python formats."""
     ax = np.abs(x)
     ok = (ax >= _LO) & (ax < _HI)  # False for 0, inf and nan
     ax[~ok] = 1.0
-    # decimal exponent E, then D = round(|x| 10^(16 - E)) in [1e16, 1e17)
     E = np.floor(np.log10(ax)).astype(np.int64)
     p, lo = _scaled(ax, 16 - E)
     off = ((p - 1e17) + lo >= 0).astype(np.int64) - ((p - 1e16) + lo < 0)
@@ -103,9 +100,13 @@ def g17_rows(a) -> str:
     D = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
     carry = D == 10 ** 17
     D[carry] = 10 ** 16
-    E += carry
+    return D, E + carry, ok
 
-    # one row of byte slots per value, slot-major; a 0 byte is an unused slot
+
+def _slots(D: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """The digit, point, prefix and exponent slots of each value, slot-major:
+    a (_SLOTS, n) array in which a 0 byte is an unused slot."""
+    n = D.size
     buf = np.zeros((_SLOTS, n), dtype=np.uint8)
     area = buf[_AREA]
     digits = area[1:]  # digit i in slot i + 1, as right of the point
@@ -129,16 +130,27 @@ def g17_rows(a) -> str:
     area[:17] += (_J[:17] < point) * (area[1:] - area[:17])  # left of the point
     area += (_J == point) * (ord(".") - area)
     area *= _J < shown + (shown > point)  # shown digits; the point if one follows it
+    return buf
+
+
+def g17_rows(a) -> str:
+    """The text of the 2-D float array ``a``: one line per row, its values
+    joined by ``,``, each exactly ``'%.17g' % v``.  A value takes 17
+    significant digits less its trailing zeros; its decimal exponent picks
+    the "0.000ddd", "ddd.ddd" or "d.ddde+XX" layout, as in printf."""
+    a = np.asarray(a, dtype=np.float64)
+    x = a.ravel()
+    D, E, ok = _significands(x)
+    buf = _slots(D, E)
     buf[0] = ord("-") * (x < 0)
-    sep = buf[29].reshape(-1, cols)
+    sep = buf[-1].reshape(-1, a.shape[1])
     sep[:] = ord(",")
     sep[:, -1] = ord("\n")
     bad = np.flatnonzero(~ok)
     if bad.size:  # a \1 byte stands for each value Python formats
-        buf[:29, bad] = 0
+        buf[:-1, bad] = 0
         buf[0, bad] = 1
-    buf = buf[buf.any(axis=1)]
-    text = buf.T.tobytes().translate(None, b"\0").decode("ascii")
+    text = buf[buf.any(axis=1)].T.tobytes().translate(None, b"\0").decode("ascii")
     if not bad.size:
         return text
     parts = text.split("\1")
