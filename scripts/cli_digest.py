@@ -124,6 +124,13 @@ def cases() -> list[list[str]]:
         ["flow", "--n", "1", "--grid", "4", "--L", "10"],
         # steep, but nothing in its split area overflows
         ["flow", "--init", "random_bump:1e100", "--grid", "9"],
+        # the node and edge operators' edge regimes: a steep 3-D field, an
+        # area that underflows, an even grid at the weight floor and -0.0
+        # in three dimensions
+        ["flow", "--n", "3", "--grid", "5", "--init", "random_bump:100"],
+        ["flow", "--n", "1", "--grid", "3", "--L", "100"],
+        ["flow", "--n", "2", "--grid", "4", "--L", "10"],
+        ["flow", "--n", "3", "--grid", "5", "--init", "constant:-0.0"],
         # the rare layouts of the field text: 0, -0, a value beyond the power
         # table, an integer and 1e+17
         *(["flow", "--n", "2", "--grid", "5", "--init", init]

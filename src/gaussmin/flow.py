@@ -115,6 +115,29 @@ SOLVE_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
+class _Along:
+    """One axis's factors laid along grid axis i of the n-D grid, and the
+    index tuples of its edges: ``lo`` and ``hi`` take all but the last and
+    all but the first entry along i (an edge's low and high end, or an inner
+    node's edge below and above), ``far`` the last.  ``up`` and ``down`` are
+    the shares of a node's mass from the cell above and below it, at the
+    edges' low and high ends, ``minus_down`` is -``down``, and ``up_inner``
+    and ``down_inner`` are the shares at the inner nodes, each repeated to
+    the shape of the edge or inner-node arrays it multiplies; ``weights``
+    are the 1-D weights of an edge array along i, last axis first."""
+
+    lo: tuple
+    hi: tuple
+    far: tuple
+    up: np.ndarray
+    down: np.ndarray
+    minus_down: np.ndarray
+    up_inner: np.ndarray
+    down_inner: np.ndarray
+    weights: tuple
+
+
+@dataclass(frozen=True)
 class _Axis:
     """The 1-D factors of the separable weights on the m nodes of [-L, L].
 
@@ -124,7 +147,10 @@ class _Axis:
     ``below`` and ``above`` are the shares of it from the cell on either side.
     With K the stiffness of edge weights phi_1(x_{j+1/2}) / dx, ``lam`` holds
     the eigenvalues of M^{-1} K, and ``vecs`` and ``coefs`` its eigenvectors V
-    and V^{-1}, from the symmetric M^{-1/2} K M^{-1/2}."""
+    and V^{-1}, from the symmetric M^{-1/2} K M^{-1/2}.  For the n-D box,
+    ``shape`` is its grid's, ``volume`` the box's sum M, ``lam_sum`` the sum
+    of the n axes' eigenvalues at every node, and ``along`` holds the axis's
+    factors laid along each of the n grid axes."""
 
     dx: float
     cell_mass: np.ndarray
@@ -135,6 +161,10 @@ class _Axis:
     lam: np.ndarray
     vecs: np.ndarray
     coefs: np.ndarray
+    shape: tuple
+    volume: float
+    lam_sum: np.ndarray
+    along: tuple
 
 
 @functools.lru_cache(maxsize=8)
@@ -152,12 +182,16 @@ def _axis(half_width: float, resolution: int, n: int) -> _Axis:
     off = np.sqrt(above[:-1] * below[1:])
     lam, q = np.linalg.eigh(np.diag(above + below) - np.diag(off, 1) - np.diag(off, -1))
     lam[0] = 0.0  # K 1 = 0 exactly; roundoff must not let 1 + dt lam_0 leave 1
+    lam *= 2.0 / (dx * dx)
     root = np.exp(0.5 * log_mass)
     cell_mass = dx * np.exp(log_w)
     node_mass = 0.5 * (np.append(0.0, cell_mass) + np.append(cell_mass, 0.0))
-    axis = _Axis(dx, cell_mass, node_mass, np.exp(log_mass), below, above,
-                 2.0 / (dx * dx) * lam, q / root[:, None], q.T * root)
-    for a in (axis.cell_mass, axis.node_mass, axis.mass, axis.below, axis.above, axis.lam, axis.vecs, axis.coefs):
+    along = tuple(_laid_along(i, n, above, below, cell_mass, node_mass) for i in range(n))
+    axis = _Axis(dx, cell_mass, node_mass, np.exp(log_mass), below, above, lam, q / root[:, None],
+                 q.T * root, (resolution,) * n, float(np.sum(cell_mass)) ** n,
+                 functools.reduce(np.add.outer, [lam] * n), along)
+    for a in (axis.cell_mass, axis.node_mass, axis.mass, axis.below, axis.above, axis.lam,
+              axis.vecs, axis.coefs, axis.lam_sum):
         a.flags.writeable = False
     return axis
 
@@ -167,53 +201,77 @@ def _along(v: np.ndarray, axis: int, n: int) -> np.ndarray:
     return v.reshape([-1 if k == axis else 1 for k in range(n)])
 
 
-def _ends(n: int, axis: int) -> tuple[tuple, tuple]:
-    """Index tuples of all but the last and all but the first entry along
-    ``axis`` of an n-D grid: the low and the high end of every edge."""
-    return tuple(tuple(part if k == axis else slice(None) for k in range(n))
-                 for part in (slice(None, -1), slice(1, None)))
+def _laid_along(i, n, above, below, cell_mass, node_mass) -> _Along:
+    """One axis's factors along grid axis i of the n-D grid."""
+    def index(part):
+        return tuple(part if k == i else slice(None) for k in range(n))
+
+    def spread(v):  # a product with a full array is one contiguous loop, twice as fast
+        shape = [v.size if k == i else above.size for k in range(n)]
+        out = np.ascontiguousarray(np.broadcast_to(_along(v, i, n), shape))
+        out.flags.writeable = False
+        return out
+
+    views = [spread(v) for v in (above[:-1], below[1:], -1.0 * below[1:], above[1:-1], below[1:-1])]
+    weights = tuple(cell_mass if k == i else node_mass for k in reversed(range(n)))
+    return _Along(index(slice(None, -1)), index(slice(1, None)), index(-1), *views, weights)
 
 
-def _at_nodes(edge: np.ndarray, ax: _Axis, axis: int, sign: float) -> np.ndarray:
-    """above edge_{j+1/2} + sign below edge_{j-1/2} at every node j along
-    ``axis``, each edge weighted by its cell's share of the node's mass; no
-    edge lies beyond the box's faces."""
-    n = edge.ndim
-    lo, hi = _ends(n, axis)
-    out = np.zeros(tuple(m + (k == axis) for k, m in enumerate(edge.shape)))
-    out[lo] = _along(ax.above[:-1], axis, n) * edge
-    out[hi] += _along(sign * ax.below[1:], axis, n) * edge
+def _at_nodes(edge: np.ndarray, ax: _Axis, axis: int, down: np.ndarray, spare) -> np.ndarray:
+    """up edge_{j+1/2} + down edge_{j-1/2} at every node j along ``axis``,
+    each edge weighted by its cell's share of the node's mass; no edge lies
+    beyond the box's faces, and the far face's one edge is added to 0.0.
+    ``spare`` receives down edge: a buffer of the edges' shape, or None."""
+    al = ax.along[axis]
+    out = np.empty(ax.shape)
+    np.multiply(al.up, edge, out=out[al.lo])
+    out[al.far] = 0.0
+    high = out[al.hi]
+    np.add(high, np.multiply(down, edge, out=spare), out=high)
     return out
 
 
 def _to_nodes(edge: np.ndarray, ax: _Axis, axis: int) -> np.ndarray:
     """The mass-weighted mean of the two edges along ``axis`` at every node,
     its one edge at the box's faces."""
-    return _at_nodes(edge, ax, axis, 1.0)
+    return _at_nodes(edge, ax, axis, ax.along[axis].down, None)
 
 
 def _divergence(edge: np.ndarray, ax: _Axis, axis: int) -> np.ndarray:
     """M^{-1} times the net outflow of the fluxes phi edge through each node's
-    two edges along ``axis``: (2/dx) (above edge_{j+1/2} - below edge_{j-1/2})."""
-    return (2.0 / ax.dx) * _at_nodes(edge, ax, axis, -1.0)
+    two edges along ``axis``: (2/dx) (above edge_{j+1/2} - below edge_{j-1/2}).
+    Overwrites ``edge``."""
+    out = _at_nodes(edge, ax, axis, ax.along[axis].minus_down, edge)
+    out *= 2.0 / ax.dx
+    return out
 
 
-def _to_edges(node: np.ndarray, axis: int) -> np.ndarray:
-    """The mean of ``node`` over the two ends of every edge along ``axis``."""
-    lo, hi = _ends(node.ndim, axis)
-    return 0.5 * (node[lo] + node[hi])
+def _slopes(node: np.ndarray, ax: _Axis, al: _Along) -> np.ndarray:
+    """The slope of ``node`` on every edge along ``al``: its difference over dx."""
+    out = np.subtract(node[al.hi], node[al.lo])
+    out /= ax.dx
+    return out
 
 
-def _sharpen(edge: np.ndarray, ax: _Axis, axis: int) -> np.ndarray:
-    """edge - (above jump_{j+1} - below jump_j) / 12 along ``axis``, with
+def _to_edges(node: np.ndarray, al: _Along) -> np.ndarray:
+    """The mean of ``node`` over the two ends of every edge along ``al``."""
+    out = np.add(node[al.lo], node[al.hi])
+    out *= 0.5
+    return out
+
+
+def _sharpen(edge: np.ndarray, al: _Along, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """edge - (above jump_{j+1} - below jump_j) / 12 along ``al``, with
     jump_j = edge_{j+1/2} - edge_{j-1/2} at the inner nodes: (26 e - e_- - e_+) / 24
     on equal weights, which takes an edge's slope to the derivative at its
-    midpoint to fourth order, and its own adjoint under the edge weights."""
-    n, jump = edge.ndim, np.diff(edge, axis=axis) / 12.0
-    lo, hi = _ends(n, axis)
-    out = edge.copy()
-    out[lo] -= _along(ax.above[1:-1], axis, n) * jump
-    out[hi] += _along(ax.below[1:-1], axis, n) * jump
+    midpoint to fourth order, and its own adjoint under the edge weights.
+    Written into ``out``, which may be ``edge`` itself, or a copy."""
+    jump = np.subtract(edge[al.hi], edge[al.lo])
+    jump /= 12.0
+    out = edge.copy() if out is None else out
+    low, high = out[al.lo], out[al.hi]
+    np.subtract(low, np.multiply(al.up_inner, jump), out=low)
+    np.add(high, np.multiply(al.down_inner, jump, out=jump), out=high)
     return out
 
 
@@ -230,37 +288,69 @@ def _field_geometry(fld: GridField) -> tuple[float, np.ndarray]:
     it, the mean over its two nodes of their ``_to_nodes`` slopes.  The g^2 / 2
     terms are u^T K u / 2 and r = O(|p|^4).  The P1 area of a triangulation
     takes W from the one-sided slopes of a simplex: on grid 17 at a steep
-    bump its H_F^h is not yet second order, where this one is."""
+    bump its H_F^h is not yet second order, where this one is.
+
+    Every operator writes into arrays it owns and keeps the order of the
+    formulas above, whose sums of H_F start from 0.0: no -0.0 leaves it."""
     n = fld.dimension
     ax = _axis(fld.half_width, fld.resolution, n)
-    slopes = [np.diff(fld.values, axis=i) / ax.dx for i in range(n)]
-    nodal = [_to_nodes(g, ax, i) for i, g in enumerate(slopes)]
-    area = float(np.sum(ax.cell_mass)) ** n
-    fluxes, across = [], [0.0] * n
-    for i, g in enumerate(slopes):
-        s = _sharpen(g, ax, i)
-        cross = [(j, _to_edges(nodal[j], i)) for j in range(n) if j != i]
-        t2 = sum((t * t for _, t in cross), 0.0)
+    slopes = [_slopes(fld.values, ax, al) for al in ax.along]
+    nodal = [_to_nodes(g, ax, i) for i, g in enumerate(slopes)] if n > 1 else []
+    area = ax.volume
+    fluxes, across = [], [None] * n
+    for i, (al, g) in enumerate(zip(ax.along, slopes)):
+        s = _sharpen(g, al)
+        cross = [(j, _to_edges(nodal[j], al)) for j in range(n) if j != i]
         ss = s * s
-        w = np.sqrt(1.0 + ss + t2)
-        wp = 1.0 + w
-        q = s / (w * wp * wp)  # d r / d t_j = -s q t_j, d r / d s = s / W - s + q |t|^2
-        fluxes.append(g + _sharpen(s / w - s + q * t2, ax, i))  # d A_h / d g per unit w_e
-        for j, t in cross:  # d A_h / d t_j, taken to the nodes, reaches the j-edges in the end
-            across[j] = across[j] + _to_nodes(-s * q * t, ax, i)
-        weights = [ax.cell_mass if k == i else ax.node_mass for k in range(n)]
-        area += _integrate(0.5 * (g * g - ss) + ss / wp, weights)
-    hf = 0.0
+        w = np.add(ss, 1.0)
+        t2 = None
+        for _, t in cross:  # |t|^2, its first term exact: 0.0 + t t is t t
+            t2 = t * t if t2 is None else np.add(t2, t * t, out=t2)
+        if cross:
+            w += t2
+        np.sqrt(w, out=w)
+        wp = w + 1.0
+        q = np.multiply(w, wp)
+        q *= wp
+        np.divide(s, q, out=q)  # d r / d t_j = -s q t_j, d r / d s = s / W - s + q |t|^2
+        inner = np.divide(s, w)
+        inner -= s
+        if cross:
+            t2 *= q
+            inner += t2
+        flux = _sharpen(inner, al, out=inner)
+        flux += g
+        fluxes.append(flux)  # d A_h / d g per unit w_e
+        if cross:
+            np.negative(s, out=s)
+            s *= q
+        # d A_h / d t_j, taken to the nodes, reaches the j-edges in the end.  Its
+        # sum starts from 0.0 too, but the sign of a zero in it reaches only the
+        # signs of H_F's zeros, which the 0.0 + of H_F's own sum sets
+        for j, t in cross:
+            t *= s
+            nodes = _to_nodes(t, ax, i)
+            across[j] = nodes if across[j] is None else np.add(across[j], nodes, out=across[j])
+        a = np.multiply(g, g)
+        a -= ss
+        a *= 0.5
+        ss /= wp
+        a += ss
+        area += _integrate(a, al.weights)
+    hf = None
     for j, f in enumerate(fluxes):
         if n > 1:
-            f = f + _to_edges(across[j], j)
-        hf = hf + _divergence(f, ax, j)
+            f += _to_edges(across[j], ax.along[j])
+        d = _divergence(f, ax, j)
+        hf = d if hf is None else np.add(hf, d, out=hf)
+    hf += 0.0  # the sum starts from 0.0
     return area, hf
 
 
-def _integrate(a: np.ndarray, weights: list) -> float:
-    """``a`` summed against the tensor product of the 1-D ``weights``."""
-    for wt in reversed(weights):
+def _integrate(a: np.ndarray, weights: tuple) -> float:
+    """``a`` summed against the tensor product of the 1-D ``weights``, given
+    last axis first."""
+    for wt in weights:
         a = a @ wt
     return float(a)
 
@@ -291,13 +381,20 @@ def _ou_solve(half_width: float, rhs: np.ndarray, dt: float) -> np.ndarray:
     SOLVE_RTOL has lost its accuracy and raises FlowStepError."""
     n = rhs.ndim
     ax = _axis(half_width, rhs.shape[0], n)
-    denom = 1.0 + dt * functools.reduce(np.add.outer, [ax.lam] * n)
-    out = _each_axis(ax.vecs, _each_axis(ax.coefs, rhs) / denom)
+    denom = dt * ax.lam_sum
+    denom += 1.0
+    out = _each_axis(ax.coefs, rhs)
+    out /= denom
+    out = _each_axis(ax.vecs, out)
     for _ in range(REFINE_SWEEPS):
-        resid = rhs - out
-        for i in range(n):
-            resid = resid + dt * _divergence(np.diff(out, axis=i) / ax.dx, ax, i)
-        out = out + _each_axis(ax.vecs, _each_axis(ax.coefs, resid) / denom)
+        resid = np.subtract(rhs, out)
+        for i, al in enumerate(ax.along):
+            div = _divergence(_slopes(out, ax, al), ax, i)
+            div *= dt
+            resid += div
+        step = _each_axis(ax.coefs, resid)
+        step /= denom
+        out += _each_axis(ax.vecs, step)
     if not np.max(np.abs(out)) <= (1.0 + SOLVE_RTOL) * np.max(np.abs(rhs)):
         raise FlowStepError(f"the eigenbasis solve lost its accuracy at dt = {dt:.6g}")
     return out
@@ -411,9 +508,10 @@ def flow_step(state: FlowState) -> FlowState:
     dt = state.dt
     for _ in range(MAX_REJECTIONS + 1):
         du = _ou_solve(fld.half_width, dt * state.hf, dt)
-        cand = fld.values + (du - _mass_mean(du, mass))
-        if np.all(np.isfinite(cand)):
-            new_fld = GridField(fld.half_width, cand)
+        du -= _mass_mean(du, mass)
+        du += fld.values
+        if np.all(np.isfinite(du)):
+            new_fld = GridField(fld.half_width, du)
             area, hf = _field_geometry(new_fld)
             if area <= area0 + AREA_SLACK:
                 return _accepted(new_fld, state.time + dt, dt, area, hf, state.history)

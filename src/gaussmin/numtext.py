@@ -7,7 +7,8 @@ table of powers of ten, correct to about 2^-100 relative.  That decides the
 rounding of every value whose scaled significand is not within ``_MARGIN``
 of a half.  Those near-ties, zeros, non-finite values and magnitudes beyond
 the table are formatted by Python itself, one at a time, inside the same
-call.
+call.  The array work has a fixed cost of some 80 numpy calls, so an array
+of fewer than ``_BREAK_EVEN`` values is formatted by Python row by row.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ _MARGIN = 1e-9  # distance from a half below which Python rounds the value
 _LO, _HI = 1e-289, 1e299
 _KMIN, _KMAX = -283, 306
 _EMIN, _EMAX = 16 - _KMAX, 16 - _KMIN
+_BREAK_EVEN = 300  # values: the array path's fixed cost is Python's for ~300 values
 _SLOTS = 30  # sign, "0.000", 17 digits and a point, "e+123", separator
 _AREA = slice(6, 24)
 _J = np.arange(18, dtype=np.uint8)[:, None]
@@ -139,6 +141,9 @@ def g17_rows(a) -> str:
     significant digits less its trailing zeros; its decimal exponent picks
     the "0.000ddd", "ddd.ddd" or "d.ddde+XX" layout, as in printf."""
     a = np.asarray(a, dtype=np.float64)
+    if a.size < _BREAK_EVEN:
+        line = ",".join(["%.17g"] * a.shape[1]) + "\n"
+        return "".join(line % tuple(row) for row in a.tolist())
     x = a.ravel()
     D, E, ok = _significands(x)
     buf = _slots(D, E)

@@ -10,9 +10,12 @@ rest wrap library kernels in forms that only tests call: a surface's unit
 normal or mean curvature alone, a graph's mean curvature alone, the
 general-plane classification, and the flow at a uniform time step.  The
 ``%.17g`` row template gives the CLI's flow text by Python's own float
-formatting, the reference for the array formatter.
+formatting, the reference for the array formatter.  The flow's area, H_F
+and solve written with a fresh array for every node and edge operator are
+the bit-for-bit reference for the library's in-place ones.
 """
 
+import functools
 import math
 
 import mpmath as mp
@@ -20,7 +23,17 @@ import numpy as np
 
 from gaussmin.calibration import ambient_samples, extended_normal
 from gaussmin.density import as_points
-from gaussmin.flow import FLOW_DT, flow_step, initial_field, initial_state
+from gaussmin.flow import (
+    FLOW_DT,
+    REFINE_SWEEPS,
+    SOLVE_RTOL,
+    FlowStepError,
+    _axis,
+    _each_axis,
+    flow_step,
+    initial_field,
+    initial_state,
+)
 from gaussmin.graph import GraphFunction, _divergence_form, hyperplane_minimality
 from gaussmin.rng import substream
 from gaussmin.surface import _frame, _mean_curvature
@@ -209,3 +222,96 @@ def flow_texts(result) -> tuple[str, str]:
     if fld.values.ndim == 1:
         return series, "x,u\n" + g17_text(np.column_stack([fld.axis(), fld.values]))
     return series, g17_text(fld.values.reshape(-1, fld.values.shape[-1]))
+
+
+def _along(v, axis, n):
+    return v.reshape([-1 if k == axis else 1 for k in range(n)])
+
+
+def _ends(n, axis):
+    return tuple(tuple(part if k == axis else slice(None) for k in range(n))
+                 for part in (slice(None, -1), slice(1, None)))
+
+
+def _at_nodes(edge, ax, axis, sign):
+    n = edge.ndim
+    lo, hi = _ends(n, axis)
+    out = np.zeros(tuple(m + (k == axis) for k, m in enumerate(edge.shape)))
+    out[lo] = _along(ax.above[:-1], axis, n) * edge
+    out[hi] += _along(sign * ax.below[1:], axis, n) * edge
+    return out
+
+
+def _to_nodes(edge, ax, axis):
+    return _at_nodes(edge, ax, axis, 1.0)
+
+
+def _divergence(edge, ax, axis):
+    return (2.0 / ax.dx) * _at_nodes(edge, ax, axis, -1.0)
+
+
+def _to_edges(node, axis):
+    lo, hi = _ends(node.ndim, axis)
+    return 0.5 * (node[lo] + node[hi])
+
+
+def _sharpen(edge, ax, axis):
+    n, jump = edge.ndim, np.diff(edge, axis=axis) / 12.0
+    lo, hi = _ends(n, axis)
+    out = edge.copy()
+    out[lo] -= _along(ax.above[1:-1], axis, n) * jump
+    out[hi] += _along(ax.below[1:-1], axis, n) * jump
+    return out
+
+
+def _integrate(a, weights):
+    for wt in reversed(weights):
+        a = a @ wt
+    return float(a)
+
+
+def field_geometry(fld):
+    """(A_h, H_F^h) of a grid field as ``flow._field_geometry`` defines them,
+    every operator forming a fresh array: the reference for its bits."""
+    n = fld.dimension
+    ax = _axis(fld.half_width, fld.resolution, n)
+    slopes = [np.diff(fld.values, axis=i) / ax.dx for i in range(n)]
+    nodal = [_to_nodes(g, ax, i) for i, g in enumerate(slopes)]
+    area = float(np.sum(ax.cell_mass)) ** n
+    fluxes, across = [], [0.0] * n
+    for i, g in enumerate(slopes):
+        s = _sharpen(g, ax, i)
+        cross = [(j, _to_edges(nodal[j], i)) for j in range(n) if j != i]
+        t2 = sum((t * t for _, t in cross), 0.0)
+        ss = s * s
+        w = np.sqrt(1.0 + ss + t2)
+        wp = 1.0 + w
+        q = s / (w * wp * wp)
+        fluxes.append(g + _sharpen(s / w - s + q * t2, ax, i))
+        for j, t in cross:
+            across[j] = across[j] + _to_nodes(-s * q * t, ax, i)
+        weights = [ax.cell_mass if k == i else ax.node_mass for k in range(n)]
+        area += _integrate(0.5 * (g * g - ss) + ss / wp, weights)
+    hf = 0.0
+    for j, f in enumerate(fluxes):
+        if n > 1:
+            f = f + _to_edges(across[j], j)
+        hf = hf + _divergence(f, ax, j)
+    return area, hf
+
+
+def ou_solve(half_width, rhs, dt):
+    """(I - dt L_h)^{-1} rhs as ``flow._ou_solve`` defines it, every
+    operator forming a fresh array: the reference for its bits."""
+    n = rhs.ndim
+    ax = _axis(half_width, rhs.shape[0], n)
+    denom = 1.0 + dt * functools.reduce(np.add.outer, [ax.lam] * n)
+    out = _each_axis(ax.vecs, _each_axis(ax.coefs, rhs) / denom)
+    for _ in range(REFINE_SWEEPS):
+        resid = rhs - out
+        for i in range(n):
+            resid = resid + dt * _divergence(np.diff(out, axis=i) / ax.dx, ax, i)
+        out = out + _each_axis(ax.vecs, _each_axis(ax.coefs, resid) / denom)
+    if not np.max(np.abs(out)) <= (1.0 + SOLVE_RTOL) * np.max(np.abs(rhs)):
+        raise FlowStepError(f"the eigenbasis solve lost its accuracy at dt = {dt:.6g}")
+    return out

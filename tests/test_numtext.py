@@ -3,15 +3,20 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from gaussmin.numtext import g17_rows
+from gaussmin.numtext import _BREAK_EVEN, g17_rows
 from gaussmin.rng import substream
 from oracles import g17_text
 
 
 def assert_pythons_text(a):
     """g17_rows(a) is g17_text(a); a failure names the first row that
-    differs instead of diffing the whole text."""
+    differs instead of diffing the whole text.  An array below the break-even
+    is also tiled past it, so that its values take the array path too."""
+    a = np.asarray(a, dtype=np.float64)
     got, want = g17_rows(a), g17_text(a)
+    if a.size < _BREAK_EVEN:
+        reps = _BREAK_EVEN // a.size + 1
+        got, want = got + g17_rows(np.tile(a, (reps, 1))), want * (reps + 1)
     same = got == want
     rows = zip(got.splitlines(), want.splitlines())
     assert same, next((f"row {i}: {g!r} != {w!r}" for i, (g, w) in enumerate(rows) if g != w),
@@ -56,7 +61,9 @@ def test_exact_and_near_ties_round_half_even():
     ties = np.concatenate([k + 0.25, k + 0.75])
     a = np.concatenate([ties, -ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf)])
     assert_pythons_text(a.reshape(-1, 4))
-    assert g17_rows([[1000000000000000.25, 1000000000000000.75]]) == "1000000000000000.2,1000000000000000.8\n"
+    a = np.array([[1000000000000000.25, 1000000000000000.75]])
+    assert g17_rows(a) == "1000000000000000.2,1000000000000000.8\n"
+    assert_pythons_text(a)
 
 
 def test_zeros_subnormals_and_non_finite_values():
@@ -67,11 +74,21 @@ def test_zeros_subnormals_and_non_finite_values():
         "0,-0,4.9406564584124654e-324,-4.9406564584124654e-324,1.4821969375237396e-323,"
         "2.2250738585072014e-308,2.5000000000000171e-310,inf,-inf,nan,"
         "1.7976931348623157e+308,1e-300\n")
+    assert_pythons_text(a)
 
 
 def test_fixed_and_scientific_edges():
     edges = np.array([1e-5, 1e-4, 1e16, 1e17])
     a = np.stack([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf), -edges])
     assert_pythons_text(a)
-    assert g17_rows([[1e-5, 1e-4, 1e16, 1e17, 123456789.0]]) == (
-        "1.0000000000000001e-05,0.0001,10000000000000000,1e+17,123456789\n")
+    a = np.array([[1e-5, 1e-4, 1e16, 1e17, 123456789.0]])
+    assert g17_rows(a) == "1.0000000000000001e-05,0.0001,10000000000000000,1e+17,123456789\n"
+    assert_pythons_text(a)
+
+
+def test_the_break_even_splits_the_two_paths_without_a_seam():
+    # just below, at and above the break-even, in one row and in rows of 4
+    for size in (_BREAK_EVEN - 1, _BREAK_EVEN, _BREAK_EVEN + 1):
+        a = substream(26, 2).standard_normal(size) * 10.0 ** (np.arange(size) % 37 - 18)
+        assert_pythons_text(a.reshape(1, -1))
+        assert_pythons_text(a[: size // 4 * 4].reshape(-1, 4))
