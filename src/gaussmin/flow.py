@@ -212,9 +212,9 @@ def _laid_along(i, n, above, below, cell_mass, node_mass) -> _Along:
         out.flags.writeable = False
         return out
 
-    views = [spread(v) for v in (above[:-1], below[1:], -1.0 * below[1:], above[1:-1], below[1:-1])]
+    shares = [spread(v) for v in (above[:-1], below[1:], -1.0 * below[1:], above[1:-1], below[1:-1])]
     weights = tuple(cell_mass if k == i else node_mass for k in reversed(range(n)))
-    return _Along(index(slice(None, -1)), index(slice(1, None)), index(-1), *views, weights)
+    return _Along(index(slice(None, -1)), index(slice(1, None)), index(-1), *shares, weights)
 
 
 def _at_nodes(edge: np.ndarray, ax: _Axis, axis: int, down: np.ndarray, spare) -> np.ndarray:
