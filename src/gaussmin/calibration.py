@@ -21,7 +21,7 @@ import numpy as np
 
 from .density import Density, as_points, dot, sq_norm
 from .graph import GraphFunction, graph_curvature_samples, tangent_minors
-from .rng import DEFAULT_SEED, substream
+from .rng import DEFAULT_SEED, VERIFY_STREAMS, substream
 
 SAMPLE_HALF_WIDTH = 2.0  # base points of the checks lie in [-2, 2]^n
 FD_STEP = 1e-4
@@ -31,8 +31,8 @@ def ambient_samples(u: GraphFunction, rng, trials: int, on_graph: bool) -> np.nd
     """(trials, n+1) ambient points: base points uniform in the
     [-SAMPLE_HALF_WIDTH, SAMPLE_HALF_WIDTH]^n box are drawn first, then the
     heights, which are the graph's own when ``on_graph`` and otherwise
-    uniform in [-1, 1].  Both verify checks draw through here: ``comass_check``
-    from stream 0 and ``cli.closedness_suite`` from stream 3."""
+    uniform in [-1, 1].  Both verify checks, ``comass_check`` and
+    ``cli.closedness_suite``, draw through here."""
     n = u.dimension
     base = rng.uniform(-SAMPLE_HALF_WIDTH, SAMPLE_HALF_WIDTH, size=(trials, n))
     points = np.empty((trials, n + 1))
@@ -68,7 +68,7 @@ def comass_check(u: GraphFunction, trials: int = 10_000, seed: int = DEFAULT_SEE
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = u.dimension
-    points = ambient_samples(u, substream(seed, 0), trials, False)
+    points = ambient_samples(u, substream(seed, VERIFY_STREAMS["comass"]), trials, False)
     normals = extended_normal(u)(points)
     g = u.gradient(points[:, :n])
     pairing = normals[:, n] - dot(normals[:, :n], g)

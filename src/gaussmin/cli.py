@@ -21,7 +21,7 @@ from . import calibration, catalog, flow, graph, measure
 from .density import Density, density_from_name, profile_from_name, horizontal_gaussian
 from .graph import GraphFunction
 from .numtext import g17_rows
-from .rng import DEFAULT_SEED, substream
+from .rng import DEFAULT_SEED, VERIFY_STREAMS, substream
 from .surface import weighted_mean_curvature
 
 EXIT_OK = 0
@@ -114,7 +114,8 @@ def closedness_suite(
     For densities that depend on the vertical coordinate the identity holds
     on the graph itself, so sampling is restricted there.
     """
-    x = calibration.ambient_samples(u, substream(seed, 3), CLOSEDNESS_TRIALS, on_graph)
+    rng = substream(seed, VERIFY_STREAMS["closedness"])
+    x = calibration.ambient_samples(u, rng, CLOSEDNESS_TRIALS, on_graph)
     residuals = calibration.closedness_residual(u, dens, x)
     return float(np.max(np.abs(residuals), initial=0.0))
 
@@ -133,11 +134,11 @@ def run_verify(tolerance: float, only: str, seed: int) -> dict:
             residual = closedness_suite(u, dens, seed, on_graph)
             ok = residual <= tolerance
             checks.append(_check("calibration", f"closedness:{name}", residual, ok))
-            residual = calibration.comass_check(u, trials=10_000, seed=seed)
+            residual = calibration.comass_check(u, seed=seed)
             ok = residual <= max(tolerance, 1e-12)
             checks.append(_check("calibration", f"comass:{name}", residual, ok))
     if only in ("all", "identity"):
-        residual = graph.tangent_distance_suite(trials=100, seed=seed)
+        residual = graph.tangent_distance_suite(seed=seed)
         ok = residual <= tolerance
         checks.append(_check("identity", "tangent_distance_identity", residual, ok))
     return {
@@ -299,28 +300,23 @@ def _cmd_planes(ns: dict) -> int:
 def _cmd_measure(ns: dict) -> int:
     n, R = ns["n"], ns["R"]
     quantity = ns["quantity"]
+    spec = measure.QuadratureSpec(method=ns["method"], samples=ns["samples"], seed=ns["seed"])
     payload: dict = {"quantity": quantity, "n": n}
+    if quantity != "unit-ball":
+        payload["R"] = R
     if quantity == "unit-ball":
         payload["value"] = measure.unit_ball_volume(n)
     elif quantity == "ball":
-        payload["R"] = R
         payload["value"] = measure.gaussian_ball_volume(n, R)
-        if ns["method"] == "monte_carlo":
-            est, se = measure.gaussian_ball_volume_mc(n, R, ns["samples"], ns["seed"])
-            payload["monte_carlo"] = {"value": est, "stderr": se, "seed": ns["seed"]}
+        if spec.method == "monte_carlo":
+            est, se = measure.gaussian_ball_volume_mc(n, R, spec.samples, spec.seed)
+            payload["monte_carlo"] = {"value": est, "stderr": se, "seed": spec.seed}
     elif quantity in ("sphere", "hemisphere"):
-        payload["R"] = R
-        spec = None
-        if ns["method"] == "monte_carlo":
-            spec = measure.QuadratureSpec(method="monte_carlo", samples=ns["samples"], seed=ns["seed"])
         payload["value"] = measure.weighted_sphere_area(
             horizontal_gaussian(n), n, R, upper_half=quantity == "hemisphere", quad=spec
         )
     else:  # "cap", the last of the --quantity choices
-        payload["R"] = R
         u = _graph_preset(ns["init"], n, ns["seed"])
-        method = "spherical_product" if ns["method"] == "quadrature" else "monte_carlo"
-        spec = measure.QuadratureSpec(method=method, samples=ns["samples"], seed=ns["seed"])
         payload["graph"] = ns["init"]
         payload["value"] = measure.graph_cap_weighted_area(u, R, spec)
     _write(_json_text(payload), ns["out"])

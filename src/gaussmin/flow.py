@@ -121,19 +121,16 @@ class _Along:
     all but the first entry along i (an edge's low and high end, or an inner
     node's edge below and above), ``far`` the last.  ``up`` and ``down`` are
     the shares of a node's mass from the cell above and below it, at the
-    edges' low and high ends, ``minus_down`` is -``down``, and ``up_inner``
-    and ``down_inner`` are the shares at the inner nodes, each repeated to
-    the shape of the edge or inner-node arrays it multiplies; ``weights``
-    are the 1-D weights of an edge array along i, last axis first."""
+    edges' low and high ends, each repeated to the shape of an edge array;
+    ``up[hi]`` and ``down[lo]`` are the shares at the inner nodes.
+    ``weights`` are the 1-D weights of an edge array along i, last axis
+    first."""
 
     lo: tuple
     hi: tuple
     far: tuple
     up: np.ndarray
     down: np.ndarray
-    minus_down: np.ndarray
-    up_inner: np.ndarray
-    down_inner: np.ndarray
     weights: tuple
 
 
@@ -212,36 +209,37 @@ def _laid_along(i, n, above, below, cell_mass, node_mass) -> _Along:
         out.flags.writeable = False
         return out
 
-    shares = [spread(v) for v in (above[:-1], below[1:], -1.0 * below[1:], above[1:-1], below[1:-1])]
     weights = tuple(cell_mass if k == i else node_mass for k in reversed(range(n)))
-    return _Along(index(slice(None, -1)), index(slice(1, None)), index(-1), *shares, weights)
+    return _Along(index(slice(None, -1)), index(slice(1, None)), index(-1),
+                  spread(above[:-1]), spread(below[1:]), weights)
 
 
-def _at_nodes(edge: np.ndarray, ax: _Axis, axis: int, down: np.ndarray, spare) -> np.ndarray:
-    """up edge_{j+1/2} + down edge_{j-1/2} at every node j along ``axis``,
-    each edge weighted by its cell's share of the node's mass; no edge lies
-    beyond the box's faces, and the far face's one edge is added to 0.0.
-    ``spare`` receives down edge: a buffer of the edges' shape, or None."""
+def _at_nodes(edge: np.ndarray, ax: _Axis, axis: int, combine, spare) -> np.ndarray:
+    """up edge_{j+1/2} ``combine`` down edge_{j-1/2} at every node j along
+    ``axis``, ``combine`` being np.add or np.subtract, each edge weighted by
+    its cell's share of the node's mass; no edge lies beyond the box's faces,
+    and the far face's one edge is combined with 0.0.  ``spare`` receives
+    down edge: a buffer of the edges' shape, or None."""
     al = ax.along[axis]
     out = np.empty(ax.shape)
     np.multiply(al.up, edge, out=out[al.lo])
     out[al.far] = 0.0
     high = out[al.hi]
-    np.add(high, np.multiply(down, edge, out=spare), out=high)
+    combine(high, np.multiply(al.down, edge, out=spare), out=high)
     return out
 
 
 def _to_nodes(edge: np.ndarray, ax: _Axis, axis: int) -> np.ndarray:
     """The mass-weighted mean of the two edges along ``axis`` at every node,
     its one edge at the box's faces."""
-    return _at_nodes(edge, ax, axis, ax.along[axis].down, None)
+    return _at_nodes(edge, ax, axis, np.add, None)
 
 
 def _divergence(edge: np.ndarray, ax: _Axis, axis: int) -> np.ndarray:
     """M^{-1} times the net outflow of the fluxes phi edge through each node's
     two edges along ``axis``: (2/dx) (above edge_{j+1/2} - below edge_{j-1/2}).
     Overwrites ``edge``."""
-    out = _at_nodes(edge, ax, axis, ax.along[axis].minus_down, edge)
+    out = _at_nodes(edge, ax, axis, np.subtract, edge)
     out *= 2.0 / ax.dx
     return out
 
@@ -260,19 +258,18 @@ def _to_edges(node: np.ndarray, al: _Along) -> np.ndarray:
     return out
 
 
-def _sharpen(edge: np.ndarray, al: _Along, out: Optional[np.ndarray] = None) -> np.ndarray:
+def _sharpen(edge: np.ndarray, al: _Along) -> np.ndarray:
     """edge - (above jump_{j+1} - below jump_j) / 12 along ``al``, with
     jump_j = edge_{j+1/2} - edge_{j-1/2} at the inner nodes: (26 e - e_- - e_+) / 24
     on equal weights, which takes an edge's slope to the derivative at its
     midpoint to fourth order, and its own adjoint under the edge weights.
-    Written into ``out``, which may be ``edge`` itself, or a copy."""
+    Overwrites ``edge``."""
     jump = np.subtract(edge[al.hi], edge[al.lo])
     jump /= 12.0
-    out = edge.copy() if out is None else out
-    low, high = out[al.lo], out[al.hi]
-    np.subtract(low, np.multiply(al.up_inner, jump), out=low)
-    np.add(high, np.multiply(al.down_inner, jump, out=jump), out=high)
-    return out
+    low, high = edge[al.lo], edge[al.hi]
+    np.subtract(low, np.multiply(al.up[al.hi], jump), out=low)
+    np.add(high, np.multiply(al.down[al.lo], jump, out=jump), out=high)
+    return edge
 
 
 def _field_geometry(fld: GridField) -> tuple[float, np.ndarray]:
@@ -299,7 +296,7 @@ def _field_geometry(fld: GridField) -> tuple[float, np.ndarray]:
     area = ax.volume
     fluxes, across = [], [None] * n
     for i, (al, g) in enumerate(zip(ax.along, slopes)):
-        s = _sharpen(g, al)
+        s = _sharpen(g.copy(), al)
         cross = [(j, _to_edges(nodal[j], al)) for j in range(n) if j != i]
         ss = s * s
         w = np.add(ss, 1.0)
@@ -318,7 +315,7 @@ def _field_geometry(fld: GridField) -> tuple[float, np.ndarray]:
         if cross:
             t2 *= q
             inner += t2
-        flux = _sharpen(inner, al, out=inner)
+        flux = _sharpen(inner, al)
         flux += g
         fluxes.append(flux)  # d A_h / d g per unit w_e
         if cross:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import measure
 from .density import Density, DomainError, Profile, as_points, sq_norm
-from .rng import DEFAULT_SEED, substream
+from .rng import DEFAULT_SEED, VERIFY_STREAMS, substream
 from .surface import CurvatureReport, ParametricSurface, separate_jet, tangent_plane_distance
 
 SINUSOID_AMPLITUDE = 0.5
@@ -450,7 +450,6 @@ def audit_root_candidates(h: Profile, candidates: Sequence[float]) -> list[dict]
 # ------------------------------------------------------- distance identity suite
 
 TANGENT_SUITE_DIM = 2  # the suite's graphs live over R^2
-TANGENT_SUITE_STREAM = 1  # comass_check keys stream 0 and closedness_suite 3
 
 
 def tangent_distance_suite(trials: int = 100, seed: int = DEFAULT_SEED) -> float:
@@ -463,7 +462,7 @@ def tangent_distance_suite(trials: int = 100, seed: int = DEFAULT_SEED) -> float
     identity makes the residual roundoff.
     """
     n = TANGENT_SUITE_DIM
-    rng = substream(seed, TANGENT_SUITE_STREAM)
+    rng = substream(seed, VERIFY_STREAMS["tangent_distance"])
     family = GraphFunction.quadratic_form(
         rng.uniform(-1.0, 1.0, trials),
         rng.uniform(-1.0, 1.0, (trials, n)),

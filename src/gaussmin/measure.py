@@ -46,19 +46,19 @@ GAUSSIAN_MASS_MARGIN = 10.0  # P(|X| >= sqrt(n) + t) <= e^{-t^2/2} < 2e-22 at t 
 class QuadratureSpec:
     """How to evaluate an integral.
 
-    ``spherical_product`` is 1-D Gauss-Legendre (``QUAD_ORDER`` nodes) in the
+    ``quadrature`` is 1-D Gauss-Legendre (``QUAD_ORDER`` nodes) in the
     radius or the polar angle, times, for ball integrals over R^2 and R^3, a
     rule in the horizontal direction (``QUAD_ANGULAR_ORDER`` nodes per angle);
     ``monte_carlo`` draws ``samples`` points from counter-keyed streams, so a
     fixed seed gives bit-reproducible results.
     """
 
-    method: str = "spherical_product"
+    method: str = "quadrature"
     samples: int = 1_000_000
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        if self.method not in ("spherical_product", "monte_carlo"):
+        if self.method not in ("quadrature", "monte_carlo"):
             raise ValueError(f"unknown quadrature method '{self.method}'")
         if self.samples < 1_000:
             raise ValueError("monte carlo needs at least 1000 samples")
@@ -335,7 +335,7 @@ def gaussian_ball_integral(
     """int_{|x| <= R} (2 pi)^{-n/2} e^{-|x|^2/2} fn(x) dx.
 
     ``fn`` must vanish outside B^n(0, R): the Monte Carlo route averages it
-    over all of R^n, the spherical_product route only sees the ball.  Both
+    over all of R^n, the quadrature route only sees the ball.  Both
     routes call it on at most ``_ROW_BLOCK`` rows at once, so it acts row-wise.
     The Monte Carlo route runs on up to the allowed CPU count of threads, with
     the same result for any count, and may call ``fn`` in several threads at
@@ -351,14 +351,15 @@ def gaussian_ball_integral(
     return float(np.sum(wts * weight * values))
 
 
-def graph_cap_weighted_area(u, R: float, quad: Optional[QuadratureSpec] = None) -> float:
+def graph_cap_weighted_area(u, R: float, quad: QuadratureSpec) -> float:
     """Weighted n-area of the graph piece inside the ambient ball B(p, R),
     p the intersection of the graph with the vertical axis.
 
     Integrates the normalized Gaussian weight times W over
-    {x : |x|^2 + (u(x) - u(0))^2 <= R^2}.  Default is Monte Carlo: the ball
-    indicator is discontinuous, which defeats high-order rules for general
-    graphs; for smooth special cases pass a spherical_product spec.
+    {x : |x|^2 + (u(x) - u(0))^2 <= R^2}.  The ball indicator is
+    discontinuous, which defeats high-order rules for general graphs: the
+    ``quadrature`` route converges at low order there, and ``monte_carlo``
+    does not depend on smoothness.
     """
     n = u.dimension
     u0 = float(u.value(np.zeros(n)))
@@ -375,9 +376,7 @@ def graph_cap_weighted_area(u, R: float, quad: Optional[QuadratureSpec] = None) 
         w *= r2 <= R2
         return w
 
-    return gaussian_ball_integral(
-        slope_inside, n, R, quad or QuadratureSpec(method="monte_carlo")
-    )
+    return gaussian_ball_integral(slope_inside, n, R, quad)
 
 
 # ------------------------------------------------------------------ bound report

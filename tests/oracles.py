@@ -35,7 +35,7 @@ from gaussmin.flow import (
     initial_state,
 )
 from gaussmin.graph import GraphFunction, _divergence_form, hyperplane_minimality
-from gaussmin.rng import substream
+from gaussmin.rng import VERIFY_STREAMS, substream
 from gaussmin.surface import _frame, _mean_curvature
 
 
@@ -141,7 +141,7 @@ def random_frame_comass(u, trials, seed) -> float:
     """Max |omega| over seeded random ambient points and orthonormal frames,
     which the Hadamard bound caps at |N| = 1."""
     n = u.dimension
-    rng = substream(seed, 0)
+    rng = substream(seed, VERIFY_STREAMS["comass"])
     normals = extended_normal(u)(ambient_samples(u, rng, trials, False))
     frames, _ = np.linalg.qr(rng.standard_normal((trials, n + 1, n)))
     mats = np.concatenate([frames, normals[:, :, None]], axis=2)

@@ -54,6 +54,34 @@ def test_verify_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_verify_checks_draw_their_own_streams(monkeypatch):
+    # each verify check keys its row of rng.VERIFY_STREAMS with the one seed,
+    # and no two rows share a stream
+    from collections import Counter
+
+    from gaussmin import calibration, graph, rng
+
+    drawn = []
+
+    def recorded(seed, stream):
+        drawn.append((sys._getframe(1).f_code.co_name, seed, stream))
+        return rng.substream(seed, stream)
+
+    for module in (cli, calibration, graph):
+        monkeypatch.setattr(module, "substream", recorded)
+    streams = rng.VERIFY_STREAMS
+    assert len(set(streams.values())) == len(streams) == 3
+    presets = len(cli._calibration_presets())
+    for seed in (rng.DEFAULT_SEED, 7387):
+        drawn.clear()
+        assert cli.run_verify(1e-5, "all", seed)["overall_pass"]
+        assert Counter(drawn) == {
+            ("comass_check", seed, streams["comass"]): presets,
+            ("closedness_suite", seed, streams["closedness"]): presets,
+            ("tangent_distance_suite", seed, streams["tangent_distance"]): 1,
+        }
+
+
 def test_bound_sweep_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     assert run(["bound", "--n", "2", "--out", str(out)]) == EXIT_OK

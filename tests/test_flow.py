@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -433,3 +434,17 @@ def test_unsettled_solve_is_a_step_failure(monkeypatch, fresh_axis_factors):
     result = flow_run(initial_state(fld), t_max=50.0)
     assert result.verdict == VERDICT_STEP_FAILURE
     assert result.state.field is fld
+
+
+@pytest.mark.parametrize("n, resolution, limit_mb", [(3, 33, 2.5), (2, 65, 0.3)])
+def test_cached_box_keeps_two_shares_per_axis(fresh_axis_factors, n, resolution, limit_mb):
+    # the full-shape shares up and down are an axis's only edge-sized arrays,
+    # the inner shares being views of them: five such arrays per axis held
+    # 4.44 MB at 3-D grid 33 and 0.44 MB at 2-D grid 65
+    tracemalloc.start()
+    try:
+        flow._axis(4.0, resolution, n)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= limit_mb * 1e6

@@ -37,7 +37,7 @@ from gaussmin.measure import (
     gaussian_ball_volume,
     graph_cap_weighted_area,
 )
-from gaussmin.rng import DEFAULT_SEED, substream
+from gaussmin.rng import DEFAULT_SEED, VERIFY_STREAMS, substream
 from gaussmin.surface import CurvatureReport, tangent_plane_distance, weighted_mean_curvature
 from oracles import (
     central_difference,
@@ -536,7 +536,7 @@ def test_stacked_quadratic_form_matches_its_members():
 
 
 def test_tangent_suite_matches_one_graph_per_trial(monkeypatch):
-    # substream(seed, 1) draws the stacked intercepts, linear terms, quadratic
+    # the suite's stream draws the stacked intercepts, linear terms, quadratic
     # terms and chart points in that order; each trial, rebuilt alone from
     # those draws, gives the suite's lhs and rhs bit for bit
     seen = []
@@ -550,7 +550,7 @@ def test_tangent_suite_matches_one_graph_per_trial(monkeypatch):
         seen.clear()
         worst = tangent_distance_suite(trials=trials, seed=seed)
         (lhs, rhs), = seen
-        rng = substream(seed, 1)
+        rng = substream(seed, VERIFY_STREAMS["tangent_distance"])
         c, a = rng.uniform(-1.0, 1.0, trials), rng.uniform(-1.0, 1.0, (trials, 2))
         q, p = rng.uniform(-0.5, 0.5, (trials, 2, 2)), rng.uniform(-2.0, 2.0, (trials, 2))
         assert lhs.shape == rhs.shape == (trials,)

@@ -463,10 +463,12 @@ def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(method="tensor_gauss_legendre")
     with pytest.raises(ValueError):
+        QuadratureSpec(method="spherical_product")
+    with pytest.raises(ValueError):
         QuadratureSpec(samples=10)
 
 
-@pytest.mark.parametrize("method", ["spherical_product", "monte_carlo"])
+@pytest.mark.parametrize("method", ["quadrature", "monte_carlo"])
 def test_sphere_area_past_overflowing_square_keeps_non_decaying_weight(method):
     # R^2 is no float at R = 1e200: the squares overflow to inf, where a
     # constant weight stays 1, so the upper half circle weighs pi R
@@ -475,4 +477,4 @@ def test_sphere_area_past_overflowing_square_keeps_non_decaying_weight(method):
     spec = QuadratureSpec(method=method, samples=1000)
     with np.errstate(all="raise"):
         value = weighted_sphere_area(Density.radial(Profile.constant(), 2), 1, 1e200, quad=spec)
-    assert value == pytest.approx(math.pi * 1e200, rel=1e-12 if method == "spherical_product" else 0.1)
+    assert value == pytest.approx(math.pi * 1e200, rel=1e-12 if method == "quadrature" else 0.1)
