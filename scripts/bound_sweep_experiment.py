@@ -32,7 +32,7 @@ def main() -> None:
     print(f"{'R':>6} {'hemisphere':>12} {'ball':>12} {'tail':>12} {'ball+tail':>12}  holds")
     first_flip = None
     for R in np.linspace(args.rmin, args.rmax, args.steps):
-        hemi = weighted_sphere_area(dens, args.n, float(R))
+        hemi = weighted_sphere_area(dens, float(R))
         ball = gaussian_ball_volume(args.n, float(R))
         tail = exact_lateral_tail(args.n, float(R))
         holds = hemi <= ball + tail + 1e-9

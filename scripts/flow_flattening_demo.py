@@ -5,6 +5,7 @@ initial graphs and tabulate how fast each collapses to a constant."""
 import argparse
 
 from gaussmin.flow import flow_run, initial_field, initial_state
+from gaussmin.rng import DEFAULT_SEED
 
 
 def main() -> None:
@@ -13,7 +14,7 @@ def main() -> None:
     ap.add_argument("--grid", type=int, default=129)
     ap.add_argument("--tmax", type=float, default=1e6)  # flow's --tmax
     ap.add_argument("--osc-tol", type=float, default=0.005)
-    ap.add_argument("--seed", type=lambda s: int(s, 0), default=0xD1CE)
+    ap.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
     args = ap.parse_args()
 
     inits = ["sinusoid", "linear", "random_bump", "constant:0.4"]

@@ -25,6 +25,7 @@ from .rng import DEFAULT_SEED, VERIFY_STREAMS, substream
 
 SAMPLE_HALF_WIDTH = 2.0  # base points of the checks lie in [-2, 2]^n
 FD_STEP = 1e-4
+COMASS_TRIALS = 10_000  # ambient points per comass_check
 
 
 def ambient_samples(u: GraphFunction, rng, trials: int, on_graph: bool) -> np.ndarray:
@@ -57,18 +58,17 @@ def extended_normal(u: GraphFunction):
     return field
 
 
-def comass_check(u: GraphFunction, trials: int = 10_000, seed: int = DEFAULT_SEED) -> float:
-    """max(| |N| - 1 |, |omega(T) - 1|) over seeded random ambient points, T the
-    orthonormal graph frame there: omega(T) = <N, *T> / |*T|, |*T|^2 = det(T T^t).
-    It vanishes to rounding iff N is the unit normal of the translated graph.
+def comass_check(u: GraphFunction, seed: int = DEFAULT_SEED) -> float:
+    """max(| |N| - 1 |, |omega(T) - 1|) over COMASS_TRIALS seeded random ambient
+    points, T the orthonormal graph frame there: omega(T) = <N, *T> / |*T|,
+    |*T|^2 = det(T T^t).  It vanishes to rounding iff N is the unit normal of
+    the translated graph.
 
     *T = (-g, 1) comes from a gradient of its own, not from N: with
     <N, *T> = N_{n+1} - sum_i N_i g_i and |*T|^2 = 1 + |g|^2, column by column.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     n = u.dimension
-    points = ambient_samples(u, substream(seed, VERIFY_STREAMS["comass"]), trials, False)
+    points = ambient_samples(u, substream(seed, VERIFY_STREAMS["comass"]), COMASS_TRIALS, False)
     normals = extended_normal(u)(points)
     g = u.gradient(points[:, :n])
     pairing = normals[:, n] - dot(normals[:, :n], g)

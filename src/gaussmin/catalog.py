@@ -13,7 +13,7 @@ residuals; failures are data, not exceptions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -333,22 +333,6 @@ def verify_entry(entry: CatalogEntry, tolerance: float) -> dict:
     return result
 
 
-@dataclass(frozen=True)
-class CatalogReport:
-    tolerance: float
-    results: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(r["pass"] for r in self.results)
-
-    def worst(self) -> float:
-        return max((r["residual"] for r in self.results), default=0.0)
-
-
-def verify_catalog(tolerance: float = 1e-5) -> CatalogReport:
-    """Check every ``default_catalog`` entry's claim at the tolerance."""
-    return CatalogReport(
-        tolerance=tolerance,
-        results=[verify_entry(e, tolerance) for e in default_catalog()],
-    )
+def verify_catalog(tolerance: float = 1e-5) -> list[dict]:
+    """``verify_entry``'s result for every ``default_catalog`` entry."""
+    return [verify_entry(e, tolerance) for e in default_catalog()]

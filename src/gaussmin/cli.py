@@ -105,9 +105,7 @@ def _calibration_presets() -> list[tuple[str, GraphFunction, Density, bool]]:
 CLOSEDNESS_TRIALS = 100
 
 
-def closedness_suite(
-    u: GraphFunction, dens: Density, seed: int = DEFAULT_SEED, on_graph: bool = False
-) -> float:
+def closedness_suite(u: GraphFunction, dens: Density, seed: int, on_graph: bool) -> float:
     """Max |closedness residual| over CLOSEDNESS_TRIALS seeded ambient sample
     points.
 
@@ -127,7 +125,7 @@ def _check(group: str, name: str, residual: float, ok: bool) -> dict:
 def run_verify(tolerance: float, only: str, seed: int) -> dict:
     checks = []
     if only in ("all", "catalog"):
-        for r in catalog.verify_catalog(tolerance).results:
+        for r in catalog.verify_catalog(tolerance):
             checks.append(_check("catalog", r["name"], r["residual"], r["pass"]))
     if only in ("all", "calibration"):
         for name, u, dens, on_graph in _calibration_presets():
@@ -313,7 +311,7 @@ def _cmd_measure(ns: dict) -> int:
             payload["monte_carlo"] = {"value": est, "stderr": se, "seed": spec.seed}
     elif quantity in ("sphere", "hemisphere"):
         payload["value"] = measure.weighted_sphere_area(
-            horizontal_gaussian(n), n, R, upper_half=quantity == "hemisphere", quad=spec
+            horizontal_gaussian(n), R, upper_half=quantity == "hemisphere", quad=spec
         )
     else:  # "cap", the last of the --quantity choices
         u = _graph_preset(ns["init"], n, ns["seed"])

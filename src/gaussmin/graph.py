@@ -450,18 +450,19 @@ def audit_root_candidates(h: Profile, candidates: Sequence[float]) -> list[dict]
 # ------------------------------------------------------- distance identity suite
 
 TANGENT_SUITE_DIM = 2  # the suite's graphs live over R^2
+TANGENT_SUITE_TRIALS = 100  # graphs, one chart point each, per suite
 
 
-def tangent_distance_suite(trials: int = 100, seed: int = DEFAULT_SEED) -> float:
-    """Max |d(axis projection, tangent plane) - |<grad f, N>|| over random
-    quadratic graph surfaces and chart points.
+def tangent_distance_suite(seed: int = DEFAULT_SEED) -> float:
+    """Max |d(axis projection, tangent plane) - |<grad f, N>|| over
+    TANGENT_SUITE_TRIALS random quadratic graph surfaces and chart points.
 
     One stream draws the stacked intercepts, linear terms, quadratic terms
     and chart points, in that order.  The two sides are computed along
     different code paths (plane geometry vs. the density pairing); the
     identity makes the residual roundoff.
     """
-    n = TANGENT_SUITE_DIM
+    n, trials = TANGENT_SUITE_DIM, TANGENT_SUITE_TRIALS
     rng = substream(seed, VERIFY_STREAMS["tangent_distance"])
     family = GraphFunction.quadratic_form(
         rng.uniform(-1.0, 1.0, trials),

@@ -281,19 +281,19 @@ def sphere_quadrature(
 
 def weighted_sphere_area_mc(
     dens: Density,
-    n: int,
     R: float,
     upper_half: bool = True,
     samples: int = 1_000_000,
     seed: int = DEFAULT_SEED,
 ) -> tuple[float, float]:
     """Monte Carlo (value, standard error) for the weighted area of the
-    centered sphere S^n(0, R).
+    centered sphere S^n(0, R) in the density's R^{n+1}.
 
     Normalized standard normals in R^{n+1} are uniform on the sphere; the
     upper-half restriction sits in the indicator, so the full area
     multiplies the mean in both cases.
     """
+    n = dens.dimension - 1
     area = _area_scale(n + 1, n, R)  # first: an overflowing area fails before any sampling
 
     def on_sphere(g):
@@ -310,21 +310,18 @@ def weighted_sphere_area_mc(
 
 def weighted_sphere_area(
     dens: Density,
-    n: int,
     R: float,
     upper_half: bool = True,
     quad: Optional[QuadratureSpec] = None,
 ) -> float:
     """Weighted n-area of the centered sphere S^n(0, R) (or its upper half)
-    under e^{-F}."""
-    if dens.dimension != n + 1:
-        raise ValueError(f"density dimension {dens.dimension} != ambient {n + 1}")
+    in the density's R^{n+1}, under e^{-F}."""
     if R == 0.0:
         return 0.0
     spec = quad or QuadratureSpec()
     if spec.method == "monte_carlo":
-        return weighted_sphere_area_mc(dens, n, R, upper_half, spec.samples, spec.seed)[0]
-    pts, wts = sphere_quadrature(n, R, upper_half)
+        return weighted_sphere_area_mc(dens, R, upper_half, spec.samples, spec.seed)[0]
+    pts, wts = sphere_quadrature(dens.dimension - 1, R, upper_half)
     with np.errstate(over="ignore"):  # R^2 past 1.8e308 squares to inf: the density's limit
         return float(np.sum(wts * dens.weight(pts)))
 

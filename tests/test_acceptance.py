@@ -169,7 +169,7 @@ def test_hemisphere_ball_tail_chain():
     failures = []
     for n, dens in ((1, HG1), (2, HG2), (3, HG3)):
         for R in GRID_RADII:
-            hemi = weighted_sphere_area(dens, n, float(R), upper_half=True)
+            hemi = weighted_sphere_area(dens, float(R), upper_half=True)
             bound = gaussian_ball_volume(n, float(R)) + exact_lateral_tail(n, float(R))
             if hemi > bound + 1e-9:
                 failures.append((n, float(R), hemi, bound))
@@ -212,7 +212,7 @@ def test_cap_area_limit_for_constant_graphs():
     assert _line(f"constant-graph cap area at R = 8 is 1 ({val - 1.0:+.2e})", ok)
 
 
-def test_calibration_closedness_and_comass():
+def test_calibration_closedness_and_comass(monkeypatch):
     rng = substream(SEED, 103)
     worst_identity = 0.0
     for name, u in graph_presets(2, seed=SEED).items():
@@ -233,7 +233,8 @@ def test_calibration_closedness_and_comass():
             worst_minimal, abs(weighted_normal_divergence(parab, quad_log_dens, x))
         )
     comass = random_frame_comass(parab, trials=100_000, seed=SEED)
-    tangent = comass_check(parab, trials=100_000, seed=SEED)
+    monkeypatch.setattr("gaussmin.calibration.COMASS_TRIALS", 100_000)
+    tangent = comass_check(parab, seed=SEED)
     ok = worst_identity <= 1e-4 and worst_minimal <= 1e-4 and comass <= 1.0 + 1e-12
     ok = ok and tangent <= 1e-12
     assert _line(
@@ -244,7 +245,7 @@ def test_calibration_closedness_and_comass():
 
 
 def test_axis_distance_identity():
-    worst = tangent_distance_suite(trials=100, seed=SEED)
+    worst = tangent_distance_suite(seed=SEED)
     ok = worst <= 1e-6
     assert _line(f"axis-projection distance identity (worst {worst:.2e})", ok)
 

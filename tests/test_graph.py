@@ -548,7 +548,8 @@ def test_tangent_suite_matches_one_graph_per_trial(monkeypatch):
     monkeypatch.setattr(graph, "tangent_plane_distance", recorded)
     for seed, trials in ((0, 100), (7387, 100), (DEFAULT_SEED, 0)):
         seen.clear()
-        worst = tangent_distance_suite(trials=trials, seed=seed)
+        monkeypatch.setattr(graph, "TANGENT_SUITE_TRIALS", trials)
+        worst = tangent_distance_suite(seed=seed)
         (lhs, rhs), = seen
         rng = substream(seed, VERIFY_STREAMS["tangent_distance"])
         c, a = rng.uniform(-1.0, 1.0, trials), rng.uniform(-1.0, 1.0, (trials, 2))

@@ -221,7 +221,7 @@ def test_monte_carlo_needs_at_least_one_sample(samples):
     with pytest.raises(ValueError):
         gaussian_ball_volume_mc(2, 1.0, samples)
     with pytest.raises(ValueError):
-        weighted_sphere_area_mc(horizontal_gaussian(2), 2, 1.0, samples=samples)
+        weighted_sphere_area_mc(horizontal_gaussian(2), 1.0, samples=samples)
     assert gaussian_mc_mean(lambda x: x[:, 0], 2, 1)[1] == 0.0
 
 
@@ -248,16 +248,16 @@ def bessel_hemisphere_oracle(R: float) -> float:
 def test_hemisphere_matches_bessel_oracle():
     hg1 = horizontal_gaussian(1)
     for R in (0.5, 1.0, 3.0, 6.0):
-        assert weighted_sphere_area(hg1, 1, R) == pytest.approx(
+        assert weighted_sphere_area(hg1, R) == pytest.approx(
             bessel_hemisphere_oracle(R), abs=1e-10
         )
 
 
 def test_sphere_area_zero_radius_and_doubling():
     hg2 = horizontal_gaussian(2)
-    assert weighted_sphere_area(hg2, 2, 0.0) == 0.0
-    up = weighted_sphere_area(hg2, 2, 1.0, upper_half=True)
-    full = weighted_sphere_area(hg2, 2, 1.0, upper_half=False)
+    assert weighted_sphere_area(hg2, 0.0) == 0.0
+    up = weighted_sphere_area(hg2, 1.0, upper_half=True)
+    full = weighted_sphere_area(hg2, 1.0, upper_half=False)
     assert full == pytest.approx(2.0 * up, abs=1e-10)
 
 
@@ -270,8 +270,8 @@ def test_sphere_area_quadrature_vs_monte_carlo():
         for n in (1, 3, 5)
     ]
     for n, dens in cases:
-        exact = weighted_sphere_area(dens, n, 1.0)
-        est, se = weighted_sphere_area_mc(dens, n, 1.0, True, samples=200_000, seed=13)
+        exact = weighted_sphere_area(dens, 1.0)
+        est, se = weighted_sphere_area_mc(dens, 1.0, True, samples=200_000, seed=13)
         assert abs(est - exact) <= 3.0 * se
 
 
@@ -290,8 +290,8 @@ def test_sphere_and_hemisphere_match_closed_form(n):
     # past R = sqrt(n) + 10 the Gaussian's peak gets its own polar panel
     for R in (0.1, 0.7, 2.0, 5.0, 20.0, 300.0, 1000.0):
         full = gaussian_sphere_area_oracle(n, R)
-        assert weighted_sphere_area(hg, n, R, upper_half=False) == pytest.approx(full, rel=1e-12)
-        assert weighted_sphere_area(hg, n, R) == pytest.approx(full / 2.0, rel=1e-12)
+        assert weighted_sphere_area(hg, R, upper_half=False) == pytest.approx(full, rel=1e-12)
+        assert weighted_sphere_area(hg, R) == pytest.approx(full / 2.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -299,7 +299,7 @@ def test_hemisphere_excess_over_ball_decays_like_n_over_2r2(n):
     # (hemisphere - ball mass) * 2 R^2 / n -> 1 from above
     hg = horizontal_gaussian(n)
     scaled = [
-        (weighted_sphere_area(hg, n, R) - gaussian_ball_volume(n, R)) * 2.0 * R * R / n
+        (weighted_sphere_area(hg, R) - gaussian_ball_volume(n, R)) * 2.0 * R * R / n
         for R in (10.0, 20.0, 40.0)
     ]
     assert scaled[0] > scaled[1] > scaled[2] > 1.0
@@ -389,7 +389,7 @@ def test_monte_carlo_hemisphere_is_the_linalg_norm_integrand_bit_for_bit(n):
 
     mean, stderr = gaussian_mc_mean(on_sphere, n + 1, 20_000, 5)
     area = unit_sphere_area(n + 1) * R**n
-    assert weighted_sphere_area_mc(dens, n, R, True, 20_000, 5) == (area * mean, area * stderr)
+    assert weighted_sphere_area_mc(dens, R, True, 20_000, 5) == (area * mean, area * stderr)
 
 
 # ------------------------------------------------------------------ bound report
@@ -429,7 +429,7 @@ def test_volume_bound_report_constant_graph():
     assert rep.ball_term == pytest.approx(1.0 - math.exp(-2.0), abs=1e-14)
     assert rep.nominal_tail > 0.0 and rep.exact_tail > 0.0
     assert rep.chain_ok
-    assert rep.lhs <= weighted_sphere_area(horizontal_gaussian(2), 2, 2.0) + 1e-9
+    assert rep.lhs <= weighted_sphere_area(horizontal_gaussian(2), 2.0) + 1e-9
 
 
 def test_bound_sweep_all_chains_ok():
@@ -438,7 +438,7 @@ def test_bound_sweep_all_chains_ok():
     assert len(rows) == 12
     assert all(r.chain_ok for r in rows)
     hg2 = horizontal_gaussian(2)
-    assert all(r.lhs <= weighted_sphere_area(hg2, 2, float(R)) + 1e-9 for r, R in zip(rows, radii))
+    assert all(r.lhs <= weighted_sphere_area(hg2, float(R)) + 1e-9 for r, R in zip(rows, radii))
 
 
 @pytest.mark.parametrize("n", [*range(1, 11), 32])
@@ -476,5 +476,5 @@ def test_sphere_area_past_overflowing_square_keeps_non_decaying_weight(method):
 
     spec = QuadratureSpec(method=method, samples=1000)
     with np.errstate(all="raise"):
-        value = weighted_sphere_area(Density.radial(Profile.constant(), 2), 1, 1e200, quad=spec)
+        value = weighted_sphere_area(Density.radial(Profile.constant(), 2), 1e200, quad=spec)
     assert value == pytest.approx(math.pi * 1e200, rel=1e-12 if method == "quadrature" else 0.1)
