@@ -7,13 +7,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(*argv: str) -> subprocess.CompletedProcess:
-    """The script under ``scripts/`` run as README shows it, with every
-    warning an error."""
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    """``scripts/<name>`` in a fresh interpreter, with the checkout's ``src``
+    first on the path and every warning an error."""
     path = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    return subprocess.run([sys.executable, "-W", "error", str(ROOT / "scripts" / argv[0]), *argv[1:]],
-                          capture_output=True, text=True, env=env, cwd=ROOT, timeout=120)
+    argv = [sys.executable, "-W", "error", str(ROOT / "scripts" / name), *args]
+    return subprocess.run(argv, capture_output=True, text=True, env=env, cwd=ROOT, timeout=120)
 
 
 def test_catalog_report_prints_every_result_and_its_summary():
