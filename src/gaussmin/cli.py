@@ -244,7 +244,7 @@ def _resolve_surface(ns: dict):
         prof = None
         if "profile" in params:
             prof = _checked("--params profile", profile_from_name, params["profile"])
-        entry = catalog.make_horizontal_plane(number("a", 0.0), prof)
+        entry = _checked("--params a", catalog.make_horizontal_plane, number("a", 0.0), prof)
         surf, dens = entry.surface, entry.density
     elif name == "associate":
         surf = catalog.make_associate_family(number("theta", 0.0))
@@ -278,7 +278,7 @@ def _cmd_planes(ns: dict) -> int:
     prof = _checked("--profile", profile_from_name, ns["profile"])
     if not ns["hi"] > ns["lo"]:
         raise UsageError(f"--hi must exceed --lo, got [{ns['lo']}, {ns['hi']}]")
-    scan = graph.horizontal_plane_roots(prof, (ns["lo"], ns["hi"]))
+    scan = _checked("--lo", graph.horizontal_plane_roots, prof, (ns["lo"], ns["hi"]))
     payload = {
         "profile": ns["profile"],
         "interval": [ns["lo"], ns["hi"]],

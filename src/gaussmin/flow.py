@@ -367,17 +367,19 @@ def _each_axis(mat: np.ndarray, a: np.ndarray) -> np.ndarray:
 def _ou_solve(half_width: float, rhs: np.ndarray, dt: float) -> np.ndarray:
     """(I - dt L_h)^{-1} rhs, L_h = -M^{-1} K, by fast diagonalization (Lynch,
     Rice & Thomas, Numer. Math. 6, 1964): V^{-1} along every axis, a division
-    by 1 + dt sum_i lam_i, V along every axis.
-
-    V scales by M^{-1/2}, so the light nodes near the box's edges take the
-    roundoff of the heavy ones amplified: on the 2-D grid 65 of L = 10 the
-    solve alone misses by 1e3 times the solution's norm.  REFINE_SWEEPS
-    sweeps on the residual, formed in flux form, bring that to 1e-13.
-    L_h is a generator (rows sum to 0, no negative rates), so the exact
-    solution lies within max |rhs|; a solve that leaves it by more than
+    by 1 + dt sum_i lam_i, V along every axis.  V scales by M^{-1/2}, so the
+    light nodes take the heavy ones' roundoff amplified, on the 2-D grid 65 of
+    L = 10 by 1e3 times the solution's norm; REFINE_SWEEPS sweeps on the
+    residual, in flux form, bring that to 1e-13.  The solve is linear: it runs
+    on 2^k rhs, max |2^k rhs| in [1, 2), which is exact and makes it
+    scale-free.  L_h is a generator (rows sum to 0, no negative rates), so the
+    exact solution lies within max |rhs|; a solve that leaves it by more than
     SOLVE_RTOL has lost its accuracy and raises FlowStepError."""
     n = rhs.ndim
     ax = _axis(half_width, rhs.shape[0], n)
+    bound = np.max(np.abs(rhs))
+    k = 1 - math.frexp(bound)[1]
+    rhs = np.ldexp(rhs, k)
     denom = dt * ax.lam_sum
     denom += 1.0
     out = _each_axis(ax.coefs, rhs)
@@ -392,9 +394,9 @@ def _ou_solve(half_width: float, rhs: np.ndarray, dt: float) -> np.ndarray:
         step = _each_axis(ax.coefs, resid)
         step /= denom
         out += _each_axis(ax.vecs, step)
-    if not np.max(np.abs(out)) <= (1.0 + SOLVE_RTOL) * np.max(np.abs(rhs)):
+    if not np.max(np.abs(out)) <= (1.0 + SOLVE_RTOL) * np.ldexp(bound, k):
         raise FlowStepError(f"the eigenbasis solve lost its accuracy at dt = {dt:.6g}")
-    return out
+    return np.ldexp(out, -k, out=out)
 
 
 def grid_weighted_mean_curvature(fld: GridField) -> np.ndarray:
@@ -470,9 +472,7 @@ def initial_field(
     return GridField(half_width, np.asarray(g.value(nodes), dtype=float))
 
 
-def initial_state(fld: GridField, dt: float = FIRST_DT) -> FlowState:
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError("dt must be finite and positive")
+def initial_state(fld: GridField) -> FlowState:
     try:
         with np.errstate(over="raise", invalid="raise"):
             area, hf = _field_geometry(fld)
@@ -480,7 +480,7 @@ def initial_state(fld: GridField, dt: float = FIRST_DT) -> FlowState:
         raise ValueError(
             f"the initial field is too steep: its weighted area or H_F overflows ({exc})"
         ) from None
-    return _accepted(fld, 0.0, dt, area, hf, [])
+    return _accepted(fld, 0.0, FIRST_DT, area, hf, [])
 
 
 def _accepted(

@@ -68,12 +68,18 @@ class QuadratureSpec:
 
 def unit_ball_volume(n: int) -> float:
     """C_n = pi^{n/2} / Gamma(n/2 + 1); OverflowError past n = 341."""
-    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+    try:
+        return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+    except OverflowError:
+        raise OverflowError(f"unit ball volume C_{n}: Gamma({n / 2 + 1:g}) overflows") from None
 
 
 def unit_sphere_area(n: int) -> float:
     """Area of the unit (n-1)-sphere in R^n, n C_n; OverflowError past n = 343."""
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    try:
+        return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    except OverflowError:
+        raise OverflowError(f"unit sphere area |S^{n - 1}|: Gamma({n / 2:g}) overflows") from None
 
 
 def _area_scale(k: int, n: int, R: float) -> float:

@@ -569,11 +569,33 @@ def test_bad_numeric_option_is_usage_error(args, capsys):
             ["flow", "--init", "sinusoid:3"],
             "gaussmin: --init: initial condition 'sinusoid' takes no argument, got 'sinusoid:3'\n",
         ),
+        # a profile domain left by a number typed on the command line
+        (
+            ["planes", "--profile", "quad_log", "--lo", "-0.25", "--hi", "1"],
+            "gaussmin: --lo: interval [-0.25, 1.0] leaves the domain of profile 'quad_log'\n",
+        ),
+        (
+            ["curvature", "--surface", "horizontal_plane", "--params", "a=-0.3",
+             "--params", "profile=quad_log"],
+            "gaussmin: --params a: profile 'quad_log' is undefined for z <= -0.25\n",
+        ),
     ],
 )
 def test_usage_error_names_the_fault(args, message, capsys):
     assert run(args) == EXIT_USAGE
-    assert capsys.readouterr().err == message
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message
+
+
+def test_density_undefined_at_the_ambient_point_is_runtime_error(capsys):
+    # the height a = -0.3 is in range for the surface; the --density profile
+    # fails only where it is evaluated, so the error is a runtime one
+    args = ["curvature", "--surface", "horizontal_plane", "--params", "a=-0.3",
+            "--density", "product:gaussian+quad_log"]
+    assert run(args) == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "gaussmin: error: profile 'quad_log' is undefined for z <= -0.25\n"
 
 
 def _numeric_and_list_options():
@@ -645,25 +667,30 @@ def test_out_of_memory_is_runtime_error(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args, message",
     [
         # the nominal tail itself exceeds the largest float near R = 30
-        ["bound", "--n", "2000", "--rmax", "60"],
-        ["measure", "--quantity", "sphere", "--n", "3", "--R", "1e200"],
-        ["measure", "--quantity", "hemisphere", "--n", "2", "--method", "monte_carlo",
-         "--samples", "1000", "--R", "1e200"],
+        (["bound", "--n", "2000", "--rmax", "60"], None),
+        (["measure", "--quantity", "sphere", "--n", "3", "--R", "1e200"], None),
+        (["measure", "--quantity", "hemisphere", "--n", "2", "--method", "monte_carlo",
+          "--samples", "1000", "--R", "1e200"], None),
         # Gamma(n/2 + 1) overflows past n = 341 and Gamma(n/2) past n = 343,
         # where C_n and |S^{n-1}| would read 0
-        ["measure", "--quantity", "unit-ball", "--n", "342"],
-        ["measure", "--quantity", "hemisphere", "--n", "400"],
-        ["measure", "--quantity", "unit-ball", "--n", "400"],
+        (["measure", "--quantity", "unit-ball", "--n", "342"],
+         "unit ball volume C_342: Gamma(172) overflows"),
+        (["measure", "--quantity", "hemisphere", "--n", "400"],
+         "unit sphere area |S^399|: Gamma(200) overflows"),
+        (["measure", "--quantity", "unit-ball", "--n", "400"],
+         "unit ball volume C_400: Gamma(201) overflows"),
     ],
 )
-def test_overflowing_radius_is_runtime_error(args, capsys):
+def test_overflowing_radius_is_runtime_error(args, message, capsys):
     assert run(args) == EXIT_RUNTIME
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("gaussmin: error:") and captured.err.count("\n") == 1
+    if message is not None:
+        assert captured.err == f"gaussmin: error: {message}\n"
 
 
 @pytest.mark.parametrize("method", ["quadrature", "monte_carlo"])

@@ -42,3 +42,12 @@ def test_flow_flattening_demo_prints_one_row_per_init():
     assert [row.split()[:2] for row in rows] == [
         [init, "converged_to_constant"] for init in ("sinusoid", "linear", "random_bump", "constant:0.4")
     ]
+
+
+def test_cli_digest_runs_every_case_to_a_documented_exit_code():
+    # code 1 would mark a case that raised or a verify that failed
+    done = run_script("cli_digest.py")
+    assert done.returncode == 0 and done.stderr == "", done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 142 and all(len(line.split()) == 6 for line in lines)
+    assert {line.split()[1] for line in lines} <= {"0", "2", "64"}
