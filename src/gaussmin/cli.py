@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -465,6 +466,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"gaussmin: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:  # the reader closed an output early: end quietly
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:  # stdout itself: keep the exit-time flush from failing again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_RUNTIME
     except (OSError, ValueError, OverflowError, MemoryError) as exc:
         print(f"gaussmin: error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

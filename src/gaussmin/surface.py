@@ -112,18 +112,21 @@ def _det(m) -> np.ndarray:
     Laplace expansion down the first column: products and differences of
     whole-stack entries only.  Exact zeros come out +0.0, as from LAPACK.
     """
-
-    def expand(rows, cols):
-        if len(cols) == 1:
-            return m[rows[0]][cols[0]]
-        total = None
-        for k, r in enumerate(rows):
-            term = m[r][cols[0]] * expand(rows[:k] + rows[k + 1:], cols[1:])
-            total = term if k == 0 else total - term if k % 2 else total + term
-        return total
-
     full = tuple(range(len(m)))
-    return expand(full, full) + 0.0
+    return _expand(m, full, full) + 0.0
+
+
+def _expand(m, rows, cols):
+    """The minor of m on ``rows`` x ``cols`` by Laplace expansion.  A module
+    function, not a closure: a closure that calls itself is a reference
+    cycle, which would keep m's arrays alive until the cyclic collector runs."""
+    if len(cols) == 1:
+        return m[rows[0]][cols[0]]
+    total = None
+    for k, r in enumerate(rows):
+        term = m[r][cols[0]] * _expand(m, rows[:k] + rows[k + 1:], cols[1:])
+        total = term if k == 0 else total - term if k % 2 else total + term
+    return total
 
 
 def generalized_cross(rows: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from gaussmin import catalog
 from gaussmin.catalog import (
     CatalogEntry,
     Claim,
@@ -20,9 +21,14 @@ from gaussmin.catalog import (
     verify_entry,
 )
 from gaussmin.density import Profile
-from gaussmin.graph import QUAD_LOG_STATIONARY_HEIGHT
-from gaussmin.surface import CurvatureReport, ParametricSurface, weighted_mean_curvature
-from oracles import mean_curvature, unit_normal
+from gaussmin.graph import QUAD_LOG_STATIONARY_HEIGHT, GraphFunction, graph_curvature_samples
+from gaussmin.surface import (
+    CurvatureReport,
+    ParametricSurface,
+    RankDeficiencyError,
+    weighted_mean_curvature,
+)
+from oracles import mean_curvature, same_bits, unit_normal
 
 
 def test_default_catalog_names_unique_and_complete():
@@ -143,3 +149,112 @@ def test_batched_report_matches_pointwise_calls(entry):
         for field in dataclasses.fields(CurvatureReport):
             diff = np.abs(getattr(batch, field.name)[idx] - getattr(single, field.name))
             assert np.max(diff) <= 1e-15, (field.name, idx)
+
+
+def _own_grid(box):
+    axes = [np.linspace(lo, hi, 21) for lo, hi in box]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
+def _box(entry):
+    return entry.sample_box if isinstance(entry.surface, GraphFunction) else entry.surface.chart_domain
+
+
+@pytest.mark.parametrize("boxes", [
+    [_box(e) for e in default_catalog()],
+    [((-1.0, 3.0),), ((0.1, 0.7),), ((-0.0, 0.0),)],
+    [((-3.0, 3.0), (-1.5, 2.5), (0.0, 1e-3)), ((-math.pi, math.pi), (2.0, 2.0), (-7.3, 0.4))],
+])
+def test_broadcast_chart_grids_are_each_boxes_own_grid(boxes):
+    grids = catalog._chart_grids(boxes)
+    assert len(grids) == len(boxes)
+    for grid, box in zip(grids, boxes):
+        assert same_bits(np.ascontiguousarray(grid), _own_grid(box))
+
+
+def test_stacked_catalog_pass_gives_each_entry_its_own_bits(monkeypatch):
+    # the samples verify_catalog hands each entry equal, bit for bit, the
+    # entry's curvature evaluated alone on a grid built here
+    seen, original = {}, catalog.verify_entry
+
+    def spy(entry, tolerance, **kwargs):
+        seen[entry.name] = kwargs["samples"]
+        return original(entry, tolerance, **kwargs)
+
+    monkeypatch.setattr(catalog, "verify_entry", spy)
+    verify_catalog(1e-5)
+    entries = default_catalog()
+    assert list(seen) == [e.name for e in entries]
+    for entry in entries:
+        grid = _own_grid(_box(entry))
+        if isinstance(entry.surface, GraphFunction):
+            alone = graph_curvature_samples(entry.surface, entry.density, grid)
+        else:
+            rep = weighted_mean_curvature(entry.surface, entry.density, grid)
+            alone = rep.mean_curvature, rep.density_term, rep.weighted_mean_curvature
+        for got, want in zip(seen[entry.name], alone):
+            assert same_bits(np.ascontiguousarray(got), want), entry.name
+
+
+def test_catalog_pass_is_one_stacked_curvature_call(monkeypatch):
+    shapes = []
+
+    def counted(fn):
+        def call(surface, dens, p):
+            shapes.append((fn.__name__, np.shape(p)))
+            return fn(surface, dens, p)
+        return call
+
+    monkeypatch.setattr(catalog, "weighted_mean_curvature", counted(weighted_mean_curvature))
+    monkeypatch.setattr(catalog, "graph_curvature_samples", counted(graph_curvature_samples))
+    verify_catalog(1e-5)
+    assert shapes == [("graph_curvature_samples", (21, 21, 2))] * 3 + [
+        ("weighted_mean_curvature", (7, 21, 21, 2))
+    ]
+
+
+def test_graph_entry_without_sample_box_is_an_error():
+    bare = dataclasses.replace(make_parabola_with_profile(), name="bare", sample_box=None)
+    with pytest.raises(ValueError, match="entry 'bare' needs a sample_box"):
+        verify_entry(bare, 1e-5)
+
+
+def _pinched(box) -> CatalogEntry:
+    """(u v, v, 0) under Gauss space: the u-partial vanishes along v = 0."""
+
+    def jet(p, order):
+        u, v = p[..., 0], p[..., 1]
+        zero, one = np.zeros_like(u), np.ones_like(u)
+        d2x = np.zeros(p.shape[:-1] + (2, 2, 3))
+        d2x[..., 0, 1, 0] = d2x[..., 1, 0, 0] = 1.0
+        return (
+            np.stack([u * v, v, zero], -1),
+            np.stack([np.stack([v, zero, zero], -1), np.stack([u, one, zero], -1)], -2),
+            d2x,
+        )[: order + 1]
+
+    return CatalogEntry(
+        name=f"pinched{box}", surface=ParametricSurface(box, jet), density=catalog.GAUSS_SPACE,
+        claim=Claim(CLAIM_MINIMAL), source="rank-deficient along v = 0",
+    )
+
+
+def test_rank_deficient_chart_in_the_stack_names_its_first_bad_point(monkeypatch):
+    # two pinched charts among the catalog's parametric entries: the stacked
+    # pass reports the earlier entry's first bad point, as verifying the
+    # entries one by one does
+    first, second = _pinched(((-1.0, 1.0), (-1.0, 1.0))), _pinched(((-2.0, 2.0), (-1.0, 1.0)))
+    entries = default_catalog()
+    entries = entries[:4] + [first] + entries[4:6] + [second] + entries[6:]
+    monkeypatch.setattr(catalog, "default_catalog", lambda: entries)
+    with pytest.raises(RankDeficiencyError) as stacked:
+        verify_catalog(1e-5)
+    with pytest.raises(RankDeficiencyError) as one_by_one:
+        for entry in entries:
+            verify_entry(entry, 1e-5)
+    with pytest.raises(RankDeficiencyError) as later:
+        verify_entry(second, 1e-5)
+    assert str(stacked.value) == str(one_by_one.value) == (
+        f"immersion is rank deficient at chart point {np.array([-1.0, 0.0])}"
+    )
+    assert str(later.value) != str(stacked.value)

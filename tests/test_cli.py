@@ -806,6 +806,42 @@ def test_benchmark_tracer_finds_and_restores_its_names(monkeypatch):
     assert cli.main is original
 
 
+def test_benchmark_tracer_counts_a_catalog_verify_op(monkeypatch, tmp_path):
+    # the tracer reads verify_entry's positional arguments to count points:
+    # a catalog op must run traced, ten entries of 21 x 21 chart points
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from tracing import Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op(0)
+        code = cli.main(["verify", "--only", "catalog", "--out", str(tmp_path / "v.json")])
+        tracer.end_op({})
+    finally:
+        tracer.uninstall()
+    assert code == EXIT_OK
+    (op,) = tracer.per_op
+    assert op["counts"]["catalog.points"] == 4410
+    assert op["calls"]["catalog.verify_entry"] == 10
+
+
+@pytest.mark.parametrize("field_out", ["-", "/dev/stdout"])
+def test_a_reader_that_closes_stdout_early_ends_the_command_quietly(field_out):
+    # ~99 kB of field text overfill the pipe once the reader has gone
+    src = str(Path(gaussmin.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    args = ["flow", "--n", "2", "--grid", "65", "--field-out", field_out]
+    proc = subprocess.Popen([sys.executable, "-W", "error", "-m", "gaussmin.cli", *args],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == EXIT_RUNTIME
+    assert err == b""  # no error line and no "Exception ignored" at exit
+
+
 @pytest.mark.parametrize("method", ["quadrature", "monte_carlo"])
 def test_hemisphere_at_a_radius_whose_square_overflows(method):
     # n = 1 keeps R^n a float up to 1.8e308, but (R sin t)^2 on the outer

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -43,6 +45,21 @@ def catenoid_without_derivatives() -> ParametricSurface:
 def test_generalized_cross_matches_cross_product():
     a, b = np.array([1.0, 0.2, -0.3]), np.array([0.1, 1.0, 0.5])
     assert np.allclose(generalized_cross(np.stack([a, b])), np.cross(a, b))
+
+
+def test_generalized_cross_keeps_no_reference_to_its_rows():
+    # a self-calling closure in the determinant helper was a reference cycle
+    # that held the entry arrays until the cyclic collector ran: on a stacked
+    # catalog pass the heap grew by ~12 MiB before it plateaued
+    rows = np.ones((7, 21, 21, 2, 3))
+    ref = weakref.ref(rows)
+    gc.disable()
+    try:
+        generalized_cross(rows)
+        del rows
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_generalized_cross_orients_upward_for_curve_graphs():
