@@ -83,7 +83,7 @@ def weighted_normal_divergence(u: GraphFunction, dens: Density, x) -> np.ndarray
     dim = x.shape[-1]
     offsets = np.concatenate([FD_STEP * np.eye(dim), -FD_STEP * np.eye(dim)])
     pts = x[..., None, :] + offsets
-    vals = np.exp(-dens.log_weight(pts))[..., None] * extended_normal(u)(pts)
+    vals = dens.weight(pts)[..., None] * extended_normal(u)(pts)
     forward, backward = vals[..., :dim, :], vals[..., dim:, :]
     return np.trace(forward - backward, axis1=-2, axis2=-1) / (2.0 * FD_STEP)
 
@@ -99,4 +99,4 @@ def closedness_residual(u: GraphFunction, dens: Density, x) -> np.ndarray:
     x = as_points(x, u.dimension + 1)
     div = weighted_normal_divergence(u, dens, x)
     _, _, hf = graph_curvature_samples(u, dens, x[..., :-1])
-    return div + np.exp(-dens.log_weight(x)) * hf
+    return div + dens.weight(x) * hf

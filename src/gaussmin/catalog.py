@@ -208,16 +208,15 @@ def make_plane(normal, offset: float) -> CatalogEntry:
 def make_horizontal_plane(a: float, profile: Optional[Profile] = None) -> CatalogEntry:
     """Horizontal plane z = a; weighted minimal under the horizontal
     Gaussian, and under a product density exactly when h'(a) = 0."""
+    annotations: tuple[str, ...] = ()
     if profile is None:
         dens = GAUSS_SPACE
         slope = 0.0
         source = "horizontal plane under the horizontal Gaussian density"
-        annotations: tuple[str, ...] = ()
     else:
         dens = Density.product(Density.gaussian(2), profile)
         slope = float(profile.slope(a))
         source = f"horizontal plane at the stationary height of profile '{profile.name}'"
-        annotations = ()
         if profile.name == "quad_log":
             alt = QUAD_LOG_ROOT_CANDIDATES[1]
             annotations = (

@@ -97,7 +97,7 @@ def _graph_preset(name: str, n: int, seed: int) -> GraphFunction:
 
 def _calibration_presets() -> list[tuple[str, GraphFunction, Density, bool]]:
     """(name, graph, density, sample_on_graph) checked by the verify command."""
-    presets = [(name, graph.graph_preset(name, 2), horizontal_gaussian(2), False)
+    presets = [(name, graph.graph_preset(name, 2), catalog.GAUSS_SPACE, False)
                for name in ("constant", "linear", "sinusoid")]
     parabola = catalog.make_parabola_with_profile()
     return presets + [(parabola.name, parabola.surface, parabola.density, True)]
@@ -385,13 +385,13 @@ def _options(command: str) -> dict:
     return {**_COMMANDS[command][2], "out": (None, str)}
 
 
-@functools.cache  # one parser per process; handlers are looked up per call
-def _build_parser() -> _Parser:
+@functools.cache  # one parser per process and mode; handlers are looked up per call
+def _build_parser(exit_on_error: bool = True) -> _Parser:
     sup = argparse.SUPPRESS
-    parser = _Parser(prog="gaussmin", description=__doc__)
+    parser = _Parser(prog="gaussmin", description=__doc__, exit_on_error=exit_on_error)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_text, _) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
+        p = sub.add_parser(command, help=help_text, exit_on_error=exit_on_error)
         for key, (_, kind) in _options(command).items():
             if kind is list:
                 how = {"action": "append"}
@@ -405,9 +405,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _read_config(path: str, options: dict) -> dict:
-    """The config file's values, each converted and checked by its option's
-    type or choices, as its text would be on the command line."""
+def _read_config(path: str, command: str) -> dict:
+    """The config file's values, each entry read as ``--flag=value`` (one per
+    item of a list option) by the command's flags, which raise, not exit."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
@@ -415,26 +415,26 @@ def _read_config(path: str, options: dict) -> dict:
         raise UsageError(f"cannot read config: {exc}") from None
     if not isinstance(loaded, dict):
         raise UsageError("config must be a JSON object")
+    options = _options(command)
     unknown = set(loaded) - set(options)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    tokens = [command]
     for key, value in loaded.items():
-        kind = options[key][1]
-        if kind is list:
+        if options[key][1] is list:
             if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
                 raise UsageError(f"config {key} must be a list of strings")
-            continue
-        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        elif isinstance(value, bool) or not isinstance(value, (str, int, float)):
             raise UsageError(f"config {key} must be a string or a number, got {json.dumps(value)}")
-        if isinstance(kind, list):
-            if str(value) not in kind:
-                raise UsageError(f"config {key} must be one of {kind}, got {json.dumps(value)}")
-            kind = str
-        try:
-            loaded[key] = kind(str(value))
-        except ValueError:
-            raise UsageError(f"config {key}: invalid value {json.dumps(value)}") from None
-    return loaded
+        else:
+            value = [value]
+        tokens += [f"--{key.replace('_', '-')}={v}" for v in value]
+    try:
+        parsed = vars(_build_parser(exit_on_error=False).parse_args(tokens))
+    except argparse.ArgumentError as exc:
+        raise UsageError(f"config: {exc}") from None
+    del parsed["command"]
+    return parsed
 
 
 def _attach_values(argv: Sequence[str]) -> list[str]:
@@ -455,11 +455,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ns = vars(_build_parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv)))
     command = ns.pop("command")
     config_path = ns.pop("config", None)
-    options = _options(command)
-    merged = {key: default for key, (default, _) in options.items()}
+    merged = {key: default for key, (default, _) in _options(command).items()}
     try:
         if config_path:
-            merged.update(_read_config(config_path, options))
+            merged.update(_read_config(config_path, command))
         merged.update(ns)  # a flag replaces its config value; --params too
         _check_ranges(merged)
         return _COMMANDS[command][0](merged)

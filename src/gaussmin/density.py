@@ -120,7 +120,9 @@ def profile_from_name(spec: str) -> Profile:
         factory = _PROFILE_FACTORIES[name]
     except KeyError:
         raise ValueError(f"unknown profile preset '{name}'") from None
-    args = [float(a) for a in argstr.split(",") if a] if argstr else []
+    args = [float(a) for a in argstr.split(",")] if argstr else []  # float's own ValueError for text
+    if not all(map(math.isfinite, args)):
+        raise ValueError(f"profile arguments must be finite numbers, got '{argstr}'")
     try:
         return factory(*args)
     except TypeError:

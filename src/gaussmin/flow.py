@@ -497,21 +497,26 @@ def flow_step(state: FlowState) -> FlowState:
     roundoff.
 
     Rejects (halving dt, up to MAX_REJECTIONS times) any step that increases
-    the weighted area by more than AREA_SLACK or produces non-finite values.
+    the weighted area by more than AREA_SLACK, overflows or is not finite.
     """
     fld = state.field
     mass = _axis(fld.half_width, fld.resolution, fld.dimension).mass
     area0 = state.history[-1][1]
     dt = state.dt
     for _ in range(MAX_REJECTIONS + 1):
-        du = _ou_solve(fld.half_width, dt * state.hf, dt)
-        du -= _mass_mean(du, mass)
-        du += fld.values
-        if np.all(np.isfinite(du)):
-            new_fld = GridField(fld.half_width, du)
-            area, hf = _field_geometry(new_fld)
-            if area <= area0 + AREA_SLACK:
-                return _accepted(new_fld, state.time + dt, dt, area, hf, state.history)
+        area = math.inf
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                du = _ou_solve(fld.half_width, dt * state.hf, dt)
+                du -= _mass_mean(du, mass)
+                du += fld.values
+                if np.all(np.isfinite(du)):
+                    new_fld = GridField(fld.half_width, du)
+                    area, hf = _field_geometry(new_fld)
+        except FloatingPointError:
+            pass  # a trial that overflows is rejected like one that raises the area
+        if area <= area0 + AREA_SLACK:
+            return _accepted(new_fld, state.time + dt, dt, area, hf, state.history)
         dt *= 0.5
     raise FlowStepError(
         f"step rejected {MAX_REJECTIONS} times at t = {state.time:.6g}"

@@ -22,7 +22,6 @@ det g = |N|^2 for the unnormalized normal (Cauchy-Binet).  No LAPACK call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -99,12 +98,6 @@ class CurvatureReport:
         }
 
 
-@lru_cache(maxsize=None)
-def _minor_columns(n: int) -> tuple[tuple[int, ...], ...]:
-    """For each i, the columns of an (n, n+1) matrix other than column i."""
-    return tuple(tuple(j for j in range(n + 1) if j != i) for i in range(n + 1))
-
-
 def _det(m) -> np.ndarray:
     """Determinants of a stack of k x k matrices given entry by entry: m[r][c]
     is the array (...) of entries in row r and column c.
@@ -139,8 +132,8 @@ def generalized_cross(rows: np.ndarray) -> np.ndarray:
     rows = np.asarray(rows, dtype=float)
     n = rows.shape[-1] - 1
     out = np.empty(rows.shape[:-2] + (n + 1,))
-    for i, keep in enumerate(_minor_columns(n)):
-        minor = _det([[rows[..., r, c] for c in keep] for r in range(n)])
+    for i in range(n + 1):
+        minor = _det([[rows[..., r, c] for c in range(n + 1) if c != i] for r in range(n)])
         # 0.0 - minor negates without turning a zero cofactor into -0.0
         out[..., i] = 0.0 - minor if (n + i) % 2 else minor
     return out

@@ -396,6 +396,11 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
         ("bound", {"rmin": None}, None),
         ("curvature", {"params": "r=2"}, None),
         ("verify", {"seed": "7", "only": "identity"}, ["--seed", "7", "--only", "identity"]),
+        # cases that only the flag's own conversion decides
+        ("verify", {"seed": 7.0}, None),
+        ("planes", {"lo": "-1e-3", "hi": 1}, ["--lo", "-1e-3", "--hi", "1"]),
+        ("verify", {"only": 3}, None),
+        ("measure", {"R": [1.7]}, None),
         # every option of each command, none at its default
         (
             "verify",
@@ -548,6 +553,13 @@ def test_bad_chart_point_is_usage_error(args, capsys):
         ["curvature", "--surface", "graph", "--params", "preset=sinusoid", "--params", "r=1"],
         ["curvature", "--surface", "plane", "--params", "theta=0.5"],
         ["bound", "--steps", "0"],
+        # each profile argument is one finite number
+        ["planes", "--profile", "quadratic:nan"],
+        ["curvature", "--surface", "horizontal_plane", "--params", "a=0.5",
+         "--params", "profile=quadratic:nan"],
+        ["curvature", "--density", "product:gaussian+linear:inf"],
+        ["planes", "--profile", "quadratic:1,,2"],
+        ["planes", "--profile", "quadratic:0.5,"],
     ],
 )
 def test_bad_numeric_option_is_usage_error(args, capsys):

@@ -137,6 +137,16 @@ def test_profile_presets_by_name():
         profile_from_name("unknown")
 
 
+def test_profile_arguments_are_finite_numbers_one_per_slot():
+    # a bare name or an empty argument list keeps the preset's defaults
+    assert profile_from_name("quadratic:").slope(1.0) == profile_from_name("quadratic").slope(1.0)
+    for spec in ("quadratic:nan", "linear:inf", "quadratic:1,-inf", "quadratic:1,,2", "quadratic:0.5,"):
+        with pytest.raises(ValueError):
+            profile_from_name(spec)
+    with pytest.raises(ValueError, match="could not convert string to float: 'abc'"):
+        profile_from_name("quadratic:abc")
+
+
 def test_density_presets_by_name():
     x = np.array([[0.3, -1.2, 0.7], [1.5, 0.4, -0.2]])
     gaussian = density_from_name("gaussian", 2)

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -457,6 +458,19 @@ def test_unsettled_solve_is_a_step_failure(monkeypatch, fresh_axis_factors):
     result = flow_run(initial_state(fld), t_max=50.0)
     assert result.verdict == VERDICT_STEP_FAILURE
     assert result.state.field is fld
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("init", ["sinusoid", "linear", "random_bump"])
+def test_overflowing_trial_steps_are_rejected_without_a_warning(n, init):
+    # on grid 3 at L = 1e-15 the ladder's large dt overflows the trial's solve
+    # or geometry; such a trial is rejected like one that raises the area, so
+    # the run ends in a verdict and no accepted step went through an overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = flow_run(initial_state(initial_field(n, 1e-15, 3, init)), 1e6)
+    assert result.verdict in (VERDICT_CONVERGED, VERDICT_MAX_TIME, VERDICT_STEP_FAILURE)
+    assert all(np.isfinite(row).all() for row in result.state.history)
 
 
 @pytest.mark.parametrize("n, resolution, limit_mb", [(3, 33, 2.5), (2, 65, 0.3)])
