@@ -25,15 +25,14 @@ from .rng import DEFAULT_SEED, VERIFY_STREAMS, substream
 
 SAMPLE_HALF_WIDTH = 2.0  # base points of the checks lie in [-2, 2]^n
 FD_STEP = 1e-4
-COMASS_TRIALS = 10_000  # ambient points per comass_check
+COMASS_TRIALS = 10_000  # base points per comass_check
 
 
 def ambient_samples(u: GraphFunction, rng, trials: int, on_graph: bool) -> np.ndarray:
     """(trials, n+1) ambient points: base points uniform in the
     [-SAMPLE_HALF_WIDTH, SAMPLE_HALF_WIDTH]^n box are drawn first, then the
     heights, which are the graph's own when ``on_graph`` and otherwise
-    uniform in [-1, 1].  Both verify checks, ``comass_check`` and
-    ``cli.closedness_suite``, draw through here."""
+    uniform in [-1, 1].  ``cli.closedness_suite`` draws through here."""
     n = u.dimension
     base = rng.uniform(-SAMPLE_HALF_WIDTH, SAMPLE_HALF_WIDTH, size=(trials, n))
     points = np.empty((trials, n + 1))
@@ -43,37 +42,45 @@ def ambient_samples(u: GraphFunction, rng, trials: int, on_graph: bool) -> np.nd
     return points
 
 
+def unit_normal(g: np.ndarray) -> np.ndarray:
+    """(-g, 1)/W, W = sqrt(1 + |g|^2): the upward unit normal of a graph of gradient g (..., n)."""
+    normal, w = tangent_minors(g), np.sqrt(1.0 + sq_norm(g))
+    for i in range(g.shape[-1] + 1):
+        normal[..., i] /= w
+    return normal
+
+
 def extended_normal(u: GraphFunction):
-    """The upward unit graph normal (-grad u, 1)/W, translated along the
-    vertical axis: it takes ambient points (..., n+1) and ignores the last
-    coordinate, so it is vertical-translation invariant by construction."""
+    """The upward unit graph normal, translated along the vertical axis: it
+    takes ambient points (..., n+1) and ignores the last coordinate, so it
+    is vertical-translation invariant by construction."""
 
     def field(x):
-        g = u.gradient(np.asarray(x, dtype=float)[..., :-1])
-        normal, w = tangent_minors(g), np.sqrt(1.0 + sq_norm(g))
-        for i in range(u.dimension + 1):
-            normal[..., i] /= w
-        return normal
+        return unit_normal(u.gradient(np.asarray(x, dtype=float)[..., :-1]))
 
     return field
 
 
-def comass_check(u: GraphFunction, seed: int = DEFAULT_SEED) -> float:
-    """max(| |N| - 1 |, |omega(T) - 1|) over COMASS_TRIALS seeded random ambient
-    points, T the orthonormal graph frame there: omega(T) = <N, *T> / |*T|,
-    |*T|^2 = det(T T^t).  It vanishes to rounding iff N is the unit normal of
-    the translated graph.
-
-    *T = (-g, 1) comes from a gradient of its own, not from N: with
+def comass_check(graphs: list[GraphFunction], seed: int = DEFAULT_SEED) -> list[float]:
+    """Per graph, max(| |N| - 1 |, |omega(T) - 1|) over COMASS_TRIALS seeded
+    random base points, T the orthonormal graph frame there: omega(T) =
+    <N, *T> / |*T|, |*T|^2 = det(T T^t); it vanishes to rounding iff N is the
+    graph's unit normal.  The graphs, of one dimension n, share one draw of
+    base points and no heights.  Each gradient g is evaluated once; N comes
+    from it through ``unit_normal``, *T = (-g, 1) from g itself, not from N:
     <N, *T> = N_{n+1} - sum_i N_i g_i and |*T|^2 = 1 + |g|^2, column by column.
     """
-    n = u.dimension
-    points = ambient_samples(u, substream(seed, VERIFY_STREAMS["comass"]), COMASS_TRIALS, False)
-    normals = extended_normal(u)(points)
-    g = u.gradient(points[:, :n])
-    pairing = normals[:, n] - dot(normals[:, :n], g)
-    omega = pairing / np.sqrt(1.0 + sq_norm(g))
-    return float(np.max(np.maximum(np.abs(np.sqrt(sq_norm(normals)) - 1.0), np.abs(omega - 1.0))))
+    n = graphs[0].dimension
+    rng = substream(seed, VERIFY_STREAMS["comass"])  # ambient_samples' first draw
+    base = rng.uniform(-SAMPLE_HALF_WIDTH, SAMPLE_HALF_WIDTH, size=(COMASS_TRIALS, n))
+    residuals = []
+    for u in graphs:
+        g = u.gradient(base)
+        normals = unit_normal(g)
+        omega = (normals[:, n] - dot(normals[:, :n], g)) / np.sqrt(1.0 + sq_norm(g))
+        length = np.abs(np.sqrt(sq_norm(normals)) - 1.0)
+        residuals.append(float(np.max(np.maximum(length, np.abs(omega - 1.0)))))
+    return residuals
 
 
 def weighted_normal_divergence(u: GraphFunction, dens: Density, x) -> np.ndarray:

@@ -12,11 +12,11 @@ import numpy as np
 DEFAULT_SEED = 0xD1CE
 
 # Each verify check's stream, keyed by the one verify seed.  No two may be
-# equal: the comass and closedness checks both sample through
-# calibration.ambient_samples, and on one stream would probe the same points.
+# equal: the comass check's base points are calibration.ambient_samples' first
+# draw, so on the closedness stream both checks would probe the same points.
 VERIFY_STREAMS = {"comass": 0, "tangent_distance": 1, "closedness": 3}
 
 
 def substream(seed: int, stream: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    key = np.array([seed, stream], dtype=np.uint64)  # raises outside [0, 2^64)
     return np.random.Generator(np.random.Philox(key=key))

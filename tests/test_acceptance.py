@@ -234,7 +234,7 @@ def test_calibration_closedness_and_comass(monkeypatch):
         )
     comass = random_frame_comass(parab, trials=100_000, seed=SEED)
     monkeypatch.setattr("gaussmin.calibration.COMASS_TRIALS", 100_000)
-    tangent = comass_check(parab, seed=SEED)
+    tangent = comass_check([parab], seed=SEED)[0]
     ok = worst_identity <= 1e-4 and worst_minimal <= 1e-4 and comass <= 1.0 + 1e-12
     ok = ok and tangent <= 1e-12
     assert _line(

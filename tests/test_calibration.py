@@ -57,32 +57,50 @@ def test_comass_never_exceeds_one(name, monkeypatch):
     # Hadamard: no orthonormal frame beats |N| = 1, and the tangent frame attains it
     assert random_frame_comass(u, trials=20_000, seed=2) <= 1.0 + 1e-12
     monkeypatch.setattr(calibration, "COMASS_TRIALS", 20_000)
-    assert comass_check(u, seed=2) <= 1e-12
+    assert comass_check([u], seed=2)[0] <= 1e-12
 
 
-def flipped_normal(u):
-    """(grad u, 1)/W: a unit field with the gradient term's sign wrong."""
-
-    def field(x):
-        g = u.gradient(np.asarray(x, dtype=float)[..., :-1])
-        up = np.concatenate([g, np.ones(g.shape[:-1] + (1,))], axis=-1)
-        return up / np.sqrt(1.0 + np.vecdot(g, g))[..., None]
-
-    return field
+def flipped_normal(g):
+    """(g, 1)/W: a unit field with the gradient term's sign wrong."""
+    up = np.concatenate([g, np.ones(g.shape[:-1] + (1,))], axis=-1)
+    return up / np.sqrt(1.0 + np.vecdot(g, g))[..., None]
 
 
 def test_comass_check_fails_a_sign_flipped_normal(monkeypatch, capsys):
     presets = graph_presets(2)
     for name in ("linear", "sinusoid", "parabola"):
-        assert comass_check(presets[name]) <= 1e-12
-    monkeypatch.setattr(calibration, "extended_normal", flipped_normal)
+        assert comass_check([presets[name]])[0] <= 1e-12
+    monkeypatch.setattr(calibration, "unit_normal", flipped_normal)
     for name in ("linear", "sinusoid", "parabola"):
-        assert comass_check(presets[name]) > 0.1, name
+        assert comass_check([presets[name]])[0] > 0.1, name
     assert main(["verify", "--only", "calibration"]) == EXIT_CHECK_FAILED
     rows = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
     failed = {name for name, c in rows.items() if name.startswith("comass:") and not c["pass"]}
     assert failed == {"comass:linear", "comass:sinusoid", "comass:parabola_quad_log"}
     assert rows["comass:linear"]["residual"] > 0.1
+
+
+def test_comass_check_fails_a_normal_one_part_in_a_million_long(monkeypatch):
+    presets = graph_presets(2)
+    unit = calibration.unit_normal
+    monkeypatch.setattr(calibration, "unit_normal", lambda g: unit(g) * (1.0 + 1e-6))
+    for name, residual in zip(presets, comass_check(list(presets.values()))):
+        assert residual > 1e-12, name
+
+
+def test_shared_comass_pass_gives_each_graph_its_own_bits(monkeypatch):
+    # one draw of base points for all graphs: each residual is the one a
+    # pass over that graph alone gives, in either order.  Unit normals leave
+    # residuals of a few ulps, which other points would likely repeat, so
+    # the normal is also lengthened by |g|^2/1000: then a residual is the
+    # largest |g|^2 over the points its graph sees
+    unit = calibration.unit_normal
+    graphs = list(graph_presets(2, seed=7387).values())
+    for normal in (unit, lambda g: unit(g) * (1.0 + 1e-3 * np.vecdot(g, g))[..., None]):
+        monkeypatch.setattr(calibration, "unit_normal", normal)
+        alone = [comass_check([u], seed=53710)[0].hex() for u in graphs]
+        assert [r.hex() for r in comass_check(graphs, seed=53710)] == alone
+        assert [r.hex() for r in comass_check(graphs[::-1], seed=53710)] == alone[::-1]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from scipy import special
 
@@ -76,10 +77,37 @@ def test_verify_checks_draw_their_own_streams(monkeypatch):
         drawn.clear()
         assert cli.run_verify(1e-5, "all", seed)["overall_pass"]
         assert Counter(drawn) == {
-            ("comass_check", seed, streams["comass"]): presets,
+            ("comass_check", seed, streams["comass"]): 1,
             ("closedness_suite", seed, streams["closedness"]): presets,
             ("tangent_distance_suite", seed, streams["tangent_distance"]): 1,
         }
+
+
+def test_calibration_op_draws_comass_points_once_and_one_gradient_per_preset(monkeypatch, tmp_path):
+    # the four presets share one draw of base points, and each gradient on
+    # them serves both N and *T
+    from collections import Counter
+
+    from gaussmin import calibration, rng
+
+    draws, gradients = [], Counter()
+    gradient = GraphFunction.gradient
+
+    def drawn(seed, stream):
+        draws.append(stream)
+        return rng.substream(seed, stream)
+
+    def counted(u, x):
+        if np.shape(x)[:-1] == (calibration.COMASS_TRIALS,):
+            gradients[u.name] += 1
+        return gradient(u, x)
+
+    monkeypatch.setattr(calibration, "substream", drawn)
+    monkeypatch.setattr(GraphFunction, "gradient", counted)
+    assert run(["verify", "--only", "calibration", "--out", str(tmp_path / "v.json")]) == EXIT_OK
+    assert draws == [rng.VERIFY_STREAMS["comass"]]
+    names = [u.name for _, u, _, _ in cli._calibration_presets()]
+    assert len(set(names)) == 4 and gradients == Counter(names)
 
 
 def test_bound_sweep_csv(tmp_path):
@@ -632,6 +660,40 @@ def test_value_after_a_space_reads_as_after_equals(command, key, value, tmp_path
         captured = capsys.readouterr()
         seen.append((code, captured.out, captured.err, out.read_bytes() if out.exists() else None))
     assert seen[0] == seen[1]
+
+
+@pytest.mark.parametrize("seed, code", [
+    ("-1", EXIT_USAGE), (str(2**64), EXIT_USAGE), (str(2**64 + 1), EXIT_USAGE),
+    ("0", EXIT_OK), (str(2**64 - 1), EXIT_OK),
+])
+@pytest.mark.parametrize("how", ["flag", "config", "params"])
+def test_seed_outside_uint64_is_usage_error(seed, code, how, tmp_path, capsys):
+    # Philox keys take a seed as one uint64 word: one modulo 2^64 would alias
+    # -1 with 2^64 - 1, and 2^64 - 1 as a float rounds up to 2^64
+    if how == "params":
+        args = ["curvature", "--surface", "graph", "--params", "preset=random_bump",
+                "--params", f"seed={seed}"]
+        what = "--params seed"
+    else:
+        args = ["verify", "--only", "identity"]
+        what = "seed"
+        if how == "flag":
+            args += ["--seed", seed]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(f'{{"seed": {seed}}}')
+            args += ["--config", str(cfg)]
+    assert run([*args, "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert err == ("" if code == EXIT_OK else f"gaussmin: {what} must be in [0, 2^64), got {seed}\n")
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_substream_takes_no_seed_outside_uint64(seed):
+    from gaussmin.rng import substream
+
+    with pytest.raises(OverflowError):
+        substream(seed, 0)
 
 
 def test_negative_radius_keeps_its_range_error(capsys):
